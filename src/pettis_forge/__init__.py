@@ -36,8 +36,6 @@ from .intervals import (
     IntervalSet,
     dyadic_interval,
     find_inner_dyadic,
-    intersect,
-    measure,
 )
 from .pettis import (
     IntegralEnclosure,

@@ -162,24 +162,5 @@ class Functional:
         return max((n for n, _ in self.coeffs), default=0)
 
 
-# Operation-style aliases for the module surface.
-
-
-def norm(v: BlockVector) -> float:
-    return v.norm()
-
-
-def project_block(v: BlockVector, level: int) -> BlockVector:
-    return v.project_block(level)
-
-
 def apply_functional(x: Functional, v: BlockVector) -> float:
     return x.apply(v)
-
-
-def add(a: BlockVector, b: BlockVector) -> BlockVector:
-    return a.add(b)
-
-
-def scale(a: BlockVector, t: float) -> BlockVector:
-    return a.scale(t)

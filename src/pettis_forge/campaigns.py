@@ -71,8 +71,11 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.kind not in CAMPAIGN_KINDS:
             raise ConfigError(f"unknown campaign kind {self.kind!r}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        for name in ("samples", "sets", "set_parts_max", "support_max"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not all(0.0 <= t < 1.0 for t in self.t_grid):
+            raise ConfigError(f"t_grid values must lie in [0, 1), got {list(self.t_grid)}")
         if not (0 <= self.j_min < self.j_max <= 40):
             raise ConfigError(f"need 0 <= j_min < j_max <= 40, got [{self.j_min}, {self.j_max}]")
         if self.format not in ("csv", "json"):
@@ -140,17 +143,6 @@ def _fmt(v: object) -> str:
 # ---------------------------------------------------------------------------
 # Samplers (all driven by the config seed)
 # ---------------------------------------------------------------------------
-
-
-def _random_interval(rng: random.Random, min_measure: float) -> Interval:
-    for _ in range(100_000):
-        a, b = rng.random(), rng.random()
-        lo, hi = (a, b) if a <= b else (b, a)
-        if hi - lo >= min_measure:
-            return Interval(lo, hi)
-    raise DepthInsufficientError(
-        f"could not sample an interval of measure >= {min_measure}"
-    )
 
 
 def _random_interval_set(rng: random.Random, parts_max: int) -> IntervalSet:
@@ -308,9 +300,10 @@ def run_blowup(model: PettisModel, cfg: CampaignConfig) -> Report:
 def run_halfpower_statistic(model: PettisModel, cfg: CampaignConfig) -> Report:
     """Square-root-rate regime: hard floor assertion plus a median trend.
 
-    Asserts only the sandwich floor h^(-1/2) * upper >= psi(h) / sqrt(h);
-    the almost-everywhere vanishing-rate statement is flagged as not
-    decidable and reported as a per-j median of the normalized rates.
+    Asserts only the floor h^(-1/2) * lower >= psi(h) / sqrt(h) on the
+    certified lower bound, the sound side; the almost-everywhere
+    vanishing-rate statement is flagged as not decidable and reported as a
+    per-j median of the normalized rates.
     """
     if model.p != 2.0:
         raise ConfigError("halfpower campaign requires the p = 2 backend")
@@ -325,7 +318,7 @@ def run_halfpower_statistic(model: PettisModel, cfg: CampaignConfig) -> Report:
         for j in range(cfg.j_min, cfg.j_max + 1):
             h = math.ldexp(1.0, -j)
             enc = pettis_integral(model, Interval(t, t + h))
-            ratio = enc.upper / math.sqrt(h)
+            ratio = enc.lower / math.sqrt(h)
             bound = eval_psi_total(model.psi, h) / math.sqrt(h)
             ok = ratio >= bound - BOUND_SLACK
             if not ok:

@@ -3,8 +3,7 @@
 Dyadic rationals j/2^m with m <= 52 are exactly representable in binary
 floating point, and scaling a float by a power of two is exact, so the
 dyadic-cell arithmetic below never rounds.  Non-dyadic endpoints round to
-the nearest float; measure comparisons made elsewhere in the package carry
-an absolute slack of MEASURE_SLACK to absorb that.
+the nearest float.
 
 All values are immutable and all operations are pure.
 """
@@ -22,9 +21,6 @@ MAX_DYADIC_LEVEL = 40
 
 #: Internal search ceiling for the inner-dyadic finder; still float-exact.
 _SEARCH_MAX_LEVEL = 48
-
-#: Absolute slack for measure comparisons involving non-dyadic endpoints.
-MEASURE_SLACK = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,13 +224,3 @@ def _canonical(parts: Iterable[Interval]) -> tuple[Interval, ...]:
         else:
             merged.append(p)
     return tuple(merged)
-
-
-def measure(s: IntervalSet) -> float:
-    """Total length of a canonical interval set."""
-    return s.measure
-
-
-def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """Canonical intersection of two canonical interval sets."""
-    return a.intersect(b)

@@ -25,9 +25,7 @@ Assertions downstream always use the lower side.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .blocks import BlockLayout, BlockVector, Functional
 from .carriers import CarrierFamily, allocate_carriers
@@ -127,36 +125,17 @@ def evaluate_f(model: PettisModel, omega: float) -> BlockVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _LevelSlab:
-    """Sparse description of one level of a truncated integral vector."""
-
-    coeff: float
-    full_runs: list[tuple[int, int]] = field(default_factory=list)  # inclusive k ranges
-    partial: dict[int, float] = field(default_factory=dict)  # k -> ratio in [0, 1]
-
-    def full_count(self) -> int:
-        return sum(b - a + 1 for a, b in self.full_runs)
-
-    def ratio_at(self, k: int) -> float:
-        r = self.partial.get(k)
-        if r is not None:
-            return r
-        starts = [a for a, _ in self.full_runs]
-        i = bisect_right(starts, k) - 1
-        if i >= 0 and self.full_runs[i][0] <= k <= self.full_runs[i][1]:
-            return 1.0
-        return 0.0
-
-
 @dataclass(frozen=True)
 class IntegralEnclosure:
     """Truncated weak integral with a certified norm enclosure.
 
-    ``lower`` is the exact norm of the truncation; ``upper`` adds the
-    geometric tail bound through p-additivity, so
+    ``lower`` is the exact norm of the truncation at level ``N``; ``upper``
+    adds the geometric tail bound through p-additivity, so
 
         lower <= true norm <= upper.
+
+    The truncated vector is not stored: ``coefficient``, ``apply`` and
+    ``to_block_vector`` compute its coordinates on demand from ``E``.
     """
 
     model: PettisModel
@@ -164,13 +143,14 @@ class IntegralEnclosure:
     upper: float
     tail: float
     clamp_anomalies: int
-    _slabs: Mapping[int, _LevelSlab] = field(repr=False)
+    E: IntervalSet = field(repr=False)
+    N: int
 
     def coefficient(self, n: int, k: int) -> float:
-        slab = self._slabs.get(n)
-        if slab is None:
+        c = self.model.table.coeffs.get(n)
+        if c is None or n > self.N:
             return 0.0
-        return slab.coeff * slab.ratio_at(k)
+        return c * _cell_ratio(self.model.carriers, n, k, self.E.parts)[0]
 
     def apply(self, x: Functional) -> float:
         """Pairing of a finite-support functional with the truncation."""
@@ -179,20 +159,17 @@ class IntegralEnclosure:
         return math.fsum(w * self.coefficient(n, k) for (n, k), w in x.coeffs.items())
 
     def to_block_vector(self, max_coords: int = 250_000) -> BlockVector:
-        total = sum(s.full_count() + len(s.partial) for s in self._slabs.values())
+        levels, _ = _level_cover(self.model, self.E.parts, self.N)
+        total = sum(sum(map(len, whole)) + len(ratios) for _, _, whole, ratios in levels)
         if total > max_coords:
             raise MaterializationLimitError(
                 f"truncated vector has {total} coordinates; raise max_coords to materialize"
             )
         out: dict[tuple[int, int], float] = {}
-        for n, slab in self._slabs.items():
-            for a, b in slab.full_runs:
-                for k in range(a, b + 1):
-                    out[(n, k)] = slab.coeff
-            for k, r in slab.partial.items():
-                v = slab.coeff * r
-                if v:
-                    out[(n, k)] = out.get((n, k), 0.0) + v
+        for n, c, whole, ratios in levels:
+            for run in whole:
+                out.update(((n, k), c) for k in run)
+            out.update(((n, k), c * r) for k, r in ratios.items())
         return BlockVector(self.model.layout, out)
 
 
@@ -202,53 +179,67 @@ def _as_interval_set(E: IntervalSet | Interval) -> IntervalSet:
     return E
 
 
-def _touched_cells(lo: float, hi: float, level: int) -> tuple[int, int]:
-    """1-based indices of the first/last level cells meeting [lo, hi).
+def _cell_ratio(
+    fam: CarrierFamily, level: int, k: int, parts: tuple[Interval, ...]
+) -> tuple[float, int]:
+    """mu(E n A(level, k)) / mu(A(level, k)) and its count of clamp anomalies.
 
-    Scaling by 2^level is exact in binary floating point, so no rounding
-    guard is needed.
+    Each part of E meeting the cell adds its overlap ratio clamped to
+    [0, 1]; the sum is capped at 1.  A cell strictly inside a part is whole.
     """
-    k_first = math.floor(math.ldexp(lo, level)) + 1
-    s_hi = math.ldexp(hi, level)
-    f = math.floor(s_hi)
-    k_last = f if f == s_hi else f + 1
-    return k_first, k_last
-
-
-def _build_slabs(
-    model: PettisModel, E: IntervalSet, max_level: int
-) -> tuple[dict[int, _LevelSlab], int]:
-    slabs: dict[int, _LevelSlab] = {}
+    lo, hi = math.ldexp(k - 1, -level), math.ldexp(k, -level)
+    total = 0.0
     anomalies = 0
+    for part in parts:
+        if part.hi <= lo or part.lo >= hi:
+            continue
+        if part.lo < lo and part.hi > hi:
+            return 1.0, 0
+        r = fam.overlap(level, k, part.lo, part.hi) / fam.carrier_measure(level, k)
+        if r > 1.0:
+            anomalies += r > 1.0 + CLAMP_SLACK
+            r = 1.0
+        elif r < 0.0:
+            anomalies += r < -CLAMP_SLACK
+            r = 0.0
+        total += r
+    return min(1.0, total), anomalies
+
+
+def _level_cover(
+    model: PettisModel, parts: tuple[Interval, ...], N: int
+) -> tuple[list[tuple[int, float, list[range], dict[int, float]]], int]:
+    """(level, c, whole cells, end-cell ratios) for each realized level <= N
+    that E meets, plus the total count of clamp anomalies.
+
+    A part [lo, hi) meets cells k_first..k_last of a level.  The cells
+    strictly between lie inside the part and count exactly 1, so only the
+    end cells need overlap arithmetic.  Scaling by 2^level is exact in
+    binary floating point, so the indices need no rounding guard.
+    """
     fam = model.carriers
+    levels = []
+    anomalies = 0
     for level in model.table.levels:
-        if level > max_level:
+        if level > N:
             break
-        c = model.table.coefficient(level)
-        slab = _LevelSlab(coeff=c)
-        for part in E.parts:
-            k_first, k_last = _touched_cells(part.lo, part.hi, level)
-            if k_last < k_first:
-                continue
+        whole = []
+        ends: dict[int, None] = {}
+        for part in parts:
+            k_first = math.floor(math.ldexp(part.lo, level)) + 1
+            k_last = math.ceil(math.ldexp(part.hi, level))
             if k_last - k_first >= 2:
-                slab.full_runs.append((k_first + 1, k_last - 1))
-            for k in {k_first, k_last}:
-                mu = fam.carrier_measure(level, k)
-                r = fam.overlap(level, k, part.lo, part.hi) / mu
-                if r > 1.0:
-                    if r > 1.0 + CLAMP_SLACK:
-                        anomalies += 1
-                    r = 1.0
-                elif r < 0.0:
-                    if r < -CLAMP_SLACK:
-                        anomalies += 1
-                    r = 0.0
-                if r:
-                    slab.partial[k] = min(1.0, slab.partial.get(k, 0.0) + r)
-        slab.full_runs.sort()
-        if slab.full_runs or slab.partial:
-            slabs[level] = slab
-    return slabs, anomalies
+                whole.append(range(k_first + 1, k_last))
+            ends[k_first] = ends[k_last] = None
+        ratios = {}
+        for k in ends:
+            r, bad = _cell_ratio(fam, level, k, parts)
+            anomalies += bad
+            if r:
+                ratios[k] = r
+        if whole or ratios:
+            levels.append((level, model.table.coefficient(level), whole, ratios))
+    return levels, anomalies
 
 
 def pettis_integral(
@@ -264,31 +255,24 @@ def pettis_integral(
     if not (0 <= N <= model.depth):
         raise SupportDepthError(f"truncation level {N} outside 0..{model.depth}")
     Eset = _as_interval_set(E)
-    slabs, anomalies = _build_slabs(model, Eset, N)
+    levels, anomalies = _level_cover(model, Eset.parts, N)
     p = model.p
     tail = tail_bound(model.table, N)
     if math.isinf(p):
         lower = max(
-            (s.coeff * max(1.0 if s.full_runs else 0.0, max(s.partial.values(), default=0.0))
-             for s in slabs.values()),
+            (c * max(1.0 if whole else 0.0, max(ratios.values(), default=0.0))
+             for _, c, whole, ratios in levels),
             default=0.0,
         )
         upper = max(lower, tail)
     else:
         total = math.fsum(
-            s.coeff**p * (s.full_count() + math.fsum(r**p for r in s.partial.values()))
-            for s in slabs.values()
+            c**p * (sum(map(len, whole)) + math.fsum(r**p for r in ratios.values()))
+            for _, c, whole, ratios in levels
         )
         lower = total ** (1.0 / p)
         upper = (total + tail**p) ** (1.0 / p)
-    return IntegralEnclosure(
-        model=model,
-        lower=lower,
-        upper=upper,
-        tail=tail,
-        clamp_anomalies=anomalies,
-        _slabs=slabs,
-    )
+    return IntegralEnclosure(model, lower, upper, tail, anomalies, E=Eset, N=N)
 
 
 def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval) -> float:
@@ -320,11 +304,10 @@ def bochner_level_masses(model: PettisModel, E: IntervalSet | Interval) -> dict[
     Exact because carrier disjointness makes the pointwise norm single-
     coordinate.
     """
-    Eset = _as_interval_set(E)
-    slabs, _ = _build_slabs(model, Eset, model.depth)
+    levels, _ = _level_cover(model, _as_interval_set(E).parts, model.depth)
     return {
-        n: s.coeff * (s.full_count() + math.fsum(s.partial.values()))
-        for n, s in slabs.items()
+        n: c * (sum(map(len, whole)) + math.fsum(ratios.values()))
+        for n, c, whole, ratios in levels
     }
 
 

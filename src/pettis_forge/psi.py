@@ -285,14 +285,6 @@ class GrowthReport:
             raise GrowthConditionError("no ratio certificate available")
         return first_omitted / (1.0 - self.ratio)
 
-    def tail_after(self, n: int) -> float:
-        """Upper bound on sum of term_m for m > n, valid for n >= n0."""
-        if self.n0 is None or n < self.n0:
-            raise GrowthConditionError(f"tail bound valid only from n0={self.n0}")
-        if n >= len(self.terms):
-            raise GrowthConditionError("tail_after beyond computed terms; use geometric_tail")
-        return self.geometric_tail(self.terms[n])  # terms[n] is term_(n+1)
-
     def to_json(self) -> dict:
         return {
             "pass": self.passed,
@@ -415,10 +407,6 @@ class CoefficientTable:
 
     def support(self) -> tuple[int, ...]:
         return self.levels
-
-    def level_index(self, level: int) -> int:
-        """n with p_n == level (1-based)."""
-        return self.levels.index(level) + 1
 
     def to_json(self) -> dict:
         return {

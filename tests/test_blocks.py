@@ -6,31 +6,30 @@ import random
 import pytest
 
 from pettis_forge import BlockLayout, BlockVector, Functional, apply_functional, dual_exponent
-from pettis_forge.blocks import add, norm, project_block, scale
 from pettis_forge.errors import LayoutMismatchError
 
 L2 = BlockLayout.power_of_two(2.0, 6)
 
 
 def test_norm_examples():
-    assert norm(BlockVector(L2, {(1, 1): 3.0, (1, 2): 4.0})) == 5.0
+    assert BlockVector(L2, {(1, 1): 3.0, (1, 2): 4.0}).norm() == 5.0
     l1 = BlockLayout.power_of_two(1.0, 6)
-    assert norm(BlockVector(l1, {(2, 1): 0.5, (3, 2): 0.25})) == 0.75
-    assert norm(BlockVector(L2)) == 0.0
+    assert BlockVector(l1, {(2, 1): 0.5, (3, 2): 0.25}).norm() == 0.75
+    assert BlockVector(L2).norm() == 0.0
 
 
 def test_norm_sup():
     linf = BlockLayout.power_of_two(math.inf, 6)
     v = BlockVector(linf, {(1, 1): -3.0, (2, 2): 2.0})
-    assert norm(v) == 3.0
+    assert v.norm() == 3.0
 
 
 def test_project_examples():
     v = BlockVector(L2, {(1, 1): 3.0, (2, 3): 4.0})
-    pv = project_block(v, 2)
+    pv = v.project_block(2)
     assert dict(pv.coeffs) == {(2, 3): 4.0}
-    assert project_block(pv, 2) == pv
-    assert project_block(BlockVector(L2), 3).is_zero()
+    assert pv.project_block(2) == pv
+    assert BlockVector(L2).project_block(3).is_zero()
     assert pv.norm() <= v.norm()
 
 
@@ -44,12 +43,12 @@ def test_apply_examples():
 
 def test_add_scale_identities():
     v = BlockVector(L2, {(1, 1): 1.0, (3, 5): -2.0})
-    assert add(v, BlockVector(L2)) == v
-    assert scale(v, 0.0).is_zero()
-    assert abs(scale(v, -2.0).norm() - 2.0 * v.norm()) < 1e-15
+    assert v.add(BlockVector(L2)) == v
+    assert v.scale(0.0).is_zero()
+    assert abs(v.scale(-2.0).norm() - 2.0 * v.norm()) < 1e-15
     a = BlockVector(L2, {(1, 1): 3.0})
     b = BlockVector(L2, {(2, 2): 4.0})
-    assert abs(add(a, b).norm() ** 2 - (a.norm() ** 2 + b.norm() ** 2)) < 1e-12
+    assert abs(a.add(b).norm() ** 2 - (a.norm() ** 2 + b.norm() ** 2)) < 1e-12
 
 
 def test_zero_coefficients_dropped_and_validated():
@@ -64,7 +63,7 @@ def test_zero_coefficients_dropped_and_validated():
 def test_layout_mismatch_on_mixed_operands():
     other = BlockLayout.power_of_two(1.0, 6)
     with pytest.raises(LayoutMismatchError):
-        add(BlockVector(L2, {(1, 1): 1.0}), BlockVector(other, {(1, 1): 1.0}))
+        BlockVector(L2, {(1, 1): 1.0}).add(BlockVector(other, {(1, 1): 1.0}))
     with pytest.raises(LayoutMismatchError):
         apply_functional(Functional(other, {(1, 1): 1.0}), BlockVector(L2, {(1, 1): 1.0}))
 

@@ -9,9 +9,11 @@ import pytest
 
 from pettis_forge import (
     CampaignConfig,
+    Interval,
     PsiSpec,
     SequenceRule,
     build_model,
+    pettis_integral,
     run_blowup,
     run_bochner_divergence,
     run_continuous_campaign,
@@ -84,6 +86,7 @@ def test_halfpower_campaign(model12):
     assert set(trend) == {str(j) for j in range(4, 10)}
     for t, j, h, ratio, floor, ok in rep.rows[:40]:
         assert ok == (ratio >= floor - 1e-12)
+        assert ratio == pettis_integral(model12, Interval(t, t + h)).lower / math.sqrt(h)
 
 
 def test_halfpower_requires_l2():
@@ -142,10 +145,21 @@ def test_reports_are_reproducible(model12):
 
 
 def test_campaign_config_validation():
-    with pytest.raises(ConfigError):
-        CampaignConfig("nope")
-    with pytest.raises(ConfigError):
-        CampaignConfig("blowup", j_min=9, j_max=4)
+    bad = [
+        {"kind": "nope"},
+        {"kind": "blowup", "j_min": 9, "j_max": 4},
+        {"kind": "pairing", "sets": 0},
+        {"kind": "pairing", "set_parts_max": 0},
+        {"kind": "pairing", "support_max": 0},
+        {"kind": "blowup", "t_grid": (1.5,)},
+        {"kind": "blowup", "t_grid": (0.0, 1.0)},
+        {"kind": "blowup", "t_grid": (-0.25,)},
+    ]
+    for fields in bad:
+        with pytest.raises(ConfigError):
+            CampaignConfig(**fields)
+        with pytest.raises(ConfigError):
+            build_campaign_from_config(fields)
     with pytest.raises(ConfigError):
         build_campaign_from_config({"kind": "blowup", "whatever": 1})
     with pytest.raises(ConfigError):
@@ -240,6 +254,13 @@ def test_cli_exit_codes(tmp_path):
     )
     r = _cli("verify", "lower-bound", "--config", cfg)
     assert r.returncode == 2
+    # a field that would leave the sampler an empty range
+    cfg = _write_cfg(
+        tmp_path, "empty.json", {"model": _MODEL_CFG, "campaign": {"samples": 2, "support_max": 0}}
+    )
+    r = _cli("verify", "pairing", "--config", cfg)
+    assert r.returncode == 2
+    assert "config error: support_max must be >= 1" in r.stderr
 
 
 def test_cli_psi_validate_exit_one(tmp_path):

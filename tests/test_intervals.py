@@ -14,8 +14,6 @@ from pettis_forge import (
     IntervalSet,
     dyadic_interval,
     find_inner_dyadic,
-    intersect,
-    measure,
 )
 from pettis_forge.errors import DegenerateIntervalError, LevelOverflowError
 
@@ -50,23 +48,23 @@ def test_dyadic_measure_exact_everywhere():
 
 def test_measure_examples():
     s = IntervalSet.of(Interval(0.25, 0.375), Interval(0.5, 0.625))
-    assert measure(s) == 0.25
-    assert measure(IntervalSet()) == 0.0
-    assert measure(IntervalSet.full()) == 1.0
+    assert s.measure == 0.25
+    assert IntervalSet().measure == 0.0
+    assert IntervalSet.full().measure == 1.0
 
 
 def test_intersect_example():
     a = IntervalSet.of(Interval(0.25, 0.375), Interval(0.5, 0.625))
     b = IntervalSet.of(Interval(0.3, 0.6))
-    got = intersect(a, b)
+    got = a.intersect(b)
     assert got == IntervalSet.of(Interval(0.3, 0.375), Interval(0.5, 0.6))
     assert abs(got.measure - 0.175) < 1e-15
 
 
 def test_intersect_trivial_cases():
     a = IntervalSet.of(Interval(0.1, 0.2), Interval(0.7, 0.9))
-    assert intersect(a, IntervalSet()).is_empty()
-    assert intersect(a, IntervalSet.full()) == a
+    assert a.intersect(IntervalSet()).is_empty()
+    assert a.intersect(IntervalSet.full()) == a
 
 
 def test_canonicalization_merges_and_sorts():

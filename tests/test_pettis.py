@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pettis_forge import (
+    CarrierFamily,
     Functional,
     Interval,
     IntervalSet,
@@ -111,10 +112,22 @@ def test_enclosure_coefficients_in_range():
                 assert -1e-15 <= enc.coefficient(n, k) <= c * (1 + 1e-15)
 
 
-def test_enclosure_against_explicit_interval_arithmetic():
+def _family(kind, depth):
+    if kind == "explicit":
+        strat = allocate_carriers(depth, "stratified")
+        return CarrierFamily.from_sets(depth, {nk: strat.carrier(*nk) for nk in strat.cells()})
+    return allocate_carriers(depth, kind)
+
+
+@pytest.mark.parametrize(
+    "kind, depth",
+    [("greedy-gap", 8), ("stratified", 6), ("explicit", 6)],
+    ids=["greedy-gap", "stratified", "explicit"],
+)
+def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
     """Independent oracle: every coordinate of the truncated integral equals
     c * mu(E n A)/mu(A) computed with materialized sets and set intersection."""
-    model = build_model(None, SPEC34, depth=8)
+    model = build_model(_family(kind, depth), SPEC34, depth=depth)
     fam = model.carriers
     rng = random.Random(17)
     for _ in range(40):
@@ -187,11 +200,18 @@ def test_enclosure_nesting_across_truncations():
 
 def test_to_block_vector_round_trip_small():
     model = build_model(None, SPEC34, depth=6)
-    enc = pettis_integral(model, Interval(0.25, 0.8))
+    # Both parts end inside the level-6 carrier of cell 20, [0.30078125, 0.30859375),
+    # so that cell's coordinate sums the ratios of two parts.
+    E = IntervalSet.from_pairs([(0.25, 0.303), (0.306, 0.8)])
+    enc = pettis_integral(model, E)
     v = enc.to_block_vector()
     for (n, k), val in v.coeffs.items():
         assert abs(val - enc.coefficient(n, k)) < 1e-15
     assert abs(v.norm() - enc.lower) < 1e-12
+    a = model.carriers.carrier(6, 20)
+    shared = model.table.coefficient(6) * a.intersect(E).measure / a.measure
+    assert 0.0 < shared < model.table.coefficient(6)
+    assert abs(v.coeffs[(6, 20)] - shared) < 1e-12
 
 
 def test_bochner_full_space_closed_form():
