@@ -71,6 +71,13 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.kind not in CAMPAIGN_KINDS:
             raise ConfigError(f"unknown campaign kind {self.kind!r}")
+        # type(...) is int also turns away bool, which JSON true/false become.
+        for name in ("samples", "seed", "dyadic_level", "j_min", "j_max", "sets",
+                     "set_parts_max", "support_max"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(type(g) is int for g in self.delta_levels):
+            raise ConfigError(f"delta_levels must be integers, got {list(self.delta_levels)}")
         for name in ("samples", "sets", "set_parts_max", "support_max"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

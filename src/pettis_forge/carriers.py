@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import (
     AllocationExhaustedError,
@@ -140,16 +140,34 @@ class CarrierFamily:
         self._check_index(n, k)
         if hi <= lo:
             return 0.0
-        if self.scheme == EXPLICIT:
-            assert self.sets is not None
-            return self.sets[(n, k)].clip(lo, hi).measure
-        base = math.ldexp(k - 1, -n)
-        if self.scheme == GREEDY_GAP:
-            rl, rh = self._greedy_rel(n)
-            a = base + math.ldexp(rl, -n)
-            b = base + math.ldexp(rh, -n)
-            return max(0.0, min(hi, b) - max(lo, a))
-        return self._stratified_overlap(n, base, lo, hi)
+        if self.scheme == STRATIFIED:
+            return self._stratified_overlap(n, math.ldexp(k - 1, -n), lo, hi)
+        return self.carrier(n, k).clip(lo, hi).measure
+
+    def level_ratio(self, n: int) -> Callable[[int, float, float], float]:
+        """(k, lo, hi) -> overlap(n, k, lo, hi) / carrier_measure(n, k) at level n.
+
+        Greedy-gap computes the level's carrier offsets and measure once
+        here; the other schemes call ``overlap`` and ``carrier_measure``.
+        """
+        self._check_index(n, 1)
+        if self.scheme != GREEDY_GAP:
+            return lambda k, lo, hi: self.overlap(n, k, lo, hi) / self.carrier_measure(n, k)
+        rl, rh = self._greedy_rel(n)
+        width = math.ldexp(1.0, -n)  # (k - 1) * width is exact, like ldexp
+        a, b = rl * width, rh * width
+        measure = self.carrier_measure(n, 1)
+        cells = 1 << n
+
+        def ratio(k: int, lo: float, hi: float) -> float:
+            if not 1 <= k <= cells:
+                self._check_index(n, k)
+            base = (k - 1) * width
+            lo = max(lo, base + a)
+            hi = min(hi, base + b)
+            return (hi - lo) / measure if hi > lo else 0.0
+
+        return ratio
 
     def _stratified_overlap(self, n: int, base: float, lo: float, hi: float) -> float:
         N = self.depth

@@ -76,7 +76,9 @@ def build_model_from_config(obj: Mapping) -> PettisModel | ContinuousModel:
         raise ConfigError(f"model config missing {exc}") from exc
     rule = SequenceRule.from_json(obj.get("rule", {"kind": "affine"}))
     K = float(obj.get("K", 1.0))
-    depth = int(obj.get("depth", 24))
+    depth = obj.get("depth", 24)
+    if type(depth) is not int:
+        raise ConfigError(f"model depth must be an integer, got {depth!r}")
     if kind == "continuous":
         return build_continuous_model(psi, K=K, rule=rule, depth=depth)
     if kind != "pettis":
@@ -98,6 +100,8 @@ def build_campaign_from_config(obj: Mapping, kind: str | None = None) -> Campaig
         raise ConfigError(f"unknown campaign fields: {sorted(unknown)}")
     for key in ("t_grid", "delta_levels"):
         if key in obj:
+            if not isinstance(obj[key], (list, tuple)):
+                raise ConfigError(f"campaign {key} must be a list, got {obj[key]!r}")
             obj[key] = tuple(obj[key])
     if "interval" in obj:
         iv = obj["interval"]

@@ -20,12 +20,19 @@ at most two boundary cells per part need overlap arithmetic), and the tail
 beyond the depth carries the certified geometric bound from the coefficient
 table, so each integral comes with a sound [lower, upper] norm enclosure.
 Assertions downstream always use the lower side.
+
+Per-level constants (the coefficient and the carriers' overlap ratio) and
+the tail bound of each truncation level are computed on first use and kept
+on the model.  The model is frozen, so they cannot go stale, and each is the
+float a fresh computation gives, so enclosures stay bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .blocks import BlockLayout, BlockVector, Functional
 from .carriers import CarrierFamily, allocate_carriers
@@ -54,9 +61,27 @@ class PettisModel:
     K: float
     p: float
     depth: int
+    _tails: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def levels(self) -> tuple[int, ...]:
         return self.table.levels
+
+    @cached_property
+    def geometry(self) -> tuple[tuple[int, float, Callable[[int, float, float], float]], ...]:
+        """(level, c, the carriers' level_ratio) per realized level, built on first use."""
+        return tuple(
+            (m, self.table.coefficient(m), self.carriers.level_ratio(m)) for m in self.table.levels
+        )
+
+    def tail(self, N: int) -> float:
+        """``tail_bound(table, N)``, computed once per N."""
+        if N not in self._tails:
+            self._tails[N] = tail_bound(self.table, N)
+        return self._tails[N]
+
+    def __getstate__(self) -> dict:
+        # The per-level functions do not pickle; an unpickled model rebuilds them.
+        return {k: v for k, v in self.__dict__.items() if k != "geometry"}
 
     def config_json(self) -> dict:
         return {
@@ -125,6 +150,10 @@ def evaluate_f(model: PettisModel, omega: float) -> BlockVector:
 # ---------------------------------------------------------------------------
 
 
+#: level -> (c, whole-cell index ranges, end-cell ratios) for the levels E meets.
+_Cover = dict[int, tuple[float, list[range], dict[int, float]]]
+
+
 @dataclass(frozen=True)
 class IntegralEnclosure:
     """Truncated weak integral with a certified norm enclosure.
@@ -134,8 +163,9 @@ class IntegralEnclosure:
 
         lower <= true norm <= upper.
 
-    The truncated vector is not stored: ``coefficient``, ``apply`` and
-    ``to_block_vector`` compute its coordinates on demand from ``E``.
+    The truncated vector is kept as the kernel's per-level cover of ``E``;
+    ``coefficient``, ``apply`` and ``to_block_vector`` read its coordinates
+    from there.
     """
 
     model: PettisModel
@@ -145,12 +175,15 @@ class IntegralEnclosure:
     clamp_anomalies: int
     E: IntervalSet = field(repr=False)
     N: int
+    cover: _Cover = field(repr=False, compare=False)
 
     def coefficient(self, n: int, k: int) -> float:
-        c = self.model.table.coeffs.get(n)
-        if c is None or n > self.N:
+        if n not in self.cover:
             return 0.0
-        return c * _cell_ratio(self.model.carriers, n, k, self.E.parts)[0]
+        c, whole, ratios = self.cover[n]
+        if any(k in run for run in whole):
+            return c
+        return c * ratios.get(k, 0.0)
 
     def apply(self, x: Functional) -> float:
         """Pairing of a finite-support functional with the truncation."""
@@ -159,14 +192,13 @@ class IntegralEnclosure:
         return math.fsum(w * self.coefficient(n, k) for (n, k), w in x.coeffs.items())
 
     def to_block_vector(self, max_coords: int = 250_000) -> BlockVector:
-        levels, _ = _level_cover(self.model, self.E.parts, self.N)
-        total = sum(sum(map(len, whole)) + len(ratios) for _, _, whole, ratios in levels)
+        total = sum(sum(map(len, whole)) + len(ratios) for _, whole, ratios in self.cover.values())
         if total > max_coords:
             raise MaterializationLimitError(
                 f"truncated vector has {total} coordinates; raise max_coords to materialize"
             )
         out: dict[tuple[int, int], float] = {}
-        for n, c, whole, ratios in levels:
+        for n, (c, whole, ratios) in self.cover.items():
             for run in whole:
                 out.update(((n, k), c) for k in run)
             out.update(((n, k), c * r) for k, r in ratios.items())
@@ -179,67 +211,46 @@ def _as_interval_set(E: IntervalSet | Interval) -> IntervalSet:
     return E
 
 
-def _cell_ratio(
-    fam: CarrierFamily, level: int, k: int, parts: tuple[Interval, ...]
-) -> tuple[float, int]:
-    """mu(E n A(level, k)) / mu(A(level, k)) and its count of clamp anomalies.
-
-    Each part of E meeting the cell adds its overlap ratio clamped to
-    [0, 1]; the sum is capped at 1.  A cell strictly inside a part is whole.
-    """
-    lo, hi = math.ldexp(k - 1, -level), math.ldexp(k, -level)
-    total = 0.0
-    anomalies = 0
-    for part in parts:
-        if part.hi <= lo or part.lo >= hi:
-            continue
-        if part.lo < lo and part.hi > hi:
-            return 1.0, 0
-        r = fam.overlap(level, k, part.lo, part.hi) / fam.carrier_measure(level, k)
-        if r > 1.0:
-            anomalies += r > 1.0 + CLAMP_SLACK
-            r = 1.0
-        elif r < 0.0:
-            anomalies += r < -CLAMP_SLACK
-            r = 0.0
-        total += r
-    return min(1.0, total), anomalies
-
-
-def _level_cover(
-    model: PettisModel, parts: tuple[Interval, ...], N: int
-) -> tuple[list[tuple[int, float, list[range], dict[int, float]]], int]:
-    """(level, c, whole cells, end-cell ratios) for each realized level <= N
-    that E meets, plus the total count of clamp anomalies.
+def _level_cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Cover, int]:
+    """The cover of E at the realized levels <= N, plus the total count of
+    clamp anomalies.
 
     A part [lo, hi) meets cells k_first..k_last of a level.  The cells
     strictly between lie inside the part and count exactly 1, so only the
-    end cells need overlap arithmetic.  Scaling by 2^level is exact in
-    binary floating point, so the indices need no rounding guard.
+    end cells need overlap arithmetic: each part adds its ratio, clamped to
+    [0, 1], to its end cells, and each cell's sum is capped at 1.  A part
+    meets its end cells with positive length, so no other part of the
+    (disjoint) set contains them: every part meeting an end cell adds to
+    it.  Scaling by 2^level is exact in binary floating point, so the
+    indices need no rounding guard.
     """
-    fam = model.carriers
-    levels = []
+    floor, ceil, ldexp = math.floor, math.ceil, math.ldexp
+    cover = {}
     anomalies = 0
-    for level in model.table.levels:
+    for level, c, ratio in model.geometry:
         if level > N:
             break
         whole = []
-        ends: dict[int, None] = {}
+        ends: dict[int, float] = {}
         for part in parts:
-            k_first = math.floor(math.ldexp(part.lo, level)) + 1
-            k_last = math.ceil(math.ldexp(part.hi, level))
+            lo, hi = part.lo, part.hi
+            k_first = floor(ldexp(lo, level)) + 1
+            k_last = ceil(ldexp(hi, level))
             if k_last - k_first >= 2:
                 whole.append(range(k_first + 1, k_last))
-            ends[k_first] = ends[k_last] = None
-        ratios = {}
-        for k in ends:
-            r, bad = _cell_ratio(fam, level, k, parts)
-            anomalies += bad
-            if r:
-                ratios[k] = r
+            for k in (k_first,) if k_first == k_last else (k_first, k_last):
+                r = ratio(k, lo, hi)
+                if r > 1.0:
+                    anomalies += r > 1.0 + CLAMP_SLACK
+                    r = 1.0
+                elif r < 0.0:
+                    anomalies += r < -CLAMP_SLACK
+                    r = 0.0
+                ends[k] = ends.get(k, 0.0) + r
+        ratios = {k: r if r < 1.0 else 1.0 for k, r in ends.items() if r}
         if whole or ratios:
-            levels.append((level, model.table.coefficient(level), whole, ratios))
-    return levels, anomalies
+            cover[level] = (c, whole, ratios)
+    return cover, anomalies
 
 
 def pettis_integral(
@@ -255,24 +266,24 @@ def pettis_integral(
     if not (0 <= N <= model.depth):
         raise SupportDepthError(f"truncation level {N} outside 0..{model.depth}")
     Eset = _as_interval_set(E)
-    levels, anomalies = _level_cover(model, Eset.parts, N)
+    cover, anomalies = _level_cover(model, Eset.parts, N)
     p = model.p
-    tail = tail_bound(model.table, N)
+    tail = model.tail(N)
     if math.isinf(p):
         lower = max(
             (c * max(1.0 if whole else 0.0, max(ratios.values(), default=0.0))
-             for _, c, whole, ratios in levels),
+             for c, whole, ratios in cover.values()),
             default=0.0,
         )
         upper = max(lower, tail)
     else:
         total = math.fsum(
             c**p * (sum(map(len, whole)) + math.fsum(r**p for r in ratios.values()))
-            for _, c, whole, ratios in levels
+            for c, whole, ratios in cover.values()
         )
         lower = total ** (1.0 / p)
         upper = (total + tail**p) ** (1.0 / p)
-    return IntegralEnclosure(model, lower, upper, tail, anomalies, E=Eset, N=N)
+    return IntegralEnclosure(model, lower, upper, tail, anomalies, E=Eset, N=N, cover=cover)
 
 
 def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval) -> float:
@@ -304,10 +315,10 @@ def bochner_level_masses(model: PettisModel, E: IntervalSet | Interval) -> dict[
     Exact because carrier disjointness makes the pointwise norm single-
     coordinate.
     """
-    levels, _ = _level_cover(model, _as_interval_set(E).parts, model.depth)
+    cover, _ = _level_cover(model, _as_interval_set(E).parts, model.depth)
     return {
         n: c * (sum(map(len, whole)) + math.fsum(ratios.values()))
-        for n, c, whole, ratios in levels
+        for n, (c, whole, ratios) in cover.items()
     }
 
 

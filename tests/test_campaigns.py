@@ -154,6 +154,18 @@ def test_campaign_config_validation():
         {"kind": "blowup", "t_grid": (1.5,)},
         {"kind": "blowup", "t_grid": (0.0, 1.0)},
         {"kind": "blowup", "t_grid": (-0.25,)},
+        # integer fields take ints only: no floats, bools or strings
+        {"kind": "pairing", "sets": 1.5},
+        {"kind": "lower-bound", "dyadic_level": 2.0},
+        {"kind": "lower-bound", "samples": 2.5},
+        {"kind": "lower-bound", "samples": True},
+        {"kind": "lower-bound", "seed": 1.0},
+        {"kind": "blowup", "j_min": 4.0},
+        {"kind": "blowup", "j_max": "20"},
+        {"kind": "pairing", "set_parts_max": False},
+        {"kind": "pairing", "support_max": 8.5},
+        {"kind": "continuous", "delta_levels": (2, 3.0)},
+        {"kind": "continuous", "delta_levels": (True,)},
     ]
     for fields in bad:
         with pytest.raises(ConfigError):
@@ -164,6 +176,8 @@ def test_campaign_config_validation():
         build_campaign_from_config({"kind": "blowup", "whatever": 1})
     with pytest.raises(ConfigError):
         build_campaign_from_config({"kind": "bochner", "interval": [0.1]})
+    with pytest.raises(ConfigError):
+        build_campaign_from_config({"kind": "continuous", "delta_levels": 3})
     cfg = build_campaign_from_config({"samples": 3}, kind="pairing")
     assert cfg.kind == "pairing" and cfg.samples == 3
 
@@ -173,6 +187,10 @@ def test_model_config_errors():
         build_model_from_config({"kind": "warped"})
     with pytest.raises(ConfigError):
         build_model_from_config({"kind": "pettis"})  # no psi
+    for depth in (12.9, 12.0, True, "12"):
+        for kind in ("pettis", "continuous"):
+            with pytest.raises(ConfigError, match="depth must be an integer"):
+                build_model_from_config({**_MODEL_CFG, "kind": kind, "depth": depth})
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +279,19 @@ def test_cli_exit_codes(tmp_path):
     r = _cli("verify", "pairing", "--config", cfg)
     assert r.returncode == 2
     assert "config error: support_max must be >= 1" in r.stderr
+    # non-integer counts, levels and depths are config errors, not crashes
+    # or silently truncated runs
+    for name, kind, model, campaign in (
+        ("sets", "pairing", _MODEL_CFG, {"samples": 2, "sets": 1.5}),
+        ("dyadic_level", "lower-bound", _MODEL_CFG, {"samples": 2, "dyadic_level": 2.0}),
+        ("samples", "lower-bound", _MODEL_CFG, {"samples": 2.5, "dyadic_level": 3}),
+        ("depth", "lower-bound", {**_MODEL_CFG, "depth": 12.9}, {"samples": 2, "dyadic_level": 3}),
+    ):
+        cfg = _write_cfg(tmp_path, f"{name}.json", {"model": model, "campaign": campaign})
+        r = _cli("verify", kind, "--config", cfg)
+        assert r.returncode == 2, (name, r.stderr)
+        assert f"{name} must be an integer" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_cli_psi_validate_exit_one(tmp_path):

@@ -51,6 +51,14 @@ def test_carrier_index_errors():
         fam.carrier(1, 3)
     with pytest.raises(CarrierIndexError):
         fam.carrier(2, 1)
+    for scheme in (GREEDY_GAP, STRATIFIED):
+        fam = allocate_carriers(3, scheme)
+        for n in (0, 4):
+            with pytest.raises(CarrierIndexError):
+                fam.level_ratio(n)
+        for k in (0, 9):
+            with pytest.raises(CarrierIndexError):
+                fam.level_ratio(3)(k, 0.0, 1.0)
 
 
 def test_zero_depth_rejected():
@@ -150,6 +158,7 @@ def test_overlap_agrees_with_explicit_clip(scheme):
         want = fam.carrier(n, k).clip(lo, hi).measure
         got = fam.overlap(n, k, lo, hi)
         assert abs(got - want) < 1e-15, (scheme, n, k, lo, hi)
+        assert fam.level_ratio(n)(k, lo, hi) == got / fam.carrier_measure(n, k)
 
 
 def test_stratified_measures_and_porosity():

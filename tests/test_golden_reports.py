@@ -1,0 +1,87 @@
+"""Golden report digests: small reference reports keep their exact bytes.
+
+Each case builds its model and campaign from a config mapping, the way the
+CLI does, runs the campaign and renders the JSON report (rows and summary).
+The SHA-256 of that text is pinned, so any change to an enclosure, a
+coefficient, a sampler or the float formatting shows up as a digest change.
+"""
+
+import hashlib
+
+import pytest
+
+from pettis_forge import campaigns
+from pettis_forge.config import build_campaign_from_config, build_model_from_config
+
+_REF = {
+    "kind": "pettis",
+    "psi": {"family": "power", "exponent": 0.75},
+    "K": 1.0,
+    "p": 2.0,
+    "rule": {"kind": "affine", "a": 1, "b": 0},
+    "depth": 24,
+    "carriers": {"scheme": "greedy-gap"},
+}
+_D16 = {**_REF, "depth": 16}
+_LOWER = {"kind": "lower-bound", "samples": 2000, "dyadic_level": 8, "seed": 11}
+
+_RUNNERS = {
+    campaigns.LOWER_BOUND: campaigns.run_lower_bound_sweep,
+    campaigns.PAIRING: campaigns.run_pairing_check,
+    campaigns.HALFPOWER: campaigns.run_halfpower_statistic,
+    campaigns.BOCHNER: campaigns.run_bochner_divergence,
+}
+
+# id -> (model config, campaign config, SHA-256 of the JSON report)
+GOLDEN = {
+    "lower-bound-greedy-d16-p2": (
+        _D16,
+        _LOWER,
+        "bcc18f6486efcb78557c1d1add5021299491db3c18301ad926dd66d456e27177",
+    ),
+    "lower-bound-greedy-d16-p3": (
+        {**_D16, "p": 3.0},
+        _LOWER,
+        "f284031c9aa07e529e929e11ddfbdaf18b73357595a5a3257baeea3aa2eac173",
+    ),
+    "lower-bound-greedy-d16-pinf": (
+        {**_D16, "p": "inf", "psi": {"family": "power", "exponent": 0.25},
+         "rule": {"kind": "affine", "a": 4, "b": 0}},
+        _LOWER,
+        "8b251396c340c6a97a72598b7829f533e644060613ab492410054bcfbd7cc671",
+    ),
+    "lower-bound-stratified-d16": (
+        {**_D16, "carriers": {"scheme": "stratified"}},
+        _LOWER,
+        "93a1dfbdeeb464e66142141e8800edb69be1d591b0ccd5d67ae7e7443b391b3c",
+    ),
+    "pairing-stratified-d8": (
+        {**_REF, "depth": 8, "carriers": {"scheme": "stratified"}},
+        {"kind": "pairing", "samples": 30, "sets": 6, "seed": 13},
+        "a507e55c6c1e3e1b64856c5f05f9fe1d98da44e46632e436dbffc7213b539e73",
+    ),
+    "halfpower-ref24": (
+        _REF,
+        {"kind": "halfpower", "samples": 12, "j_min": 8, "j_max": 20, "seed": 17},
+        "be88236a602c9fdd128a5e88b3ef7c57584f79ad335c8722352a8e161b120e7c",
+    ),
+    "bochner-ref24": (
+        _REF,
+        {"kind": "bochner", "interval": [0.25, 0.5]},
+        "a09fa04fa7da899d664cc92443b23c2a1c017c8f7915a6560e9da077a5389162",
+    ),
+}
+
+
+def _report_sha256(model_cfg, campaign_cfg):
+    model = build_model_from_config(model_cfg)
+    cfg = build_campaign_from_config(campaign_cfg)
+    report = _RUNNERS[cfg.kind](model, cfg)
+    assert report.passed
+    return hashlib.sha256(report.render("json").encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_report_digest(case):
+    model_cfg, campaign_cfg, digest = GOLDEN[case]
+    assert _report_sha256(model_cfg, campaign_cfg) == digest

@@ -1,6 +1,7 @@
 """Integrand model: pointwise values, enclosures, pairing oracle, strong sums."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from pettis_forge import (
     pettis_integral,
     scalar_integral,
 )
+from pettis_forge import pettis as pettis_module
 from pettis_forge.errors import (
     DepthMismatchError,
     GrowthConditionError,
@@ -27,6 +29,7 @@ from pettis_forge.errors import (
 )
 from pettis_forge.intervals import find_inner_dyadic
 from pettis_forge.pettis import bochner_level_masses
+from pettis_forge.psi import tail_bound
 
 SPEC34 = PsiSpec("power", exponent=0.75)
 UNIT = SequenceRule("affine")
@@ -88,6 +91,10 @@ def test_pettis_integral_empty_and_full():
     oracle = math.sqrt(math.fsum(2.0**6.5 * 2.0 ** (-n / 2) for n in range(1, 25)))
     assert abs(full.lower - oracle) < 1e-9
     assert full.lower <= full.upper
+    # indices just outside a level name no cell: their coordinate is 0
+    for n in model.levels():
+        assert full.coefficient(n, 1) == full.coefficient(n, 2**n) == model.table.coefficient(n)
+        assert full.coefficient(n, 0) == full.coefficient(n, 2**n + 1) == 0.0
 
 
 def test_pettis_integral_dyadic_floor():
@@ -119,6 +126,18 @@ def _family(kind, depth):
     return allocate_carriers(depth, kind)
 
 
+#: Sets whose parts share a deepest-level carrier: two or three parts meet
+#: the greedy-gap level-8 carrier of cell 77, [0.2978515625, 0.2998046875),
+#: or the stratified level-6 carrier of cell 20, [0.297119140625,
+#: 0.29736328125), so that coordinate sums the ratios of several parts.
+SHARED_END_CELLS = (
+    IntervalSet.from_pairs([(0.25, 0.2985), (0.299, 0.8)]),
+    IntervalSet.from_pairs([(0.25, 0.2981), (0.2984, 0.2988), (0.2992, 0.8)]),
+    IntervalSet.from_pairs([(0.25, 0.2972), (0.2973, 0.8)]),
+    IntervalSet.from_pairs([(0.25, 0.2972), (0.29725, 0.29728), (0.29732, 0.8)]),
+)
+
+
 @pytest.mark.parametrize(
     "kind, depth",
     [("greedy-gap", 8), ("stratified", 6), ("explicit", 6)],
@@ -126,23 +145,59 @@ def _family(kind, depth):
 )
 def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
     """Independent oracle: every coordinate of the truncated integral equals
-    c * mu(E n A)/mu(A) computed with materialized sets and set intersection."""
+    c * mu(E n A)/mu(A) computed with materialized sets and set intersection;
+    so do the coordinates of ``to_block_vector``, the lower bound and the
+    per-level Bochner masses."""
     model = build_model(_family(kind, depth), SPEC34, depth=depth)
     fam = model.carriers
     rng = random.Random(17)
-    for _ in range(40):
-        E = _random_interval_set(rng)
+    shared_cells = 0
+    for E in SHARED_END_CELLS + tuple(_random_interval_set(rng) for _ in range(40)):
         enc = pettis_integral(model, E)
+        vec = enc.to_block_vector().coeffs
+        masses = bochner_level_masses(model, E)
         acc = 0.0
         for n in model.levels():
             c = model.table.coefficient(n)
+            level_ratios = []
             for k in range(1, (1 << n) + 1):
                 a = fam.carrier(n, k)
-                want = c * a.intersect(E).measure / a.measure
-                got = enc.coefficient(n, k)
-                assert abs(got - want) < 1e-12 * (1 + c), (n, k)
+                ratio = a.intersect(E).measure / a.measure
+                level_ratios.append(ratio)
+                want = c * ratio
+                assert abs(enc.coefficient(n, k) - want) < 1e-12 * (1 + c), (n, k)
+                assert abs(vec.get((n, k), 0.0) - want) < 1e-12 * (1 + c), (n, k)
                 acc += want * want
+                met = [p for p in E.parts if a.intersect(IntervalSet.of(p)).measure > 0.0]
+                shared_cells += n == depth and len(met) >= 2
+            mass = c * math.fsum(level_ratios)
+            assert abs(masses.get(n, 0.0) - mass) < 1e-9 * (1 + mass), n
+        assert set(vec) <= {(n, k) for n in model.levels() for k in range(1, (1 << n) + 1)}
         assert abs(enc.lower - math.sqrt(acc)) < 1e-9
+    # two of the fixed sets put several parts into one deepest-level carrier
+    assert shared_cells >= 2
+
+
+def test_tail_bound_evaluated_once_per_truncation(monkeypatch):
+    calls = []
+
+    def counting_tail_bound(table, N):
+        calls.append(N)
+        return tail_bound(table, N)
+
+    monkeypatch.setattr(pettis_module, "tail_bound", counting_tail_bound)
+    model = build_model(None, SPEC34, depth=12)
+    twin = build_model(None, SPEC34, depth=12)
+    rng = random.Random(3)
+    for i in range(1000):
+        enc = pettis_integral(model, _random_interval_set(rng), truncate_at=(12, 9, 6)[i % 3])
+        assert enc.tail == tail_bound(model.table, enc.N)
+    assert sorted(calls) == [6, 9, 12]
+    # the caches change neither equality, the serialized form nor pickling
+    assert model == twin and model.config_json() == twin.config_json()
+    restored = pickle.loads(pickle.dumps(model))
+    assert restored == twin
+    assert pettis_integral(restored, enc.E).lower == pettis_integral(twin, enc.E).lower
 
 
 def test_pairing_identity_two_code_paths():
