@@ -81,6 +81,8 @@ class CampaignConfig:
         for name in ("samples", "sets", "set_parts_max", "support_max"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dyadic_level < 0:
+            raise ConfigError(f"dyadic_level must be >= 0, got {self.dyadic_level}")
         if not all(0.0 <= t < 1.0 for t in self.t_grid):
             raise ConfigError(f"t_grid values must lie in [0, 1), got {list(self.t_grid)}")
         if not (0 <= self.j_min < self.j_max <= 40):

@@ -5,20 +5,24 @@ A family of depth N assigns to every cell I(n, k) = [(k-1)/2^n, k/2^n),
 that all carriers are pairwise disjoint across the entire family.  Every
 point of [0, 1) therefore lies in at most one carrier.
 
-Two deterministic built-in schemes are provided.
+Both deterministic built-in schemes are slice patterns: level n is given by
+``(a, rl, rh)`` with n <= a <= N, a nondecreasing in n, and A(n, k) is the
+relative slice [rl, rh) of every level-a cell inside I(n, k).  Carriers,
+measures, overlaps, point location and verification are written once on
+top of that pattern.
 
-``greedy-gap`` (default)
+``greedy-gap`` (default), a = n
     Cells are processed from the deepest level upward; each carrier takes
     the middle half of the largest free gap of its cell (leftmost gap on
     ties).  Processing deepest-first keeps every cell's free region
     nonempty; processing shallow-first would not (a level-1 carrier of
     length 1/4 swallows level-3 cells whole).  The resulting family is
-    self-similar across cells of one level, which yields the closed forms
-    used below: each carrier is a single interval centered in its cell,
-    with relative bounds depending only on N - n.  All endpoints are dyadic
-    of level at most N + 3, hence float-exact for every supported depth.
+    self-similar across cells of one level: each carrier is the single
+    slice [1/2 - 2^-(N-n+3), 1/2 + 2^-(N-n+3)) of its cell, [1/4, 3/4) at
+    n = N.  All endpoints are dyadic of level at most N + 3, hence
+    float-exact for every supported depth.
 
-``stratified``
+``stratified``, a = N
     Every carrier spreads into the finest-level subcells of its cell: level
     n claims the relative slice [2^-n, 2^-(n-1)) of each level-N subcell
     below it.  Slices of different levels are disjoint inside every finest
@@ -27,8 +31,10 @@ Two deterministic built-in schemes are provided.
     keeps every cell's free region positive.  Endpoints are dyadic of level
     N + n, so this scheme is capped at depth 26 to stay float-exact.
 
-Explicit families (deserialized or hand-built) store their sets verbatim
-and are checked, not trusted.
+Large built-in families are verified structurally, in exact rational
+arithmetic on the family's own pattern floats, plus an explicit sweep of
+sampled finest cells.  Explicit families (deserialized or hand-built) store
+their sets verbatim and are checked, not trusted.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 from .errors import (
@@ -58,8 +65,17 @@ MAX_STRATIFIED_DEPTH = 26
 #: Shortest component length allowed before middle-half extraction.
 POSITIVITY_FLOOR = math.ldexp(1.0, -80)
 
-#: Materialization guard for carrier(), occupied() and serialization.
-DEFAULT_PART_LIMIT = 1 << 21
+#: Materialization guard for carrier() and occupied().
+PART_LIMIT = 1 << 21
+
+#: Built-in families of at most this many parts ship their sets in to_json().
+ARCHIVE_PART_BUDGET = 4096
+
+#: Families of at most this many parts are verified by a full endpoint sweep.
+FULL_SWEEP_PART_LIMIT = 2_000_000
+
+#: Finest cells sampled by the windowed sweep of larger built-in families.
+WINDOW_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -67,7 +83,8 @@ class CarrierFamily:
     """Immutable family of disjoint carriers, one per dyadic cell.
 
     Built-in schemes never store their sets; carriers are produced on demand
-    from closed forms, and measures/overlaps are computed in O(1) per cell.
+    from each level's slice pattern, and measures/overlaps are computed in
+    O(1) per cell.
     """
 
     depth: int
@@ -87,37 +104,45 @@ class CarrierFamily:
         if not (1 <= k <= (1 << n)):
             raise CarrierIndexError(f"index {k} outside 1..2^{n} at level {n}")
 
-    def _greedy_rel(self, n: int) -> tuple[float, float]:
-        """Relative carrier bounds inside a level-n cell (greedy-gap)."""
+    def _pattern(self, n: int) -> tuple[int, float, float]:
+        """(a, rl, rh): level n takes the relative slice [rl, rh) of every level-a cell."""
+        if self.scheme == STRATIFIED:
+            return self.depth, math.ldexp(1.0, -n), math.ldexp(1.0, 1 - n)
         t = self.depth - n
         if t == 0:
-            return 0.25, 0.75
+            return n, 0.25, 0.75
         half = math.ldexp(1.0, -(t + 3))
-        return 0.5 - half, 0.5 + half
+        return n, 0.5 - half, 0.5 + half
+
+    @cached_property
+    def _slices(self) -> tuple[tuple[int, float, float, float, float], ...]:
+        """Per level n, at index n - 1: (a, rl, rh, ldexp(rl, -a), ldexp(rh, -a)).
+
+        The last two are the slice's offsets inside its level-a cell.  Built
+        on first use rather than in ``allocate_carriers``, so building a
+        model does not pay for it.
+        """
+        out = []
+        for n in range(1, self.depth + 1):
+            a, rl, rh = self._pattern(n)
+            out.append((a, rl, rh, math.ldexp(rl, -a), math.ldexp(rh, -a)))
+        return tuple(out)
 
     # -- carrier access -------------------------------------------------
 
     def carrier(self, n: int, k: int) -> IntervalSet:
         """Explicit interval set of A(n, k); may be large for ``stratified``."""
         self._check_index(n, k)
-        if self.scheme == EXPLICIT:
-            assert self.sets is not None
+        if self.sets is not None:
             return self.sets[(n, k)]
-        base = math.ldexp(k - 1, -n)
-        if self.scheme == GREEDY_GAP:
-            rl, rh = self._greedy_rel(n)
-            return IntervalSet.of(
-                Interval(base + math.ldexp(rl, -n), base + math.ldexp(rh, -n))
-            )
-        # stratified: one slice per level-depth subcell of the cell
-        count = 1 << (self.depth - n)
-        if count > DEFAULT_PART_LIMIT:
+        a, _, _, s_lo, s_hi = self._slices[n - 1]
+        count = 1 << (a - n)
+        if count > PART_LIMIT:
             raise MaterializationLimitError(
                 f"carrier({n}, {k}) has {count} parts; use overlap()/measure instead"
             )
-        s_lo = math.ldexp(1.0, -(self.depth + n))
-        s_hi = math.ldexp(1.0, -(self.depth + n - 1))
-        w = math.ldexp(1.0, -self.depth)
+        base = math.ldexp(k - 1, -n)
+        w = math.ldexp(1.0, -a)
         parts = []
         for j in range(count):
             sub = base + j * w
@@ -126,36 +151,54 @@ class CarrierFamily:
 
     def carrier_measure(self, n: int, k: int) -> float:
         self._check_index(n, k)
-        if self.scheme == GREEDY_GAP:
-            if n == self.depth:
-                return math.ldexp(1.0, -(n + 1))
-            return math.ldexp(1.0, -(self.depth + 2))
-        if self.scheme == STRATIFIED:
-            return math.ldexp(1.0, -2 * n)
-        assert self.sets is not None
-        return self.sets[(n, k)].measure
+        if self.sets is not None:
+            return self.sets[(n, k)].measure
+        _, rl, rh = self._pattern(n)
+        return math.ldexp(rh - rl, -n)
 
     def overlap(self, n: int, k: int, lo: float, hi: float) -> float:
         """Measure of A(n, k) intersected with [lo, hi); O(1) for built-ins."""
         self._check_index(n, k)
         if hi <= lo:
             return 0.0
-        if self.scheme == STRATIFIED:
-            return self._stratified_overlap(n, math.ldexp(k - 1, -n), lo, hi)
-        return self.carrier(n, k).clip(lo, hi).measure
+        if self.sets is not None:
+            return self.sets[(n, k)].clip(lo, hi).measure
+        a, _, _, s_lo, s_hi = self._slices[n - 1]
+        base = math.ldexp(k - 1, -n)
+        lo = max(lo, base)
+        hi = min(hi, base + math.ldexp(1.0, -n))
+        if hi <= lo:
+            return 0.0
+        s_len = s_hi - s_lo
+        # Level-a cells fully inside [lo, hi) contribute one whole slice.
+        j_first = math.ceil(math.ldexp(lo, a))  # first fully-contained index
+        j_last = math.floor(math.ldexp(hi, a)) - 1  # last fully-contained index
+        total = max(0, j_last - j_first + 1) * s_len
+        # At most two partially covered level-a cells at the ends.
+        partial: set[int] = set()
+        ja = math.floor(math.ldexp(lo, a))
+        if ja < j_first:
+            partial.add(ja)
+        jb = math.floor(math.ldexp(hi, a))
+        if jb > j_last and math.ldexp(jb, -a) < hi:
+            partial.add(jb)
+        for j in partial:
+            s_a = math.ldexp(j, -a) + s_lo
+            total += max(0.0, min(hi, s_a + s_len) - max(lo, s_a))
+        return total
 
     def level_ratio(self, n: int) -> Callable[[int, float, float], float]:
         """(k, lo, hi) -> overlap(n, k, lo, hi) / carrier_measure(n, k) at level n.
 
-        Greedy-gap computes the level's carrier offsets and measure once
-        here; the other schemes call ``overlap`` and ``carrier_measure``.
+        A built-in level whose carriers are single slices (a == n) gets its
+        offsets and measure once here; other levels call ``overlap`` and
+        ``carrier_measure``.
         """
         self._check_index(n, 1)
-        if self.scheme != GREEDY_GAP:
+        if self.sets is not None or self._slices[n - 1][0] != n:
             return lambda k, lo, hi: self.overlap(n, k, lo, hi) / self.carrier_measure(n, k)
-        rl, rh = self._greedy_rel(n)
+        _, _, _, a, b = self._slices[n - 1]
         width = math.ldexp(1.0, -n)  # (k - 1) * width is exact, like ldexp
-        a, b = rl * width, rh * width
         measure = self.carrier_measure(n, 1)
         cells = 1 << n
 
@@ -169,59 +212,19 @@ class CarrierFamily:
 
         return ratio
 
-    def _stratified_overlap(self, n: int, base: float, lo: float, hi: float) -> float:
-        N = self.depth
-        lo = max(lo, base)
-        hi = min(hi, base + math.ldexp(1.0, -n))
-        if hi <= lo:
-            return 0.0
-        slice_lo = math.ldexp(1.0, -(N + n))
-        slice_len = slice_lo
-        # Finest subcells fully inside [lo, hi) contribute one whole slice.
-        j_first = math.ceil(math.ldexp(lo, N))  # first fully-contained index
-        j_last = math.floor(math.ldexp(hi, N)) - 1  # last fully-contained index
-        total = max(0, j_last - j_first + 1) * slice_len
-        # At most two partially covered subcells at the ends.
-        partial: set[int] = set()
-        ja = math.floor(math.ldexp(lo, N))
-        if ja < j_first:
-            partial.add(ja)
-        jb = math.floor(math.ldexp(hi, N))
-        if jb > j_last and math.ldexp(jb, -N) < hi:
-            partial.add(jb)
-        for j in partial:
-            a = math.ldexp(j, -N) + slice_lo
-            b = a + slice_len
-            total += max(0.0, min(hi, b) - max(lo, a))
-        return total
-
     def locate(self, omega: float) -> tuple[int, int] | None:
         """(level, index) of the unique carrier containing omega, if any."""
         if not (0.0 <= omega < 1.0):
             raise ValueError(f"point {omega} outside [0, 1)")
-        if self.scheme == GREEDY_GAP:
-            for n in range(1, self.depth + 1):
-                scaled = math.ldexp(omega, n)
-                cell = math.floor(scaled)
-                rel = scaled - cell
-                rl, rh = self._greedy_rel(n)
-                if rl <= rel < rh:
-                    return n, cell + 1
+        if self.sets is not None:
+            for (n, k), s in self.sets.items():
+                if s.contains(omega):
+                    return n, k
             return None
-        if self.scheme == STRATIFIED:
-            scaled = math.ldexp(omega, self.depth)
-            rel = scaled - math.floor(scaled)
-            if rel <= 0.0:
-                return None
-            _, e = math.frexp(rel)  # rel in [2^(e-1), 2^e)
-            n = 1 - e
-            if not (1 <= n <= self.depth):
-                return None
-            return n, math.floor(math.ldexp(omega, n)) + 1
-        assert self.sets is not None
-        for (n, k), s in self.sets.items():
-            if s.contains(omega):
-                return n, k
+        for n, (a, rl, rh, _, _) in enumerate(self._slices, 1):
+            scaled = math.ldexp(omega, a)
+            if rl <= scaled - math.floor(scaled) < rh:
+                return n, math.floor(math.ldexp(omega, n)) + 1
         return None
 
     # -- aggregates -------------------------------------------------------
@@ -232,16 +235,13 @@ class CarrierFamily:
                 yield n, k
 
     def total_parts(self) -> int:
-        if self.scheme == GREEDY_GAP:
-            return (1 << (self.depth + 1)) - 2
-        if self.scheme == STRATIFIED:
-            return self.depth << self.depth
-        assert self.sets is not None
-        return sum(len(s) for s in self.sets.values())
+        if self.sets is not None:
+            return sum(len(s) for s in self.sets.values())
+        return sum(1 << a for a, *_ in self._slices)
 
-    def occupied(self, part_limit: int = DEFAULT_PART_LIMIT) -> IntervalSet:
+    def occupied(self) -> IntervalSet:
         """Union of all carriers; guarded against oversized materialization."""
-        if self.total_parts() > part_limit:
+        if self.total_parts() > PART_LIMIT:
             raise MaterializationLimitError(
                 f"occupied() would materialize {self.total_parts()} parts"
             )
@@ -252,15 +252,15 @@ class CarrierFamily:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self, part_limit: int = DEFAULT_PART_LIMIT) -> dict:
+    def to_json(self) -> dict:
         """Schema: {depth, scheme, params, sets: {"n,k": [[lo, hi], ...]}}.
 
-        Built-in schemes are fully determined by (depth, scheme, params);
-        their sets are included only below the part budget and elided (with
-        a marker) above it.
+        A built-in family is its generator (depth, scheme, params); its sets
+        are included only up to ARCHIVE_PART_BUDGET parts and are otherwise
+        elided with a marker.  Explicit families always ship their sets.
         """
         out: dict = {"depth": self.depth, "scheme": self.scheme, "params": dict(self.params)}
-        if self.scheme != EXPLICIT and self.total_parts() > part_limit:
+        if self.sets is None and self.total_parts() > ARCHIVE_PART_BUDGET:
             out["sets_elided"] = True
             return out
         out["sets"] = {
@@ -275,7 +275,6 @@ class CarrierFamily:
             scheme = str(obj["scheme"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed carrier archive: {exc}") from exc
-        params = dict(obj.get("params") or {})
         if scheme == EXPLICIT:
             return cls.from_sets(depth, _parse_sets(obj.get("sets"), depth))
         if scheme not in (GREEDY_GAP, STRATIFIED):
@@ -285,7 +284,7 @@ class CarrierFamily:
             # they get verified like any hand-built family, so tampering
             # surfaces as a disjointness failure rather than silent reuse.
             return cls.from_sets(depth, _parse_sets(obj["sets"], depth), scheme=scheme)
-        return allocate_carriers(depth, scheme, params)
+        return allocate_carriers(depth, scheme, obj.get("params") or {})
 
     @classmethod
     def from_sets(
@@ -327,7 +326,7 @@ def allocate_carriers(
     """Deterministic family for the requested depth and scheme.
 
     Both built-in schemes allocate in closed form; the positivity floor is
-    checked once per level (shortest component is 2^-(depth+1) for
+    checked once per level (shortest component is 2^-(depth+2) for
     greedy-gap, 2^-2n for stratified, both far above 2^-80 at depth 40).
     """
     if not isinstance(depth, int) or depth < 1:
@@ -337,6 +336,8 @@ def allocate_carriers(
     cap = MAX_STRATIFIED_DEPTH if scheme == STRATIFIED else MAX_DEPTH
     if depth > cap:
         raise ConfigError(f"scheme {scheme!r} supports depth <= {cap}, got {depth}")
+    if params is not None and not isinstance(params, Mapping):
+        raise ConfigError(f"carrier params must be an object, got {params!r}")
     family = CarrierFamily(depth=depth, scheme=scheme, params=dict(params or {}))
     for n in range(1, depth + 1):
         if family.carrier_measure(n, 1) < POSITIVITY_FLOOR:
@@ -369,31 +370,23 @@ class DisjointnessReport:
         }
 
 
-def verify_disjointness(
-    family: CarrierFamily,
-    full_sweep_part_limit: int = 2_000_000,
-    window_samples: int = 4096,
-) -> DisjointnessReport:
+def verify_disjointness(family: CarrierFamily) -> DisjointnessReport:
     """Check pairwise disjointness, containment and positivity of a family.
 
-    Small families (explicit ones, and built-ins whose total part count fits
-    the budget) get a complete endpoint sweep over every carrier part.  For
-    larger built-in families the same conclusion is reached by exact
-    rational arithmetic over the closed-form relative geometry (covering
+    Small families (explicit ones, and built-ins of at most
+    FULL_SWEEP_PART_LIMIT parts) get a complete endpoint sweep over every
+    carrier part.  For larger built-in families the same conclusion is
+    reached by exact rational arithmetic over the slice pattern (covering
     every pair of levels and every relative cell position), plus an explicit
-    interval sweep inside a deterministic sample of finest-level windows.
+    interval sweep inside WINDOW_SAMPLES evenly spaced finest-level windows.
     """
     violations: list[tuple] = []
-    if family.scheme == EXPLICIT or family.total_parts() <= full_sweep_part_limit:
+    if family.sets is not None or family.total_parts() <= FULL_SWEEP_PART_LIMIT:
         pairs, cells = _sweep_all(family, violations)
         mode = "full-sweep"
-    elif family.scheme == GREEDY_GAP:
-        pairs = _structural_greedy(family, violations)
-        cells = _windowed_sweep(family, violations, window_samples)
-        mode = "structural+windows"
     else:
-        pairs = _structural_stratified(family, violations)
-        cells = _windowed_sweep(family, violations, window_samples)
+        pairs = _structural_check(family, violations)
+        cells = _windowed_sweep(family, violations, WINDOW_SAMPLES)
         mode = "structural+windows"
     return DisjointnessReport(
         passed=not violations,
@@ -421,116 +414,75 @@ def _sweep_all(family: CarrierFamily, violations: list[tuple]) -> tuple[int, int
         a = _check_cell(family, n, k, violations)
         cells += 1
         events.extend((p.lo, p.hi, n, k) for p in a.parts)
+    _sweep(events, violations)
+    return len(events), cells
+
+
+def _sweep(events: list[tuple[float, float, int, int]], violations: list[tuple]) -> None:
+    """Sort the (lo, hi, n, k) parts; report each that starts inside another carrier's part."""
     events.sort()
-    pairs = 0
     prev_hi = -1.0
     prev_owner: tuple[int, int] | None = None
     for lo, hi, n, k in events:
-        pairs += 1
         if prev_owner is not None and lo < prev_hi and (n, k) != prev_owner:
             violations.append(("overlap", prev_owner, (n, k)))
         if hi > prev_hi:
             prev_hi, prev_owner = hi, (n, k)
-    return pairs, cells
 
 
-def _structural_greedy(family: CarrierFamily, violations: list[tuple]) -> int:
-    """Exact pairwise check via rational relative geometry.
+def _structural_check(family: CarrierFamily, violations: list[tuple]) -> int:
+    """Exact pairwise check of the slice pattern in rational arithmetic.
 
-    A level-m cell sits at relative offset j/2^(m-n) inside its level-n
-    ancestor; the two carriers overlap positively iff an integer j exists
-    with (j + cl_m) / S < cu_n and (j + cu_m) / S > cl_n, where S = 2^(m-n)
-    and (cl, cu) are the per-level relative carrier bounds.  Checking every
-    level pair covers every carrier pair of the family: carriers in
-    non-nested cells cannot meet.
+    The pattern is read from the family's own floats, so the check sees the
+    geometry the family actually produces.  A level-a_m cell sits at
+    relative offset j/S inside its level-a_n ancestor, S = 2^(a_m - a_n)
+    (n < m); the level-n and level-m carriers overlap positively iff an
+    integer 0 <= j < S exists with (j + cl_m) / S < cu_n and
+    (j + cu_m) / S > cl_n, where (cl, cu) are the relative slice bounds.
+    Checking every level pair covers every carrier pair of the family:
+    carriers in non-nested cells cannot meet.  Each level must also satisfy
+    0 < cl < cu <= 1; cu <= 1 is exact containment for a half-open slice.
     """
-    def rel(n: int) -> tuple[Fraction, Fraction]:
-        t = family.depth - n
-        if t == 0:
-            return Fraction(1, 4), Fraction(3, 4)
-        h = Fraction(1, 1 << (t + 3))
-        return Fraction(1, 2) - h, Fraction(1, 2) + h
-
+    levels = [(a, Fraction(rl), Fraction(rh)) for a, rl, rh, _, _ in family._slices]
     pairs = 0
-    for n in range(1, family.depth + 1):
-        cl_n, cu_n = rel(n)
-        if not (0 < cl_n < cu_n < 1):
+    for n, (a_n, cl_n, cu_n) in enumerate(levels, 1):
+        if not (0 < cl_n < cu_n <= 1):
             violations.append(("containment", n, 1))
         for m in range(n + 1, family.depth + 1):
             pairs += 1
-            cl_m, cu_m = rel(m)
-            S = 1 << (m - n)
-            j_min = _frac_floor(cl_n * S - cu_m) + 1
-            j_max = _frac_ceil(cu_n * S - cl_m) - 1
-            j_min = max(j_min, 0)
-            j_max = min(j_max, S - 1)
+            a_m, cl_m, cu_m = levels[m - 1]
+            S = 1 << (a_m - a_n)
+            j_min = max(math.floor(cl_n * S - cu_m) + 1, 0)
+            j_max = min(math.ceil(cu_n * S - cl_m) - 1, S - 1)
             if j_min <= j_max:
                 violations.append(("overlap", (n, "*"), (m, f"offset {j_min}")))
     return pairs
 
 
-def _structural_stratified(family: CarrierFamily, violations: list[tuple]) -> int:
-    # Slices [2^-n, 2^-(n-1)) inside one finest subcell are pairwise disjoint
-    # by construction; verify the arithmetic anyway.
-    pairs = 0
-    bounds = [
-        (Fraction(1, 1 << n), Fraction(1, 1 << (n - 1))) for n in range(1, family.depth + 1)
-    ]
-    for i in range(len(bounds)):
-        if not (0 < bounds[i][0] < bounds[i][1] <= 1):
-            violations.append(("containment", i + 1, 1))
-        for j in range(i + 1, len(bounds)):
-            pairs += 1
-            lo = max(bounds[i][0], bounds[j][0])
-            hi = min(bounds[i][1], bounds[j][1])
-            if lo < hi:
-                violations.append(("overlap", (i + 1, "*"), (j + 1, "*")))
-    return pairs
-
-
-def _frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def _windowed_sweep(
     family: CarrierFamily, violations: list[tuple], window_samples: int
 ) -> int:
-    """Explicit sweep of every carrier part meeting sampled finest cells."""
-    total = 1 << family.depth
+    """Explicit sweep of every carrier slice meeting sampled finest cells.
+
+    Each level has exactly one slice that can meet a finest cell: the one
+    in the cell's level-a ancestor, taken straight from the pattern.
+    """
+    N = family.depth
+    total = 1 << N
     count = min(window_samples, total)
     stride = max(1, total // count)
     indices = sorted({1, total, *range(1, total + 1, stride)})
     checked = 0
     for idx in indices:
-        w_lo = math.ldexp(idx - 1, -family.depth)
-        w_hi = math.ldexp(idx, -family.depth)
+        w_lo = math.ldexp(idx - 1, -N)
+        w_hi = math.ldexp(idx, -N)
         events: list[tuple[float, float, int, int]] = []
-        kk = idx
-        for n in range(family.depth, 0, -1):
-            # Ancestor cell of this window at level n.
-            a = family.carrier(n, kk) if family.scheme != STRATIFIED else None
-            if a is None:
-                # Stratified: only the slice inside the window is relevant.
-                s_lo = w_lo + math.ldexp(1.0, -(family.depth + n))
-                s_hi = w_lo + math.ldexp(1.0, -(family.depth + n - 1))
-                events.append((s_lo, s_hi, n, kk))
-            else:
-                for p in a.parts:
-                    lo, hi = max(p.lo, w_lo), min(p.hi, w_hi)
-                    if lo < hi:
-                        events.append((lo, hi, n, kk))
+        for n in range(N, 0, -1):
+            a, _, _, s_lo, s_hi = family._slices[n - 1]
+            base = math.ldexp((idx - 1) >> (N - a), -a)
+            lo, hi = max(base + s_lo, w_lo), min(base + s_hi, w_hi)
+            if lo < hi:
+                events.append((lo, hi, n, ((idx - 1) >> (N - n)) + 1))
             checked += 1
-            kk = (kk + 1) // 2
-        events.sort()
-        prev_hi = -1.0
-        prev_owner: tuple[int, int] | None = None
-        for lo, hi, n, k in events:
-            if prev_owner is not None and lo < prev_hi and (n, k) != prev_owner:
-                violations.append(("overlap", prev_owner, (n, k)))
-            if hi > prev_hi:
-                prev_hi, prev_owner = hi, (n, k)
+        _sweep(events, violations)
     return checked

@@ -33,7 +33,7 @@ from .carriers import CarrierFamily, allocate_carriers, verify_disjointness
 from .continuous import ContinuousModel, build_continuous_model
 from .errors import ConfigError, PettisForgeError
 from .pettis import PettisModel, build_model
-from .psi import PsiSpec, SequenceRule, parse_exponent
+from .psi import PsiSpec, SequenceRule, parse_exponent, parse_number
 
 
 def load_json(path: str | Path) -> dict:
@@ -70,12 +70,15 @@ def build_model_from_config(obj: Mapping) -> PettisModel | ContinuousModel:
     if "archive" in obj:
         return load_archive(obj["archive"])
     kind = str(obj.get("kind", "pettis"))
+    for key in ("psi", "rule", "carriers"):
+        if key in obj and not isinstance(obj[key], Mapping):
+            raise ConfigError(f"model {key} must be an object, got {obj[key]!r}")
     try:
         psi = PsiSpec.from_json(obj["psi"])
     except KeyError as exc:
         raise ConfigError(f"model config missing {exc}") from exc
     rule = SequenceRule.from_json(obj.get("rule", {"kind": "affine"}))
-    K = float(obj.get("K", 1.0))
+    K = parse_number(obj.get("K", 1.0), "K")
     depth = obj.get("depth", 24)
     if type(depth) is not int:
         raise ConfigError(f"model depth must be an integer, got {depth!r}")
@@ -107,7 +110,7 @@ def build_campaign_from_config(obj: Mapping, kind: str | None = None) -> Campaig
         iv = obj["interval"]
         if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
             raise ConfigError(f"campaign interval must be [lo, hi], got {iv!r}")
-        obj["interval"] = (float(iv[0]), float(iv[1]))
+        obj["interval"] = tuple(parse_number(x, "campaign interval bound") for x in iv)
     try:
         return CampaignConfig(**obj)
     except TypeError as exc:
@@ -122,9 +125,10 @@ def build_campaign_from_config(obj: Mapping, kind: str | None = None) -> Campaig
 def archive_model(model: PettisModel | ContinuousModel) -> dict:
     """Self-contained JSON bundle: config, coefficient table, carriers.
 
-    Carrier sets are included verbatim only below the serializer's part
-    budget; the generating (scheme, params, depth) triple is always present
-    and reproduces them bit-identically.
+    A built-in carrier family is stored as its generating (depth, scheme,
+    params), which reproduces it bit-identically; its sets are included
+    verbatim only up to ``ARCHIVE_PART_BUDGET`` parts.  Explicit families
+    ship their sets, and shipped sets are verified on load.
     """
     if isinstance(model, ContinuousModel):
         return {

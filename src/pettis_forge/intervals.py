@@ -98,6 +98,7 @@ def find_inner_dyadic(i: Interval) -> DyadicIndex:
     )
 
 
+@dataclass(frozen=True, slots=True)
 class IntervalSet:
     """Canonical finite union of disjoint, non-adjacent half-open intervals.
 
@@ -105,15 +106,10 @@ class IntervalSet:
     point set, so equality of sets is equality of tuples.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple[Interval, ...] = ()
 
-    parts: tuple[Interval, ...]
-
-    def __init__(self, parts: Iterable[Interval] = ()) -> None:
-        object.__setattr__(self, "parts", _canonical(parts))
-
-    def __setattr__(self, name: str, value: object) -> None:  # immutability
-        raise AttributeError("IntervalSet is immutable")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parts", _canonical(self.parts))
 
     # -- constructors -------------------------------------------------
 
@@ -146,12 +142,6 @@ class IntervalSet:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalSet) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "IntervalSet(" + ", ".join(map(repr, self.parts)) + ")"

@@ -58,11 +58,11 @@ class PsiSpec:
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown gauge family {self.family!r}")
         if self.family == POWER:
-            if self.exponent is None or self.exponent <= 0:
-                raise ConfigError("power family needs exponent > 0")
+            if not _is_number(self.exponent) or self.exponent <= 0:
+                raise ConfigError(f"power family needs exponent > 0, got {self.exponent!r}")
         elif self.family in (SQRT_LOG, SQRT_LOGLOG):
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ConfigError(f"{self.family} family needs epsilon > 0")
+            if not _is_number(self.epsilon) or self.epsilon <= 0:
+                raise ConfigError(f"{self.family} family needs epsilon > 0, got {self.epsilon!r}")
         else:
             k = self.knots
             if len(k) < 2 or k[0][0] != 0.0 or k[0][1] != 0.0:
@@ -106,6 +106,18 @@ class PsiSpec:
 
 def _p_json(p: float) -> float | str:
     return "inf" if math.isinf(p) else p
+
+
+def _is_number(value: object) -> bool:
+    # type(...) also turns away bool, which JSON true/false become.
+    return type(value) in (int, float)
+
+
+def parse_number(value: object, name: str) -> float:
+    """A JSON number as a float; anything else is a ConfigError."""
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)  # type: ignore[arg-type]
 
 
 def parse_exponent(value: object) -> float:
@@ -251,11 +263,14 @@ class SequenceRule:
     def from_json(cls, obj: Mapping) -> "SequenceRule":
         kind = str(obj.get("kind", "affine"))
         if kind == "affine":
-            return cls("affine", a=float(obj.get("a", 1.0)), b=int(obj.get("b", 0)))
+            b = obj.get("b", 0)
+            if type(b) is not int:
+                raise ConfigError(f"affine rule b must be an integer, got {b!r}")
+            return cls("affine", a=parse_number(obj.get("a", 1.0), "affine rule a"), b=b)
         values = obj.get("list", obj.get("values"))
-        if not isinstance(values, Sequence):
-            raise ConfigError("list rule needs a 'list' array")
-        return cls("list", values=tuple(int(v) for v in values))
+        if not isinstance(values, Sequence) or not all(type(v) is int for v in values):
+            raise ConfigError(f"list rule needs a 'list' array of integers, got {values!r}")
+        return cls("list", values=tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from pettis_forge import (
@@ -6,6 +9,17 @@ from pettis_forge import (
     build_continuous_model,
     build_model,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _child_pythonpath():
+    """CLI tests run ``python -m pettis_forge.cli`` in a child process; give
+    it the checkout's ``src``, which pytest's ``pythonpath`` setting puts on
+    this process's sys.path only."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from pettis_forge import (
     run_pairing_check,
     run_psi_validate,
 )
-from pettis_forge.config import build_campaign_from_config, build_model_from_config
+from pettis_forge.config import build_campaign_from_config, build_model_from_config, load_archive
 from pettis_forge.errors import ConfigError, DepthInsufficientError
 
 
@@ -166,6 +166,8 @@ def test_campaign_config_validation():
         {"kind": "pairing", "support_max": 8.5},
         {"kind": "continuous", "delta_levels": (2, 3.0)},
         {"kind": "continuous", "delta_levels": (True,)},
+        # a negative level would sweep no dyadic cell at all
+        {"kind": "lower-bound", "dyadic_level": -2},
     ]
     for fields in bad:
         with pytest.raises(ConfigError):
@@ -191,6 +193,12 @@ def test_model_config_errors():
         for kind in ("pettis", "continuous"):
             with pytest.raises(ConfigError, match="depth must be an integer"):
                 build_model_from_config({**_MODEL_CFG, "kind": kind, "depth": depth})
+    # values of the wrong type are config errors, not ValueError/TypeError
+    for model in _WRONG_TYPE_MODELS.values():
+        with pytest.raises(ConfigError):
+            build_model_from_config(model)
+    with pytest.raises(ConfigError, match="interval bound must be a number"):
+        build_campaign_from_config({"kind": "bochner", "interval": ["a", 0.5]})
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +228,17 @@ _MODEL_CFG = {
     "rule": {"kind": "affine", "a": 1, "b": 0},
     "depth": 10,
     "carriers": {"scheme": "greedy-gap"},
+}
+
+
+_WRONG_TYPE_MODELS = {
+    "K": {**_MODEL_CFG, "K": "abc"},
+    "rule a": {**_MODEL_CFG, "rule": {"kind": "affine", "a": "x"}},
+    "params": {**_MODEL_CFG, "carriers": {"scheme": "greedy-gap", "params": 5}},
+    "exponent": {**_MODEL_CFG, "psi": {"family": "power", "exponent": "0.75"}},
+    "psi": {**_MODEL_CFG, "psi": 5},
+    "rule": {**_MODEL_CFG, "rule": 5},
+    "carriers": {**_MODEL_CFG, "carriers": 5},
 }
 
 
@@ -292,6 +311,16 @@ def test_cli_exit_codes(tmp_path):
         assert r.returncode == 2, (name, r.stderr)
         assert f"{name} must be an integer" in r.stderr
         assert "Traceback" not in r.stderr
+    # values of the wrong type in the model or the campaign
+    cases = [(name, "lower-bound", model, {"samples": 2, "dyadic_level": 3})
+             for name, model in _WRONG_TYPE_MODELS.items()]
+    cases.append(("interval", "bochner", _MODEL_CFG, {"interval": ["a", 0.5]}))
+    for name, kind, model, campaign in cases:
+        cfg = _write_cfg(tmp_path, "wrong_type.json", {"model": model, "campaign": campaign})
+        r = _cli("verify", kind, "--config", cfg)
+        assert r.returncode == 2, (name, r.stderr)
+        assert "config error" in r.stderr, name
+        assert "Traceback" not in r.stderr, name
 
 
 def test_cli_psi_validate_exit_one(tmp_path):
@@ -336,6 +365,18 @@ def test_cli_build_and_archive_paths(tmp_path):
     r = _cli("verify", "lower-bound", "--config", cfg2)
     assert r.returncode == 2
     assert "disjointness violated" in r.stderr
+
+
+def test_depth_20_archive_stores_the_generator(tmp_path):
+    model = {**_MODEL_CFG, "depth": 20}
+    cfg = _write_cfg(tmp_path, "cfg.json", {"model": model})
+    arch = tmp_path / "arch.json"
+    r = _cli("build", "--config", cfg, "--out", str(arch))
+    assert r.returncode == 0, r.stderr
+    assert arch.stat().st_size <= 1 << 20
+    carriers = json.loads(arch.read_text())["carriers"]
+    assert "sets" not in carriers and carriers["sets_elided"] is True
+    assert load_archive(arch) == build_model_from_config(model)
 
 
 def test_cli_continuous_campaign(tmp_path):

@@ -94,15 +94,34 @@ def test_structural_mode_at_depth_24():
 
 def test_structural_check_agrees_with_full_sweep():
     # both verification paths reach the same verdict on a mid-size family
-    from pettis_forge.carriers import _structural_greedy, _windowed_sweep
+    from pettis_forge.carriers import _structural_check, _windowed_sweep
 
     fam = allocate_carriers(12)
     assert verify_disjointness(fam).passed  # full sweep (131070 parts)
     violations = []
-    pairs = _structural_greedy(fam, violations)
+    pairs = _structural_check(fam, violations)
     assert pairs == 12 * 11 // 2 and not violations
     _windowed_sweep(fam, violations, window_samples=256)
     assert not violations
+
+
+@pytest.mark.parametrize("scheme", [GREEDY_GAP, STRATIFIED])
+def test_structural_check_catches_moved_pattern(scheme):
+    # level 1 takes level 2's slice pattern, so the two levels overlap
+    from pettis_forge.carriers import _structural_check
+
+    class Moved(CarrierFamily):
+        def _pattern(self, n):
+            return super()._pattern(2 if n == 1 else n)
+
+    depth = 5
+    violations = []
+    assert _structural_check(allocate_carriers(depth, scheme), violations) == 10
+    assert not violations
+    moved = Moved(depth=depth, scheme=scheme)
+    assert _structural_check(moved, violations) == 10
+    assert ("overlap", (1, "*"), (2, "offset 0")) in violations
+    assert not verify_disjointness(moved).passed  # the full sweep agrees
 
 
 @pytest.mark.parametrize("scheme", [GREEDY_GAP, STRATIFIED])
@@ -115,6 +134,9 @@ def test_occupied_measure_below_one(scheme):
             fam.carrier_measure(n, k) for n, k in fam.cells()
         )
         assert abs(total - occ.measure) < 1e-12  # disjointness makes these equal
+        assert fam.total_parts() == sum(len(fam.carrier(n, k)) for n, k in fam.cells())
+        for n, k in fam.cells():
+            assert fam.carrier_measure(n, k) == fam.carrier(n, k).measure
 
 
 def test_level_mass_stays_below_one_per_prefix():

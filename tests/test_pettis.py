@@ -200,6 +200,17 @@ def test_tail_bound_evaluated_once_per_truncation(monkeypatch):
     assert pettis_integral(restored, enc.E).lower == pettis_integral(twin, enc.E).lower
 
 
+def test_interval_sets_explicit_families_and_enclosures_pickle():
+    E = IntervalSet.of(Interval(0.1, 0.3), Interval(0.55, 0.8))
+    greedy = allocate_carriers(6)
+    explicit = CarrierFamily.from_sets(6, {cell: greedy.carrier(*cell) for cell in greedy.cells()})
+    enc = pettis_integral(build_model(explicit, SPEC34, depth=6), E)
+    for obj in (E, explicit, enc):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    restored = pickle.loads(pickle.dumps(enc))
+    assert restored.lower == enc.lower and restored.cover == enc.cover
+
+
 def test_pairing_identity_two_code_paths():
     model = build_model(None, SPEC34, depth=12)
     rng = random.Random(23)
