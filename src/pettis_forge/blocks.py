@@ -54,10 +54,6 @@ class BlockLayout:
                 return d
         raise LayoutMismatchError(f"level {level} not in layout")
 
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.dims)
-
     def _validate(self, coeffs: Mapping[tuple[int, int], float]) -> None:
         table = dict(self.dims)
         for (n, k) in coeffs:
@@ -68,9 +64,8 @@ class BlockLayout:
                 raise LayoutMismatchError(f"index {k} outside block of dimension {d} at level {n}")
 
 
-def _clean(entries: Mapping[tuple[int, int], float] | Iterable) -> dict[tuple[int, int], float]:
-    items = entries.items() if isinstance(entries, Mapping) else entries
-    return {(int(n), int(k)): float(v) for (n, k), v in items if v != 0.0}
+def _clean(entries: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
+    return {(int(n), int(k)): float(v) for (n, k), v in entries.items() if v != 0.0}
 
 
 def _pnorm(values: Iterable[float], p: float) -> float:

@@ -28,7 +28,7 @@ from .config import (
 from .continuous import ContinuousModel
 from .errors import ConfigError, PettisForgeError
 from .pettis import PettisModel
-from .psi import SequenceRule, PsiSpec, parse_exponent
+from .psi import SequenceRule, PsiSpec, parse_exponent, parse_number
 
 _VERIFY_KINDS = (
     campaigns.LOWER_BOUND,
@@ -100,15 +100,12 @@ def _run_psi_validate(args: argparse.Namespace) -> int:
     spec = PsiSpec.from_json(psi_obj)
     rule = SequenceRule.from_json(obj.get("rule", (obj.get("model") or {}).get("rule", {"kind": "affine"})))
     p = parse_exponent(obj.get("p", spec.p))
+    n_max = obj.get("n_max", 48)
+    if type(n_max) is not int:
+        raise ConfigError(f"n_max must be an integer, got {n_max!r}")
+    r_max = parse_number(obj.get("r_max", 0.95), "r_max")
     cfg = _campaign_config(obj, campaigns.PSI_VALIDATE, args)
-    report = campaigns.run_psi_validate(
-        spec,
-        p,
-        rule,
-        cfg,
-        n_max=int(obj.get("n_max", 48)),
-        r_max=float(obj.get("r_max", 0.95)),
-    )
+    report = campaigns.run_psi_validate(spec, p, rule, cfg, n_max=n_max, r_max=r_max)
     return _emit(report, cfg)
 
 

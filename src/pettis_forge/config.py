@@ -174,13 +174,16 @@ def load_archive(path: str | Path) -> PettisModel | ContinuousModel:
 
 def _check_table(model: PettisModel, table_obj: Mapping, path: str | Path) -> None:
     levels = table_obj.get("levels")
-    if levels is not None and list(levels) != list(model.table.levels):
+    if levels is not None and levels != list(model.table.levels):
         raise ConfigError(f"archive {path} table levels disagree with its config")
     coeffs = table_obj.get("coeffs")
     if isinstance(coeffs, Mapping):
         for m_str, c in coeffs.items():
+            if not m_str.isdecimal():
+                raise ConfigError(f"archive {path} table level {m_str!r} is not an integer")
             mine = model.table.coefficient(int(m_str))
-            if not math.isclose(mine, float(c), rel_tol=1e-12, abs_tol=1e-300):
+            theirs = parse_number(c, f"archive {path} coefficient at level {m_str}")
+            if not math.isclose(mine, theirs, rel_tol=1e-12, abs_tol=1e-300):
                 raise ConfigError(
                     f"archive {path} coefficient at level {m_str} disagrees with its config"
                 )

@@ -13,6 +13,10 @@ l_2 blocks used here.  The schedule is c_n = 2K * psi(2^-p_(n-2)), and a
 ratio certificate for sum psi(2^-p_n) makes the series and its tail bounds
 computable.
 
+One walk kernel, ``_walk``, gives c * f_n(omega) as its two coordinates.
+Levels are disjoint blocks, so a point of the truncated series is the union
+of its levels' coordinate pairs and is built as a single block vector.
+
 For s, t at distance d with 2^-p_n < d <= 2^-p_(n-1), the points fall in
 non-adjacent cells of partition n + 1, so the four coordinates touched by
 f_(n+1)(s) and f_(n+1)(t) are distinct and the level-(n+1) block distance
@@ -31,6 +35,7 @@ from .psi import (
     PsiSpec,
     SequenceRule,
     eval_psi_total,
+    summability_term,
     validate_summable,
 )
 
@@ -63,9 +68,7 @@ class ContinuousModel:
 
     def tail(self) -> float:
         """Bound on sum of c_n for n > depth (geometric continuation)."""
-        first_omitted = 2.0 * self.K * eval_psi_total(
-            self.psi, math.ldexp(1.0, -self.rule.term(self.depth - 1))
-        )
+        first_omitted = 2.0 * self.K * summability_term(self.psi, self.rule, self.depth - 1)
         return self.certificate.geometric_tail(first_omitted)
 
     def lipschitz_constant(self) -> float:
@@ -112,8 +115,7 @@ def build_continuous_model(
             f"gauge {spec.family} is not certified summable along the sequence rule"
         )
     coeffs = tuple(
-        2.0 * K * eval_psi_total(spec, math.ldexp(1.0, -rule.term(n - 2)))
-        for n in range(2, depth + 1)
+        2.0 * K * summability_term(spec, rule, n - 2) for n in range(2, depth + 1)
     )
     layout = BlockLayout(
         2.0, tuple((n, (1 << rule.term(n)) + 1) for n in range(2, depth + 1))
@@ -129,20 +131,28 @@ def build_continuous_model(
     )
 
 
-def eval_fn(model: ContinuousModel, n: int, omega: float) -> BlockVector:
-    """The level-n walk f_n(omega): a convex pair of adjacent coordinates."""
+def _walk(model: ContinuousModel, n: int, omega: float, c: float) -> dict[tuple[int, int], float]:
+    """c * f_n(omega) as its two coordinates; the second is 0.0 when alpha = 1."""
     if not (2 <= n <= model.depth):
         raise ConfigError(f"level {n} outside 2..{model.depth}")
     if not (0.0 <= omega < 1.0):
         raise ValueError(f"point {omega} outside [0, 1)")
-    pn = model.rule.term(n)
-    scaled = math.ldexp(omega, pn)  # exact power-of-two scaling
+    scaled = math.ldexp(omega, model.rule.term(n))  # exact power-of-two scaling
     k = math.floor(scaled) + 1
     alpha = k - scaled  # in (0, 1]
-    coeffs = {(n, k): alpha}
-    if alpha != 1.0:
-        coeffs[(n, k + 1)] = 1.0 - alpha
-    return BlockVector(model.layout, coeffs)
+    return {(n, k): c * alpha, (n, k + 1): c * (1.0 - alpha)}
+
+
+def _point(model: ContinuousModel, omega: float) -> BlockVector:
+    coords: dict[tuple[int, int], float] = {}
+    for n in range(2, model.depth + 1):
+        coords.update(_walk(model, n, omega, model.coefficient(n)))
+    return BlockVector(model.layout, coords)
+
+
+def eval_fn(model: ContinuousModel, n: int, omega: float) -> BlockVector:
+    """The level-n walk f_n(omega): a convex pair of adjacent coordinates."""
+    return BlockVector(model.layout, _walk(model, n, omega, 1.0))
 
 
 def eval_f(model: ContinuousModel, omega: float) -> tuple[BlockVector, float]:
@@ -152,12 +162,7 @@ def eval_f(model: ContinuousModel, omega: float) -> tuple[BlockVector, float]:
     exact norm of the partial sum; the true value differs by at most the
     returned tail in norm.
     """
-    acc: dict[tuple[int, int], float] = {}
-    for n in range(2, model.depth + 1):
-        c = model.coefficient(n)
-        for nk, v in eval_fn(model, n, omega).coeffs.items():
-            acc[nk] = c * v
-    return BlockVector(model.layout, acc), model.tail()
+    return _point(model, omega), model.tail()
 
 
 def _bracket_level(model: ContinuousModel, distance: float) -> int:
@@ -192,8 +197,6 @@ def check_pair(model: ContinuousModel, s: float, t: float) -> PairCheck:
         raise ValueError("pair must be two distinct points")
     d = abs(s - t)
     _bracket_level(model, d)  # propagate pair-too-close before evaluating
-    fa, _ = eval_f(model, s)
-    fb, _ = eval_f(model, t)
-    lhs = fa.sub(fb).norm()
+    lhs = _point(model, s).sub(_point(model, t)).norm()
     rhs = eval_psi_total(model.psi, d)
     return PairCheck(holds=lhs >= rhs - 1e-12, lhs=lhs, rhs=rhs)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, GrowthConditionError, PsiDomainError
 
@@ -92,12 +92,17 @@ class PsiSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "PsiSpec":
+        knots = obj.get("knots", ())
+        if not isinstance(knots, (list, tuple)) or not all(
+            isinstance(k, (list, tuple)) and len(k) == 2 for k in knots
+        ):
+            raise ConfigError(f"custom-table knots must be a list of [s, value] pairs, got {knots!r}")
         try:
             return cls(
                 family=str(obj["family"]),
                 exponent=obj.get("exponent"),
                 epsilon=obj.get("epsilon"),
-                knots=tuple((float(s), float(v)) for s, v in obj.get("knots", ())),
+                knots=tuple((parse_number(s, "knot s"), parse_number(v, "knot value")) for s, v in knots),
                 p=parse_exponent(obj.get("p", 2.0)),
             )
         except KeyError as exc:
@@ -337,6 +342,13 @@ def validate_growth(
         rule = SequenceRule("affine")
     if p is None:
         p = spec.p
+    return _certify(lambda n: growth_term(spec, p, rule, n), p, rule, n_max, r_max)
+
+
+def _certify(
+    term: Callable[[int], float], p: float, rule: SequenceRule, n_max: int, r_max: float
+) -> GrowthReport:
+    """The eventual-ratio test on term(1..n_max), n_max capped by a list rule."""
     if not (2 <= n_max <= MAX_TERM_COUNT):
         raise ConfigError(f"n_max must be within [2, {MAX_TERM_COUNT}], got {n_max}")
     if not (0.0 < r_max < 1.0):
@@ -345,12 +357,8 @@ def validate_growth(
     if cap is not None:
         n_max = min(n_max, cap)
         if n_max < 2:
-            raise ConfigError("list rule too short for growth validation")
-    terms = tuple(growth_term(spec, p, rule, n) for n in range(1, n_max + 1))
-    return _certify(terms, p, r_max, n_max)
-
-
-def _certify(terms: tuple[float, ...], p: float, r_max: float, n_max: int) -> GrowthReport:
+            raise ConfigError("list rule too short for a ratio certificate (needs at least 2 entries)")
+    terms = tuple(term(n) for n in range(1, n_max + 1))
     if not all(map(math.isfinite, terms)):
         return GrowthReport(False, p, r_max, n_max, terms)
     ratios = [
@@ -381,17 +389,7 @@ def validate_summable(
     """
     if rule is None:
         rule = SequenceRule("affine")
-    if not (2 <= n_max <= MAX_TERM_COUNT):
-        raise ConfigError(f"n_max must be within [2, {MAX_TERM_COUNT}], got {n_max}")
-    if not (0.0 < r_max < 1.0):
-        raise ConfigError(f"r_max must be in (0, 1), got {r_max}")
-    cap = rule.max_index()
-    if cap is not None:
-        n_max = min(n_max, cap)
-        if n_max < 2:
-            raise ConfigError("list rule too short for summability validation")
-    terms = tuple(summability_term(spec, rule, n) for n in range(1, n_max + 1))
-    return _certify(terms, math.inf, r_max, n_max)
+    return _certify(lambda n: summability_term(spec, rule, n), math.inf, rule, n_max, r_max)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,12 @@ from pettis_forge import (
     run_pairing_check,
     run_psi_validate,
 )
-from pettis_forge.config import build_campaign_from_config, build_model_from_config, load_archive
+from pettis_forge.config import (
+    archive_model,
+    build_campaign_from_config,
+    build_model_from_config,
+    load_archive,
+)
 from pettis_forge.errors import ConfigError, DepthInsufficientError
 
 
@@ -184,7 +189,7 @@ def test_campaign_config_validation():
     assert cfg.kind == "pairing" and cfg.samples == 3
 
 
-def test_model_config_errors():
+def test_model_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         build_model_from_config({"kind": "warped"})
     with pytest.raises(ConfigError):
@@ -199,6 +204,9 @@ def test_model_config_errors():
             build_model_from_config(model)
     with pytest.raises(ConfigError, match="interval bound must be a number"):
         build_campaign_from_config({"kind": "bochner", "interval": ["a", 0.5]})
+    for name in _BAD_TABLES:
+        with pytest.raises(ConfigError, match="archive"):
+            build_model_from_config({"archive": _bad_table_archive(tmp_path, name)})
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +247,23 @@ _WRONG_TYPE_MODELS = {
     "psi": {**_MODEL_CFG, "psi": 5},
     "rule": {**_MODEL_CFG, "rule": 5},
     "carriers": {**_MODEL_CFG, "carriers": 5},
+    "knot": {**_MODEL_CFG, "psi": {"family": "custom-table", "knots": [["x", 0]]}},
+    "knots": {**_MODEL_CFG, "psi": {"family": "custom-table", "knots": 5}},
 }
+
+# edits to a depth-6 archive's coefficient table: a level that is not an
+# integer, a coefficient that is not a number, levels that are not a list
+_BAD_TABLES = {
+    "coeffs key": lambda table: table["coeffs"].update({"x": 0.5}),
+    "coeffs value": lambda table: table["coeffs"].update({"1": "abc"}),
+    "levels": lambda table: table.update({"levels": 5}),
+}
+
+
+def _bad_table_archive(tmp_path, name):
+    obj = archive_model(build_model_from_config({**_MODEL_CFG, "depth": 6}))
+    _BAD_TABLES[name](obj["table"])
+    return _write_cfg(tmp_path, f"archive-{name}.json", obj)
 
 
 def test_cli_verify_roundtrip_and_bytes(tmp_path):
@@ -315,12 +339,23 @@ def test_cli_exit_codes(tmp_path):
     cases = [(name, "lower-bound", model, {"samples": 2, "dyadic_level": 3})
              for name, model in _WRONG_TYPE_MODELS.items()]
     cases.append(("interval", "bochner", _MODEL_CFG, {"interval": ["a", 0.5]}))
+    cases += [(name, "lower-bound", {"archive": _bad_table_archive(tmp_path, name)},
+               {"samples": 2, "dyadic_level": 3}) for name in _BAD_TABLES]
     for name, kind, model, campaign in cases:
         cfg = _write_cfg(tmp_path, "wrong_type.json", {"model": model, "campaign": campaign})
         r = _cli("verify", kind, "--config", cfg)
         assert r.returncode == 2, (name, r.stderr)
         assert "config error" in r.stderr, name
         assert "Traceback" not in r.stderr, name
+    # psi validate limits: n_max a JSON integer (12.7 used to run as 12), r_max a number
+    for name, value in (("n_max", "x"), ("r_max", "abc"), ("n_max", 12.7)):
+        cfg = _write_cfg(
+            tmp_path, "psi_limits.json", {"psi": {"family": "power", "exponent": 0.75}, name: value}
+        )
+        r = _cli("psi", "validate", "--config", cfg)
+        assert r.returncode == 2, (name, value, r.stderr)
+        assert f"config error: {name} must be" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_cli_psi_validate_exit_one(tmp_path):

@@ -15,6 +15,7 @@ from pettis_forge import (
     eval_psi_total,
     separation_lower_bound,
 )
+from pettis_forge.blocks import BlockVector
 from pettis_forge.errors import ConfigError, GrowthConditionError, PairTooCloseError
 
 
@@ -169,3 +170,39 @@ def test_truncation_is_exact_lower_bound(cmodel9):
         fa9, _ = eval_f(cmodel9, s)
         fb9, _ = eval_f(cmodel9, t)
         assert fa5.sub(fb5).norm() <= fa9.sub(fb9).norm() + 1e-12
+
+
+def test_eval_f_is_the_union_of_scaled_walks(cmodel9):
+    rng = random.Random(31)
+    w2 = math.ldexp(1.0, -cmodel9.rule.term(2))
+    left_ends = [k * w2 for k in range(1 << cmodel9.rule.term(2))]
+    for omega in [rng.random() for _ in range(500)] + left_ends:
+        v, _ = eval_f(cmodel9, omega)
+        want = {}
+        for n in range(2, cmodel9.depth + 1):
+            c = cmodel9.coefficient(n)
+            want.update({nk: c * x for nk, x in eval_fn(cmodel9, n, omega).coeffs.items()})
+        assert dict(v.coeffs) == want, omega
+    # at a level-2 left endpoint every walk sits on its first coordinate (alpha = 1)
+    for omega in left_ends:
+        v, _ = eval_f(cmodel9, omega)
+        for n in range(2, cmodel9.depth + 1):
+            k = math.floor(math.ldexp(omega, cmodel9.rule.term(n))) + 1
+            assert v.coeffs[(n, k)] == cmodel9.coefficient(n)
+            assert (n, k + 1) not in v.coeffs
+
+
+def test_block_vectors_built_per_point(cmodel9, monkeypatch):
+    built = []
+    post_init = BlockVector.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BlockVector, "__post_init__", counting_post_init)
+    eval_f(cmodel9, 0.37)
+    assert len(built) == 1
+    built.clear()
+    check_pair(cmodel9, 0.37, 0.81)
+    assert len(built) <= 5

@@ -4,6 +4,8 @@ Each case builds its model and campaign from a config mapping, the way the
 CLI does, runs the campaign and renders the JSON report (rows and summary).
 The SHA-256 of that text is pinned, so any change to an enclosure, a
 coefficient, a sampler or the float formatting shows up as a digest change.
+A psi-validate case reads its gauge, exponent and rule from the mapping as
+``pettis-forge psi validate`` does.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import pytest
 
 from pettis_forge import campaigns
 from pettis_forge.config import build_campaign_from_config, build_model_from_config
+from pettis_forge.psi import PsiSpec, SequenceRule, parse_exponent
 
 _REF = {
     "kind": "pettis",
@@ -30,6 +33,7 @@ _RUNNERS = {
     campaigns.PAIRING: campaigns.run_pairing_check,
     campaigns.HALFPOWER: campaigns.run_halfpower_statistic,
     campaigns.BOCHNER: campaigns.run_bochner_divergence,
+    campaigns.CONTINUOUS: campaigns.run_continuous_campaign,
 }
 
 # id -> (model config, campaign config, SHA-256 of the JSON report)
@@ -70,13 +74,28 @@ GOLDEN = {
         {"kind": "bochner", "interval": [0.25, 0.5]},
         "a09fa04fa7da899d664cc92443b23c2a1c017c8f7915a6560e9da077a5389162",
     ),
+    "continuous-ref9": (
+        {"kind": "continuous", "psi": {"family": "power", "exponent": 0.25}, "K": 1.0,
+         "rule": {"kind": "affine", "a": 4, "b": 0}, "depth": 9},
+        {"kind": "continuous", "samples": 2000},
+        "7c3b4e3c965a036c604997ff7a2533fddded1af896779aee9fd7460b0873d934",
+    ),
+    "psi-validate-power34": (
+        {"psi": {"family": "power", "exponent": 0.75}, "p": 2.0, "rule": {"kind": "affine"}},
+        {"kind": "psi-validate"},
+        "5140d789fa834ba1d775bc19baf4d12505d12a81b8b68e18d0dd009414dd83f6",
+    ),
 }
 
 
 def _report_sha256(model_cfg, campaign_cfg):
-    model = build_model_from_config(model_cfg)
     cfg = build_campaign_from_config(campaign_cfg)
-    report = _RUNNERS[cfg.kind](model, cfg)
+    if cfg.kind == campaigns.PSI_VALIDATE:
+        spec = PsiSpec.from_json(model_cfg["psi"])
+        rule = SequenceRule.from_json(model_cfg["rule"])
+        report = campaigns.run_psi_validate(spec, parse_exponent(model_cfg["p"]), rule, cfg)
+    else:
+        report = _RUNNERS[cfg.kind](build_model_from_config(model_cfg), cfg)
     assert report.passed
     return hashlib.sha256(report.render("json").encode("utf-8")).hexdigest()
 

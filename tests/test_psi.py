@@ -216,3 +216,25 @@ def test_psi_spec_json_round_trip():
     assert SequenceRule.from_json(rule.to_json()) == rule
     lst = SequenceRule("list", values=(1, 3, 6))
     assert SequenceRule.from_json(lst.to_json()) == lst
+
+
+@pytest.mark.parametrize(
+    "validate",
+    [
+        lambda spec, rule, **kw: validate_growth(spec, rule=rule, **kw),
+        lambda spec, rule, **kw: validate_summable(spec, rule, **kw),
+    ],
+    ids=["growth", "summable"],
+)
+def test_certificate_prologue_rejects_bad_limits(validate):
+    spec = PsiSpec("power", exponent=0.75)
+    affine = SequenceRule("affine")
+    for n_max in (1, 65):
+        with pytest.raises(ConfigError, match="n_max"):
+            validate(spec, affine, n_max=n_max)
+    for r_max in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="r_max"):
+            validate(spec, affine, r_max=r_max)
+    with pytest.raises(ConfigError, match="list rule too short"):
+        validate(spec, SequenceRule("list", values=(3,)))
+    assert validate(spec, SequenceRule("list", values=(1, 2))).n_max == 2
