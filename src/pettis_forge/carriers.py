@@ -31,10 +31,11 @@ top of that pattern.
     keeps every cell's free region positive.  Endpoints are dyadic of level
     N + n, so this scheme is capped at depth 26 to stay float-exact.
 
-Large built-in families are verified structurally, in exact rational
-arithmetic on the family's own pattern floats, plus an explicit sweep of
-sampled finest cells.  Explicit families (deserialized or hand-built) store
-their sets verbatim and are checked, not trusted.
+Built-in families are verified at every depth in exact rational
+arithmetic: a structural check of every level pair on the family's own
+pattern floats, plus a check that every endpoint ``carrier()`` realizes is
+the rational that check reasons about.  Explicit families (deserialized or
+hand-built) store their sets verbatim and get a full endpoint sweep.
 """
 
 from __future__ import annotations
@@ -70,12 +71,6 @@ PART_LIMIT = 1 << 21
 
 #: Built-in families of at most this many parts ship their sets in to_json().
 ARCHIVE_PART_BUDGET = 4096
-
-#: Families of at most this many parts are verified by a full endpoint sweep.
-FULL_SWEEP_PART_LIMIT = 2_000_000
-
-#: Finest cells sampled by the windowed sweep of larger built-in families.
-WINDOW_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -271,10 +266,12 @@ class CarrierFamily:
     @classmethod
     def from_json(cls, obj: Mapping) -> "CarrierFamily":
         try:
-            depth = int(obj["depth"])
+            depth = obj["depth"]
             scheme = str(obj["scheme"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed carrier archive: {exc}") from exc
+        if type(depth) is not int:
+            raise ConfigError(f"carrier archive depth must be an integer, got {depth!r}")
         if scheme == EXPLICIT:
             return cls.from_sets(depth, _parse_sets(obj.get("sets"), depth))
         if scheme not in (GREEDY_GAP, STRATIFIED):
@@ -373,21 +370,21 @@ class DisjointnessReport:
 def verify_disjointness(family: CarrierFamily) -> DisjointnessReport:
     """Check pairwise disjointness, containment and positivity of a family.
 
-    Small families (explicit ones, and built-ins of at most
-    FULL_SWEEP_PART_LIMIT parts) get a complete endpoint sweep over every
-    carrier part.  For larger built-in families the same conclusion is
-    reached by exact rational arithmetic over the slice pattern (covering
-    every pair of levels and every relative cell position), plus an explicit
-    interval sweep inside WINDOW_SAMPLES evenly spaced finest-level windows.
+    Explicit families get a complete endpoint sweep over every carrier part.
+    Built-in families are checked at every depth in exact arithmetic on
+    their slice pattern: endpoint exactness, then every pair of levels at
+    every relative cell position.  That covers all 2^(N+1) - 2 cells.
     """
     violations: list[tuple] = []
-    if family.sets is not None or family.total_parts() <= FULL_SWEEP_PART_LIMIT:
+    if family.sets is not None:
         pairs, cells = _sweep_all(family, violations)
         mode = "full-sweep"
     else:
-        pairs = _structural_check(family, violations)
-        cells = _windowed_sweep(family, violations, WINDOW_SAMPLES)
-        mode = "structural+windows"
+        _endpoint_check(family, violations)
+        # the structural check relies on the level conditions (a nondecreasing)
+        pairs = 0 if violations else _structural_check(family, violations)
+        cells = (1 << (family.depth + 1)) - 2
+        mode = "structural"
     return DisjointnessReport(
         passed=not violations,
         violations=tuple(violations),
@@ -414,12 +411,7 @@ def _sweep_all(family: CarrierFamily, violations: list[tuple]) -> tuple[int, int
         a = _check_cell(family, n, k, violations)
         cells += 1
         events.extend((p.lo, p.hi, n, k) for p in a.parts)
-    _sweep(events, violations)
-    return len(events), cells
-
-
-def _sweep(events: list[tuple[float, float, int, int]], violations: list[tuple]) -> None:
-    """Sort the (lo, hi, n, k) parts; report each that starts inside another carrier's part."""
+    # sorted by lo, a part that starts inside another carrier's part overlaps it
     events.sort()
     prev_hi = -1.0
     prev_owner: tuple[int, int] | None = None
@@ -428,6 +420,39 @@ def _sweep(events: list[tuple[float, float, int, int]], violations: list[tuple])
             violations.append(("overlap", prev_owner, (n, k)))
         if hi > prev_hi:
             prev_hi, prev_owner = hi, (n, k)
+    return len(events), cells
+
+
+def _endpoint_check(family: CarrierFamily, violations: list[tuple]) -> None:
+    """Exact check that every endpoint ``carrier()`` realizes is the pattern's rational.
+
+    ``carrier(n, k)`` builds its parts as [sub + s_lo, sub + s_hi) with
+    sub = base + j*w, base = (k-1)/2^n, w = 2^-a and 0 <= j < 2^(a-n).  If
+    n <= a, sub = i/2^a for the integer i = (k-1)*2^(a-n) + j < 2^a, the left
+    end of a level-a cell inside I(n, k); if also 2^a <= 2^53, the product
+    j*w and the sum giving sub are exact.  If s_lo == rl/2^a exactly, the true
+    endpoint (i + rl)/2^a is dyadic with denominator at most
+    max(2^a, den(s_lo)) <= 2^53, and it lies in [0, 1] when 0 < rl < rh <= 1
+    (which the structural check asserts), so its numerator is at most 2^53:
+    it is a float, and the rounded addition returns it.  The same holds for
+    s_hi.  Every realized carrier is then exactly the slice [rl, rh) of each
+    level-a cell inside I(n, k), the geometry the structural check reasons
+    about; a nondecreasing in n is what lets that check place each deeper
+    level's level-a cell inside one cell of a shallower level's, and a <= N
+    keeps the pattern inside the family.
+    """
+    limit = 1 << 53
+    prev = 0
+    for n, (a, rl, rh, s_lo, s_hi) in enumerate(family._slices, 1):
+        if not max(n, prev) <= a <= family.depth:
+            violations.append(("level", n, a))
+            continue
+        prev = a
+        scale = 1 << a
+        for r, s in ((rl, s_lo), (rh, s_hi)):
+            exact = Fraction(s)
+            if exact != Fraction(r) / scale or max(exact.denominator, scale) > limit:
+                violations.append(("endpoint", n, s))
 
 
 def _structural_check(family: CarrierFamily, violations: list[tuple]) -> int:
@@ -457,32 +482,3 @@ def _structural_check(family: CarrierFamily, violations: list[tuple]) -> int:
             if j_min <= j_max:
                 violations.append(("overlap", (n, "*"), (m, f"offset {j_min}")))
     return pairs
-
-
-def _windowed_sweep(
-    family: CarrierFamily, violations: list[tuple], window_samples: int
-) -> int:
-    """Explicit sweep of every carrier slice meeting sampled finest cells.
-
-    Each level has exactly one slice that can meet a finest cell: the one
-    in the cell's level-a ancestor, taken straight from the pattern.
-    """
-    N = family.depth
-    total = 1 << N
-    count = min(window_samples, total)
-    stride = max(1, total // count)
-    indices = sorted({1, total, *range(1, total + 1, stride)})
-    checked = 0
-    for idx in indices:
-        w_lo = math.ldexp(idx - 1, -N)
-        w_hi = math.ldexp(idx, -N)
-        events: list[tuple[float, float, int, int]] = []
-        for n in range(N, 0, -1):
-            a, _, _, s_lo, s_hi = family._slices[n - 1]
-            base = math.ldexp((idx - 1) >> (N - a), -a)
-            lo, hi = max(base + s_lo, w_lo), min(base + s_hi, w_hi)
-            if lo < hi:
-                events.append((lo, hi, n, ((idx - 1) >> (N - n)) + 1))
-            checked += 1
-        _sweep(events, violations)
-    return checked

@@ -94,11 +94,18 @@ def _emit(report: Report, cfg) -> int:
 
 def _run_psi_validate(args: argparse.Namespace) -> int:
     obj = load_json(args.config)
-    psi_obj = obj.get("psi") or (obj.get("model") or {}).get("psi")
+    model = obj.get("model") or {}
+    if not isinstance(model, dict):
+        raise ConfigError(f"psi validate model must be an object, got {model!r}")
+    psi_obj = obj.get("psi") or model.get("psi")
     if psi_obj is None:
         raise ConfigError("psi validate config needs a 'psi' object")
+    rule_obj = obj.get("rule", model.get("rule", {"kind": "affine"}))
+    for key, value in (("psi", psi_obj), ("rule", rule_obj)):
+        if not isinstance(value, dict):
+            raise ConfigError(f"psi validate {key} must be an object, got {value!r}")
     spec = PsiSpec.from_json(psi_obj)
-    rule = SequenceRule.from_json(obj.get("rule", (obj.get("model") or {}).get("rule", {"kind": "affine"})))
+    rule = SequenceRule.from_json(rule_obj)
     p = parse_exponent(obj.get("p", spec.p))
     n_max = obj.get("n_max", 48)
     if type(n_max) is not int:

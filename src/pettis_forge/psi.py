@@ -131,10 +131,9 @@ def parse_exponent(value: object) -> float:
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"bad norm exponent {value!r}")
-    try:
-        p = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad norm exponent {value!r}") from exc
+    if not _is_number(value):
+        raise ConfigError(f"bad norm exponent {value!r}")
+    p = float(value)  # type: ignore[arg-type]
     if p < 1.0:
         raise ConfigError(f"norm exponent must be >= 1, got {p}")
     return p

@@ -249,6 +249,8 @@ _WRONG_TYPE_MODELS = {
     "carriers": {**_MODEL_CFG, "carriers": 5},
     "knot": {**_MODEL_CFG, "psi": {"family": "custom-table", "knots": [["x", 0]]}},
     "knots": {**_MODEL_CFG, "psi": {"family": "custom-table", "knots": 5}},
+    "p": {**_MODEL_CFG, "p": True},
+    "psi p": {**_MODEL_CFG, "psi": {"family": "power", "exponent": 0.75, "p": True}},
 }
 
 # edits to a depth-6 archive's coefficient table: a level that is not an
@@ -356,6 +358,14 @@ def test_cli_exit_codes(tmp_path):
         assert r.returncode == 2, (name, value, r.stderr)
         assert f"config error: {name} must be" in r.stderr
         assert "Traceback" not in r.stderr
+    # psi validate inputs that are not JSON objects, and a boolean norm exponent
+    power = {"family": "power", "exponent": 0.75}
+    for payload in ({"psi": 5}, {"psi": power, "rule": 5}, {"model": 5}, {"psi": power, "p": True}):
+        cfg = _write_cfg(tmp_path, "psi_types.json", payload)
+        r = _cli("psi", "validate", "--config", cfg)
+        assert r.returncode == 2, (payload, r.stderr)
+        assert "config error" in r.stderr, payload
+        assert "Traceback" not in r.stderr, payload
 
 
 def test_cli_psi_validate_exit_one(tmp_path):

@@ -68,11 +68,27 @@ def test_zero_depth_rejected():
         allocate_carriers(3, "no-such-scheme")
 
 
-@pytest.mark.parametrize("scheme,depth", [(GREEDY_GAP, 10), (STRATIFIED, 10), (GREEDY_GAP, 1)])
+def _swept(family):
+    """Verdict of the full endpoint sweep, the oracle for the structural path."""
+    from pettis_forge.carriers import _sweep_all
+
+    violations = []
+    _sweep_all(family, violations)
+    return not violations
+
+
+@pytest.mark.parametrize(
+    "scheme,depth",
+    [(GREEDY_GAP, 10), (STRATIFIED, 10), (GREEDY_GAP, 1), (STRATIFIED, 1)],
+)
 def test_disjointness_full_sweep(scheme, depth):
-    report = verify_disjointness(allocate_carriers(depth, scheme))
+    # the sweep oracle and the structural path both pass every built-in
+    fam = allocate_carriers(depth, scheme)
+    assert _swept(fam)
+    report = verify_disjointness(fam)
     assert report.passed and not report.violations
-    assert report.mode == "full-sweep"
+    assert report.mode == "structural"
+    assert report.cells_checked == sum(1 for _ in fam.cells())
 
 
 def test_disjointness_catches_corruption():
@@ -81,7 +97,7 @@ def test_disjointness_catches_corruption():
     sets[(1, 1)] = sets[(1, 1)].union(sets[(2, 1)])
     bad = CarrierFamily.from_sets(2, sets)
     report = verify_disjointness(bad)
-    assert not report.passed
+    assert not report.passed and report.mode == "full-sweep"
     overlap = next(v for v in report.violations if v[0] == "overlap")
     assert {overlap[1], overlap[2]} == {(1, 1), (2, 1)}
 
@@ -89,20 +105,24 @@ def test_disjointness_catches_corruption():
 def test_structural_mode_at_depth_24():
     report = verify_disjointness(allocate_carriers(24))
     assert report.passed and not report.violations
-    assert report.mode == "structural+windows"
+    assert report.mode == "structural"
+
+
+@pytest.mark.parametrize("scheme,depth", [(GREEDY_GAP, 19), (GREEDY_GAP, 40), (STRATIFIED, 26)])
+def test_structural_mode_counts(scheme, depth):
+    report = verify_disjointness(allocate_carriers(depth, scheme))
+    assert report.mode == "structural" and report.passed
+    assert report.pairs_checked == depth * (depth - 1) // 2
+    assert report.cells_checked == 2 ** (depth + 1) - 2
 
 
 def test_structural_check_agrees_with_full_sweep():
-    # both verification paths reach the same verdict on a mid-size family
-    from pettis_forge.carriers import _structural_check, _windowed_sweep
-
-    fam = allocate_carriers(12)
-    assert verify_disjointness(fam).passed  # full sweep (131070 parts)
-    violations = []
-    pairs = _structural_check(fam, violations)
-    assert pairs == 12 * 11 // 2 and not violations
-    _windowed_sweep(fam, violations, window_samples=256)
-    assert not violations
+    # both verification paths reach the same verdict on mid-size families
+    for scheme in (GREEDY_GAP, STRATIFIED):
+        fam = allocate_carriers(12, scheme)
+        assert _swept(fam)
+        report = verify_disjointness(fam)
+        assert report.passed and report.pairs_checked == 12 * 11 // 2
 
 
 @pytest.mark.parametrize("scheme", [GREEDY_GAP, STRATIFIED])
@@ -121,7 +141,52 @@ def test_structural_check_catches_moved_pattern(scheme):
     moved = Moved(depth=depth, scheme=scheme)
     assert _structural_check(moved, violations) == 10
     assert ("overlap", (1, "*"), (2, "offset 0")) in violations
-    assert not verify_disjointness(moved).passed  # the full sweep agrees
+    assert not verify_disjointness(moved).passed
+    assert not _swept(moved)  # the full sweep agrees
+
+
+def _edited_slices(level, edit):
+    """A built-in family class whose ``_slices`` entry for ``level`` is edited."""
+
+    class Edited(CarrierFamily):
+        @property
+        def _slices(self):
+            out = list(CarrierFamily._slices.func(self))
+            out[level - 1] = edit(*out[level - 1])
+            return tuple(out)
+
+    return Edited
+
+
+@pytest.mark.parametrize("scheme", [GREEDY_GAP, STRATIFIED])
+def test_endpoint_check_catches_perturbed_slices(scheme):
+    depth = 6
+    # s_lo one ulp off the pattern's rl / 2^a: harmless to the sweep, but the
+    # realized endpoints are no longer the rationals the structural check saw
+    nudged = _edited_slices(
+        3, lambda a, rl, rh, s_lo, s_hi: (a, rl, rh, math.nextafter(s_lo, 0.0), s_hi)
+    )(depth=depth, scheme=scheme)
+    report = verify_disjointness(nudged)
+    assert not report.passed
+    assert report.violations[0][:2] == ("endpoint", 3)
+    # a level whose slices live below the family's finest level
+    too_deep = _edited_slices(
+        depth,
+        lambda a, rl, rh, s_lo, s_hi: (
+            depth + 1, rl, rh, math.ldexp(rl, -depth - 1), math.ldexp(rh, -depth - 1)
+        ),
+    )(depth=depth, scheme=scheme)
+    report = verify_disjointness(too_deep)
+    assert not report.passed
+    assert report.violations == (("level", depth, depth + 1),)
+
+
+def test_archive_depth_must_be_integer():
+    # 3.9, true and "3" used to load as depth 3, 1 and 3
+    assert CarrierFamily.from_json({"depth": 3, "scheme": GREEDY_GAP}).depth == 3
+    for depth in (3.9, True, "3", 3.0):
+        with pytest.raises(ConfigError, match="depth must be an integer"):
+            CarrierFamily.from_json({"depth": depth, "scheme": GREEDY_GAP})
 
 
 @pytest.mark.parametrize("scheme", [GREEDY_GAP, STRATIFIED])
