@@ -242,9 +242,11 @@ def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
     """Pairing identity: functional-of-integral equals integral-of-pairing.
 
     The left side pairs the functional with the closed-form truncated
-    integral; the right side integrates the scalar function through
-    materialized carrier sets.  The two code paths share only the interval
-    data itself.
+    integral; the right side is ``scalar_integral``, which measures each
+    carrier's share of E in closed form over the slice pattern for built-in
+    families and by set intersection for explicit ones.  The oracle never
+    calls ``overlap`` or ``level_ratio``, the carrier geometry the enclosure
+    reads, so the two code paths share only the interval data itself.
     """
     rng = random.Random(cfg.seed)
     functionals = [_random_functional(rng, model, cfg.support_max) for _ in range(cfg.samples)]

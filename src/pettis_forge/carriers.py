@@ -78,8 +78,8 @@ class CarrierFamily:
     """Immutable family of disjoint carriers, one per dyadic cell.
 
     Built-in schemes never store their sets; carriers are produced on demand
-    from each level's slice pattern, and measures/overlaps are computed in
-    O(1) per cell.
+    from each level's slice pattern, measures/overlaps are computed in O(1)
+    per cell, and shares of an interval set in O(parts of the set).
     """
 
     depth: int
@@ -181,6 +181,48 @@ class CarrierFamily:
             s_a = math.ldexp(j, -a) + s_lo
             total += max(0.0, min(hi, s_a + s_len) - max(lo, s_a))
         return total
+
+    def share(self, n: int, k: int, E: IntervalSet) -> float:
+        """mu(E n A(n, k)) / mu(A(n, k)), bit for bit what set intersection gives.
+
+        Explicit families intersect their stored set with E.  Built-ins count
+        per part of E: the level-a slices strictly between the first and last
+        level-a cell the part meets lie wholly inside it, so they add one
+        term, count * s_len, and only the two end slices need the
+        intersection's own float operations.  ``_endpoint_check`` makes every
+        slice endpoint and length an exact dyadic float, so count * s_len and
+        the carrier measure 2^(a-n) * s_len are exact, and ``fsum`` rounds
+        the same exact sum as the measure of the materialized intersection.
+        Cost is O(parts of E) instead of O(2^(a-n)).  Nothing here reads
+        ``overlap`` or ``level_ratio``, so the pairing oracle stays
+        independent of the enclosure kernel.
+        """
+        self._check_index(n, k)
+        if self.sets is not None:
+            carrier = self.sets[(n, k)]
+            return carrier.intersect(E).measure / carrier.measure
+        a, _, _, s_lo, s_hi = self._slices[n - 1]
+        s_len = s_hi - s_lo
+        base, end = math.ldexp(k - 1, -n), math.ldexp(k, -n)
+        first = (k - 1) << (a - n)  # level-a cells first..last make up I(n, k)
+        last = first + (1 << (a - n)) - 1
+        terms = []
+        for part in E.parts:
+            lo, hi = part.lo, part.hi
+            if hi <= base:
+                continue
+            if lo >= end:  # parts are sorted, so no later part meets the cell
+                break
+            i = max(math.floor(math.ldexp(lo, a)), first)
+            j = min(math.ceil(math.ldexp(hi, a)) - 1, last)
+            if j - i > 1:
+                terms.append((j - i - 1) * s_len)
+            for c in (i,) if i == j else (i, j):
+                sub = math.ldexp(c, -a)
+                piece = min(hi, sub + s_hi) - max(lo, sub + s_lo)
+                if piece > 0.0:
+                    terms.append(piece)
+        return math.fsum(terms) / math.ldexp(s_len, a - n)
 
     def level_ratio(self, n: int) -> Callable[[int, float, float], float]:
         """(k, lo, hi) -> overlap(n, k, lo, hi) / carrier_measure(n, k) at level n.

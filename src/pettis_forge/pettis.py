@@ -289,9 +289,13 @@ def pettis_integral(
 def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval) -> float:
     """Exact integral of the scalar function (x o f) over E.
 
-    This is the independent oracle for the pairing identity: it works with
-    explicitly materialized carrier sets and interval-set intersection,
-    sharing no code with the closed-form enclosure path.
+    This is the independent oracle for the pairing identity.  Each
+    coordinate's share mu(E n A) / mu(A) comes from ``CarrierFamily.share``:
+    a closed form over the slice pattern for built-in families, set
+    intersection for explicit ones, both giving the float the materialized
+    intersection gives.  It never calls ``overlap`` or ``level_ratio``, the
+    carrier geometry the enclosure path reads, so a fault there cannot hide
+    by appearing on both sides of the identity.
     """
     if x.max_level() > model.depth:
         raise SupportDepthError(
@@ -303,9 +307,7 @@ def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval
         c = model.table.coefficient(n)
         if c == 0.0:
             continue
-        carrier = model.carriers.carrier(n, k)
-        ratio = carrier.intersect(Eset).measure / carrier.measure
-        total.append(w * c * ratio)
+        total.append(w * c * model.carriers.share(n, k, Eset))
     return math.fsum(total)
 
 

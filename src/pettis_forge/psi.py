@@ -58,11 +58,15 @@ class PsiSpec:
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown gauge family {self.family!r}")
         if self.family == POWER:
-            if not _is_number(self.exponent) or self.exponent <= 0:
-                raise ConfigError(f"power family needs exponent > 0, got {self.exponent!r}")
+            if not _is_number(self.exponent) or not 0 < self.exponent < math.inf:
+                raise ConfigError(
+                    f"power family needs a finite exponent > 0, got {self.exponent!r}"
+                )
         elif self.family in (SQRT_LOG, SQRT_LOGLOG):
-            if not _is_number(self.epsilon) or self.epsilon <= 0:
-                raise ConfigError(f"{self.family} family needs epsilon > 0, got {self.epsilon!r}")
+            if not _is_number(self.epsilon) or not 0 < self.epsilon < math.inf:
+                raise ConfigError(
+                    f"{self.family} family needs a finite epsilon > 0, got {self.epsilon!r}"
+                )
         else:
             k = self.knots
             if len(k) < 2 or k[0][0] != 0.0 or k[0][1] != 0.0:
@@ -119,9 +123,15 @@ def _is_number(value: object) -> bool:
 
 
 def parse_number(value: object, name: str) -> float:
-    """A JSON number as a float; anything else is a ConfigError."""
+    """A finite JSON number as a float; anything else is a ConfigError.
+
+    Python's ``json`` reads ``Infinity`` and ``NaN`` as floats; neither is a
+    usable scale, knot or bound, so both are rejected here.
+    """
     if not _is_number(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):  # type: ignore[arg-type]
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)  # type: ignore[arg-type]
 
 
@@ -134,7 +144,7 @@ def parse_exponent(value: object) -> float:
     if not _is_number(value):
         raise ConfigError(f"bad norm exponent {value!r}")
     p = float(value)  # type: ignore[arg-type]
-    if p < 1.0:
+    if not p >= 1.0:  # also NaN
         raise ConfigError(f"norm exponent must be >= 1, got {p}")
     return p
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from pettis_forge import (
     Interval,
     PsiSpec,
     SequenceRule,
+    allocate_carriers,
     build_model,
     pettis_integral,
     run_blowup,
@@ -63,6 +65,21 @@ def test_pairing_campaign(model12):
         assert err == abs(lhs - rhs)
         assert tol == 1e-9 * (1.0 + qn)
         assert ok == (err <= tol)
+
+
+def test_pairing_campaign_deep_stratified():
+    """The oracle never materializes a built-in carrier: at depth 26 a
+    level-1 stratified carrier would have 2^25 parts, past PART_LIMIT."""
+    deep = build_model(allocate_carriers(26, "stratified"), PsiSpec("power", exponent=0.75),
+                       depth=26)
+    assert run_pairing_check(deep, CampaignConfig("pairing", samples=200, sets=4, seed=7)).passed
+    # the oracle's cost does not grow like 2^(depth - n): 25 pairs at depth 20 in under 1 s
+    model = build_model(allocate_carriers(20, "stratified"), PsiSpec("power", exponent=0.75),
+                        depth=20)
+    start = time.perf_counter()
+    rep = run_pairing_check(model, CampaignConfig("pairing", samples=25, sets=1, seed=11))
+    assert time.perf_counter() - start < 1.0
+    assert rep.passed and len(rep.rows) == 25
 
 
 def test_blowup_campaign(model12):
@@ -241,6 +258,13 @@ _MODEL_CFG = {
 
 _WRONG_TYPE_MODELS = {
     "K": {**_MODEL_CFG, "K": "abc"},
+    # Python's json reads Infinity and NaN; json.dumps writes them back
+    "K inf": {**_MODEL_CFG, "K": math.inf},
+    "K nan": {**_MODEL_CFG, "K": math.nan},
+    "exponent nan": {**_MODEL_CFG, "psi": {"family": "power", "exponent": math.nan}},
+    "exponent inf": {**_MODEL_CFG, "psi": {"family": "power", "exponent": math.inf}},
+    "epsilon nan": {**_MODEL_CFG, "psi": {"family": "sqrt-log", "epsilon": math.nan}},
+    "p nan": {**_MODEL_CFG, "p": math.nan},
     "rule a": {**_MODEL_CFG, "rule": {"kind": "affine", "a": "x"}},
     "params": {**_MODEL_CFG, "carriers": {"scheme": "greedy-gap", "params": 5}},
     "exponent": {**_MODEL_CFG, "psi": {"family": "power", "exponent": "0.75"}},

@@ -5,6 +5,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pettis_forge import (
     CarrierFamily,
@@ -245,6 +247,55 @@ def test_scalar_integral_support_guard():
     x = Functional(deep_layout_model.layout, {(10, 1): 1.0})
     with pytest.raises(SupportDepthError):
         scalar_integral(model, x, Interval(0.0, 1.0))
+
+
+@st.composite
+def _share_cases(draw):
+    """A built-in family of depth <= 10, one of its cells, and a set E whose
+    parts end on slice ends, lie in the gap before a slice, span many
+    level-a cells, stay inside the cell, or fall anywhere (so often miss it)."""
+    scheme = draw(st.sampled_from(["stratified", "greedy-gap"]))
+    family = allocate_carriers(draw(st.integers(1, 10)), scheme)
+    n = draw(st.integers(1, family.depth))
+    k = draw(st.integers(1, 1 << n))
+    a, _, _, s_lo, s_hi = family._slices[n - 1]
+    sub = st.integers(0, (1 << a) - 1).map(lambda i: math.ldexp(i, -a))
+    unit = st.floats(0.0, 1.0)
+    cell = family.cell(n, k)
+    slice_end = st.tuples(sub, st.sampled_from([s_lo, s_hi])).map(sum)
+    part = st.one_of(
+        st.tuples(slice_end, slice_end),
+        st.tuples(sub, unit, unit).map(lambda t: (t[0] + s_lo * t[1], t[0] + s_lo * t[2])),
+        st.tuples(unit, unit),
+        st.tuples(unit, unit).map(lambda t: tuple(cell.lo + u * (cell.hi - cell.lo) for u in t)),
+    )
+    parts = draw(st.lists(part, min_size=0, max_size=5))
+    return family, n, k, IntervalSet.from_pairs(sorted(p) for p in parts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_share_cases())
+def test_share_matches_materialized_intersection_bits(case):
+    """The closed-form share is the float the materialized intersection gives."""
+    family, n, k, E = case
+    carrier = family.carrier(n, k)
+    want = carrier.intersect(E).measure / carrier.measure
+    assert family.share(n, k, E).hex() == want.hex()
+
+
+def test_scalar_integral_explicit_copy_same_bits():
+    """An explicit copy of a built-in family intersects its stored sets; the
+    built-in takes the closed form.  Both give the same bits."""
+    built_in = build_model(allocate_carriers(6, "stratified"), SPEC34, depth=6)
+    copy = build_model(_family("explicit", 6), SPEC34, depth=6)
+    rng = random.Random(41)
+    for E in SHARED_END_CELLS + tuple(_random_interval_set(rng) for _ in range(40)):
+        coeffs = {}
+        for _ in range(rng.randint(1, 8)):
+            n = rng.randint(1, 6)
+            coeffs[(n, rng.randint(1, 1 << n))] = rng.uniform(-1, 1)
+        x = Functional(built_in.layout, coeffs)
+        assert scalar_integral(built_in, x, E).hex() == scalar_integral(copy, x, E).hex()
 
 
 def test_enclosure_nesting_across_truncations():
