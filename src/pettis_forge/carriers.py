@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     AllocationExhaustedError,
@@ -194,7 +194,7 @@ class CarrierFamily:
         the carrier measure 2^(a-n) * s_len are exact, and ``fsum`` rounds
         the same exact sum as the measure of the materialized intersection.
         Cost is O(parts of E) instead of O(2^(a-n)).  Nothing here reads
-        ``overlap`` or ``level_ratio``, so the pairing oracle stays
+        ``overlap`` or ``single_slice``, so the pairing oracle stays
         independent of the enclosure kernel.
         """
         self._check_index(n, k)
@@ -224,30 +224,18 @@ class CarrierFamily:
                     terms.append(piece)
         return math.fsum(terms) / math.ldexp(s_len, a - n)
 
-    def level_ratio(self, n: int) -> Callable[[int, float, float], float]:
-        """(k, lo, hi) -> overlap(n, k, lo, hi) / carrier_measure(n, k) at level n.
+    def single_slice(self, n: int) -> tuple[float, float, float] | None:
+        """(lo offset, hi offset, measure) when every level-n carrier is one slice.
 
-        A built-in level whose carriers are single slices (a == n) gets its
-        offsets and measure once here; other levels call ``overlap`` and
-        ``carrier_measure``.
+        A built-in level with a == n has A(n, k) = [(k-1)/2^n + lo offset,
+        (k-1)/2^n + hi offset); the enclosure kernel clips against it inline.
+        Other built-in levels and explicit families give None.
         """
         self._check_index(n, 1)
         if self.sets is not None or self._slices[n - 1][0] != n:
-            return lambda k, lo, hi: self.overlap(n, k, lo, hi) / self.carrier_measure(n, k)
-        _, _, _, a, b = self._slices[n - 1]
-        width = math.ldexp(1.0, -n)  # (k - 1) * width is exact, like ldexp
-        measure = self.carrier_measure(n, 1)
-        cells = 1 << n
-
-        def ratio(k: int, lo: float, hi: float) -> float:
-            if not 1 <= k <= cells:
-                self._check_index(n, k)
-            base = (k - 1) * width
-            lo = max(lo, base + a)
-            hi = min(hi, base + b)
-            return (hi - lo) / measure if hi > lo else 0.0
-
-        return ratio
+            return None
+        _, _, _, s_lo, s_hi = self._slices[n - 1]
+        return s_lo, s_hi, self.carrier_measure(n, 1)
 
     def locate(self, omega: float) -> tuple[int, int] | None:
         """(level, index) of the unique carrier containing omega, if any."""

@@ -21,10 +21,15 @@ beyond the depth carries the certified geometric bound from the coefficient
 table, so each integral comes with a sound [lower, upper] norm enclosure.
 Assertions downstream always use the lower side.
 
-Per-level constants (the coefficient and the carriers' overlap ratio) and
-the tail bound of each truncation level are computed on first use and kept
-on the model.  The model is frozen, so they cannot go stale, and each is the
-float a fresh computation gives, so enclosures stay bit-identical.
+Per-level constants and the tail bound of each truncation level are
+computed on first use and kept on the model: the coefficient c and c**p,
+and, for a level whose carriers are single slices of their cells (every
+greedy-gap level and the deepest stratified one), the cell width, the two
+slice offsets and the carrier measure.  The model is frozen, so they cannot
+go stale, and each is the float a fresh computation gives, so enclosures
+stay bit-identical.  On single-slice levels the kernel clips each end cell
+against its slice inline; multi-slice levels and explicit families ask the
+carriers for ``overlap`` and ``carrier_measure``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 from .blocks import BlockLayout, BlockVector, Functional
 from .carriers import CarrierFamily, allocate_carriers
@@ -47,6 +51,9 @@ from .psi import CoefficientTable, PsiSpec, SequenceRule, coefficients, tail_bou
 
 #: Ratios mu(E n A)/mu(A) beyond 1 by more than this are counted as anomalies.
 CLAMP_SLACK = 1e-12
+
+#: (cell width, slice lo offset, slice hi offset, carrier measure, cell count).
+_Slice = tuple[float, float, float, float, int]
 
 
 @dataclass(frozen=True)
@@ -67,21 +74,27 @@ class PettisModel:
         return self.table.levels
 
     @cached_property
-    def geometry(self) -> tuple[tuple[int, float, Callable[[int, float, float], float]], ...]:
-        """(level, c, the carriers' level_ratio) per realized level, built on first use."""
-        return tuple(
-            (m, self.table.coefficient(m), self.carriers.level_ratio(m)) for m in self.table.levels
-        )
+    def geometry(self) -> tuple[tuple[int, float, float, _Slice | None], ...]:
+        """(level, c, c**p, slice) per realized level, built on first use.
+
+        ``slice`` is (cell width 2^-level, lo offset, hi offset, carrier
+        measure, 2^level) for a level whose carriers are single slices, and
+        None for multi-slice levels and explicit families.
+        """
+        out = []
+        for m in self.table.levels:
+            c = self.table.coefficient(m)
+            piece = self.carriers.single_slice(m)
+            if piece is not None:
+                piece = (math.ldexp(1.0, -m), *piece, 1 << m)
+            out.append((m, c, c**self.p, piece))
+        return tuple(out)
 
     def tail(self, N: int) -> float:
         """``tail_bound(table, N)``, computed once per N."""
         if N not in self._tails:
             self._tails[N] = tail_bound(self.table, N)
         return self._tails[N]
-
-    def __getstate__(self) -> dict:
-        # The per-level functions do not pickle; an unpickled model rebuilds them.
-        return {k: v for k, v in self.__dict__.items() if k != "geometry"}
 
     def config_json(self) -> dict:
         return {
@@ -150,8 +163,9 @@ def evaluate_f(model: PettisModel, omega: float) -> BlockVector:
 # ---------------------------------------------------------------------------
 
 
-#: level -> (c, whole-cell index ranges, end-cell ratios) for the levels E meets.
-_Cover = dict[int, tuple[float, list[range], dict[int, float]]]
+#: level -> (c, c**p, whole-cell count, end-cell ratios) for the levels E meets.
+#: The whole cells themselves are read back from E's parts when needed.
+_Cover = dict[int, tuple[float, float, int, dict[int, float]]]
 
 
 @dataclass(frozen=True)
@@ -163,9 +177,11 @@ class IntegralEnclosure:
 
         lower <= true norm <= upper.
 
-    The truncated vector is kept as the kernel's per-level cover of ``E``;
-    ``coefficient``, ``apply`` and ``to_block_vector`` read its coordinates
-    from there.
+    The truncated vector is kept as the kernel's per-level cover of ``E``:
+    per level, the number of cells lying wholly inside a part (coordinate
+    c each) and the ratios of the end cells.  ``coefficient``, ``apply`` and
+    ``to_block_vector`` read the end cells from the cover and decide whole-
+    cell membership from ``E.parts`` when a coordinate is read.
     """
 
     model: PettisModel
@@ -180,9 +196,16 @@ class IntegralEnclosure:
     def coefficient(self, n: int, k: int) -> float:
         if n not in self.cover:
             return 0.0
-        c, whole, ratios = self.cover[n]
-        if any(k in run for run in whole):
-            return c
+        c, _, whole, ratios = self.cover[n]
+        if whole and k not in ratios:  # an end cell is never whole
+            # The kernel counts cell k as whole for a part iff lo < (k-1)/2^n
+            # and k/2^n < hi; the parts are sorted, so no later one has lo < left.
+            left, right = math.ldexp(k - 1, -n), math.ldexp(k, -n)
+            for part in self.E.parts:
+                if part.lo >= left:
+                    break
+                if part.hi > right:
+                    return c
         return c * ratios.get(k, 0.0)
 
     def apply(self, x: Functional) -> float:
@@ -192,15 +215,17 @@ class IntegralEnclosure:
         return math.fsum(w * self.coefficient(n, k) for (n, k), w in x.coeffs.items())
 
     def to_block_vector(self, max_coords: int = 250_000) -> BlockVector:
-        total = sum(sum(map(len, whole)) + len(ratios) for _, whole, ratios in self.cover.values())
+        total = sum(whole + len(ratios) for _, _, whole, ratios in self.cover.values())
         if total > max_coords:
             raise MaterializationLimitError(
                 f"truncated vector has {total} coordinates; raise max_coords to materialize"
             )
         out: dict[tuple[int, int], float] = {}
-        for n, (c, whole, ratios) in self.cover.items():
-            for run in whole:
-                out.update(((n, k), c) for k in run)
+        for n, (c, _, whole, ratios) in self.cover.items():
+            if whole:
+                for part in self.E.parts:
+                    first = math.floor(math.ldexp(part.lo, n)) + 2
+                    out.update(((n, k), c) for k in range(first, math.ceil(math.ldexp(part.hi, n))))
             out.update(((n, k), c * r) for k, r in ratios.items())
         return BlockVector(self.model.layout, out)
 
@@ -213,43 +238,64 @@ def _as_interval_set(E: IntervalSet | Interval) -> IntervalSet:
 
 def _level_cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Cover, int]:
     """The cover of E at the realized levels <= N, plus the total count of
-    clamp anomalies.
+    clamp anomalies, in one pass over levels and parts.
 
     A part [lo, hi) meets cells k_first..k_last of a level.  The cells
-    strictly between lie inside the part and count exactly 1, so only the
-    end cells need overlap arithmetic: each part adds its ratio, clamped to
-    [0, 1], to its end cells, and each cell's sum is capped at 1.  A part
-    meets its end cells with positive length, so no other part of the
-    (disjoint) set contains them: every part meeting an end cell adds to
-    it.  Scaling by 2^level is exact in binary floating point, so the
-    indices need no rounding guard.
+    strictly between lie inside the part and count exactly 1, so they are
+    only counted; the end cells need overlap arithmetic: each part adds its
+    ratio, clamped to [0, 1], to its end cells, and each cell's sum is
+    capped at 1 (the ratios are nonnegative, so capping every partial sum
+    gives the same float).  A part meets its end cells with positive length,
+    so no other part of the (disjoint) set contains them: every part meeting
+    an end cell adds to it.  Scaling by 2^level is exact in binary floating
+    point, so the indices need no rounding guard.
+
+    On a single-slice level the end cell's carrier is [base + a, base + b)
+    with base = (k - 1) * width exact, and the ratio is the clipped length
+    divided once by the level's measure.  Other levels ask the carriers.
     """
     floor, ceil, ldexp = math.floor, math.ceil, math.ldexp
+    carriers = model.carriers
     cover = {}
     anomalies = 0
-    for level, c, ratio in model.geometry:
+    for level, c, cp, piece in model.geometry:
         if level > N:
             break
-        whole = []
-        ends: dict[int, float] = {}
+        if piece is not None:
+            width, a, b, measure, cells = piece
+        whole = 0
+        ratios: dict[int, float] = {}
         for part in parts:
             lo, hi = part.lo, part.hi
             k_first = floor(ldexp(lo, level)) + 1
             k_last = ceil(ldexp(hi, level))
             if k_last - k_first >= 2:
-                whole.append(range(k_first + 1, k_last))
+                whole += k_last - k_first - 1
             for k in (k_first,) if k_first == k_last else (k_first, k_last):
-                r = ratio(k, lo, hi)
+                if piece is None:
+                    r = carriers.overlap(level, k, lo, hi) / carriers.carrier_measure(level, k)
+                else:
+                    if not 1 <= k <= cells:
+                        carriers._check_index(level, k)
+                    base = (k - 1) * width
+                    s_lo, s_hi = base + a, base + b
+                    s_lo = lo if lo > s_lo else s_lo
+                    s_hi = hi if hi < s_hi else s_hi
+                    r = (s_hi - s_lo) / measure if s_hi > s_lo else 0.0
                 if r > 1.0:
                     anomalies += r > 1.0 + CLAMP_SLACK
                     r = 1.0
                 elif r < 0.0:
                     anomalies += r < -CLAMP_SLACK
                     r = 0.0
-                ends[k] = ends.get(k, 0.0) + r
-        ratios = {k: r if r < 1.0 else 1.0 for k, r in ends.items() if r}
+                if r:
+                    if k in ratios:
+                        r += ratios[k]
+                        if r > 1.0:
+                            r = 1.0
+                    ratios[k] = r
         if whole or ratios:
-            cover[level] = (c, whole, ratios)
+            cover[level] = (c, cp, whole, ratios)
     return cover, anomalies
 
 
@@ -272,14 +318,14 @@ def pettis_integral(
     if math.isinf(p):
         lower = max(
             (c * max(1.0 if whole else 0.0, max(ratios.values(), default=0.0))
-             for c, whole, ratios in cover.values()),
+             for c, _, whole, ratios in cover.values()),
             default=0.0,
         )
         upper = max(lower, tail)
     else:
         total = math.fsum(
-            c**p * (sum(map(len, whole)) + math.fsum(r**p for r in ratios.values()))
-            for c, whole, ratios in cover.values()
+            cp * (whole + math.fsum(r**p for r in ratios.values()))
+            for _, cp, whole, ratios in cover.values()
         )
         lower = total ** (1.0 / p)
         upper = (total + tail**p) ** (1.0 / p)
@@ -293,7 +339,7 @@ def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval
     coordinate's share mu(E n A) / mu(A) comes from ``CarrierFamily.share``:
     a closed form over the slice pattern for built-in families, set
     intersection for explicit ones, both giving the float the materialized
-    intersection gives.  It never calls ``overlap`` or ``level_ratio``, the
+    intersection gives.  It never calls ``overlap`` or ``single_slice``, the
     carrier geometry the enclosure path reads, so a fault there cannot hide
     by appearing on both sides of the identity.
     """
@@ -319,8 +365,7 @@ def bochner_level_masses(model: PettisModel, E: IntervalSet | Interval) -> dict[
     """
     cover, _ = _level_cover(model, _as_interval_set(E).parts, model.depth)
     return {
-        n: c * (sum(map(len, whole)) + math.fsum(ratios.values()))
-        for n, (c, whole, ratios) in cover.items()
+        n: c * (whole + math.fsum(ratios.values())) for n, (c, _, whole, ratios) in cover.items()
     }
 
 

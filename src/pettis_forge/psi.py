@@ -328,11 +328,18 @@ class GrowthReport:
 
 def growth_term(spec: PsiSpec, p: float, rule: SequenceRule, n: int) -> float:
     """term_n = psi(4 * 2^-p_(n-1)) * (2^p_n)^(1/p), via the total gauge."""
-    arg = math.ldexp(4.0, -rule.term(n - 1))
-    base = eval_psi_total(spec, arg)
+    return _weighted(_gauge_factor(spec, rule, n), p, rule, n)
+
+
+def _gauge_factor(spec: PsiSpec, rule: SequenceRule, n: int) -> float:
+    """psi(4 * 2^-p_(n-1)): the gauge factor of term_n and of the coefficient at p_n."""
+    return eval_psi_total(spec, math.ldexp(4.0, -rule.term(n - 1)))
+
+
+def _weighted(factor: float, p: float, rule: SequenceRule, n: int) -> float:
     if math.isinf(p):
-        return base
-    return base * 2.0 ** (rule.term(n) / p)
+        return factor
+    return factor * 2.0 ** (rule.term(n) / p)
 
 
 def validate_growth(
@@ -454,7 +461,9 @@ def coefficients(
     """Coefficient schedule for the given gauge, or GrowthConditionError.
 
     The growth validation runs first with the same (spec, p, rule); its
-    certificate (n0, ratio) is stored on the table.
+    certificate (n0, ratio) is stored on the table.  Each gauge factor
+    psi(4 * 2^-p_(n-1)) is evaluated once and feeds both the growth term
+    and the coefficient.
     """
     if K < 1.0:
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
@@ -467,14 +476,21 @@ def coefficients(
         raise ConfigError(f"no sequence level within depth {depth}")
     if n_max is None:
         n_max = min(MAX_TERM_COUNT, max(32, 2 * len(levels)))
-    report = validate_growth(spec, p, rule, n_max=n_max, r_max=r_max)
+    factors: dict[int, float] = {}
+
+    def term(n: int) -> float:
+        factors[n] = _gauge_factor(spec, rule, n)
+        return _weighted(factors[n], p, rule, n)
+
+    report = _certify(term, p, rule, n_max, r_max)
     if not report.passed:
         raise GrowthConditionError(
             f"gauge {spec.family} failed growth validation for p={p} "
             f"(no ratio <= {r_max} certificate within {report.n_max} terms)"
         )
+    # An n_max below the level count leaves the deeper factors to evaluate here.
     coeffs = {
-        level: 2.0 * K * eval_psi_total(spec, math.ldexp(4.0, -rule.term(n - 1)))
+        level: 2.0 * K * (factors[n] if n in factors else _gauge_factor(spec, rule, n))
         for n, level in enumerate(levels, start=1)
     }
     return CoefficientTable(

@@ -2,13 +2,22 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from pettis_forge import CarrierFamily, IntervalSet, allocate_carriers, verify_disjointness
+from pettis_forge import (
+    CarrierFamily,
+    IntervalSet,
+    PsiSpec,
+    allocate_carriers,
+    build_model,
+    verify_disjointness,
+)
 from pettis_forge.carriers import GREEDY_GAP, STRATIFIED
 from pettis_forge.errors import CarrierIndexError, ConfigError, MaterializationLimitError
 from pettis_forge.intervals import Interval
+from pettis_forge.pettis import _level_cover
 
 
 def simulate_greedy(depth: int) -> dict:
@@ -51,14 +60,19 @@ def test_carrier_index_errors():
         fam.carrier(1, 3)
     with pytest.raises(CarrierIndexError):
         fam.carrier(2, 1)
+    spec = PsiSpec("power", exponent=0.75)
     for scheme in (GREEDY_GAP, STRATIFIED):
         fam = allocate_carriers(3, scheme)
         for n in (0, 4):
             with pytest.raises(CarrierIndexError):
-                fam.level_ratio(n)
-        for k in (0, 9):
+                fam.single_slice(n)
+        # A part reaching past [0, 1) names a cell outside 1..2^n at level 1,
+        # which the enclosure kernel rejects: inline on greedy-gap's
+        # single-slice levels, through overlap on stratified's multi-slice one.
+        model = build_model(fam, spec, depth=3)
+        for lo, hi in ((-1 / 16, 0.5), (0.5, 1 + 1 / 16)):
             with pytest.raises(CarrierIndexError):
-                fam.level_ratio(3)(k, 0.0, 1.0)
+                _level_cover(model, (SimpleNamespace(lo=lo, hi=hi),), 3)
 
 
 def test_zero_depth_rejected():
@@ -245,7 +259,26 @@ def test_overlap_agrees_with_explicit_clip(scheme):
         want = fam.carrier(n, k).clip(lo, hi).measure
         got = fam.overlap(n, k, lo, hi)
         assert abs(got - want) < 1e-15, (scheme, n, k, lo, hi)
-        assert fam.level_ratio(n)(k, lo, hi) == got / fam.carrier_measure(n, k)
+
+
+@pytest.mark.parametrize("scheme", [GREEDY_GAP, STRATIFIED])
+def test_single_slice_describes_the_carriers(scheme):
+    """Every greedy-gap level and stratified's deepest one are single slices
+    at fixed offsets inside their cells; other levels and explicit copies
+    report None."""
+    fam = allocate_carriers(6, scheme)
+    explicit = CarrierFamily.from_sets(6, {cell: fam.carrier(*cell) for cell in fam.cells()})
+    for n in range(1, 7):
+        assert explicit.single_slice(n) is None
+        piece = fam.single_slice(n)
+        if scheme == STRATIFIED and n < 6:
+            assert piece is None
+            continue
+        lo_off, hi_off, measure = piece
+        for k in range(1, (1 << n) + 1):
+            base = math.ldexp(k - 1, -n)
+            assert fam.carrier(n, k) == IntervalSet.of(Interval(base + lo_off, base + hi_off))
+            assert fam.carrier_measure(n, k) == measure
 
 
 def test_stratified_measures_and_porosity():

@@ -180,6 +180,39 @@ def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
     assert shared_cells >= 2
 
 
+@pytest.mark.parametrize(
+    "kind, depth",
+    [("greedy-gap", 12), ("stratified", 8), ("explicit", 6)],
+    ids=["greedy-gap", "stratified", "explicit"],
+)
+def test_end_cells_match_overlap_bits(kind, depth):
+    """Each end cell of a one-part interval carries c * min(1, overlap /
+    carrier_measure) bit for bit, whether the kernel clips the cell's slice
+    inline (single-slice levels) or asks the carriers (the others)."""
+    model = build_model(_family(kind, depth), SPEC34, depth=depth)
+    fam = model.carriers
+    rng = random.Random(59)
+    for _ in range(150):
+        if rng.random() < 0.5:
+            lo, hi = sorted((rng.random(), rng.random()))
+        else:  # endpoints on slice ends of random levels
+            ends = []
+            for _ in range(2):
+                n = rng.randint(1, depth)
+                cell = fam.carrier(n, rng.randint(1, 1 << n)).parts
+                part = rng.choice(cell)
+                ends.append(rng.choice((part.lo, part.hi)))
+            lo, hi = sorted(ends)
+        if hi <= lo:
+            continue
+        enc = pettis_integral(model, Interval(lo, hi))
+        for n in model.levels():
+            c = model.table.coefficient(n)
+            for k in {math.floor(math.ldexp(lo, n)) + 1, math.ceil(math.ldexp(hi, n))}:
+                want = c * min(1.0, fam.overlap(n, k, lo, hi) / fam.carrier_measure(n, k))
+                assert enc.coefficient(n, k).hex() == want.hex(), (n, k, lo, hi)
+
+
 def test_tail_bound_evaluated_once_per_truncation(monkeypatch):
     calls = []
 
@@ -203,14 +236,20 @@ def test_tail_bound_evaluated_once_per_truncation(monkeypatch):
 
 
 def test_interval_sets_explicit_families_and_enclosures_pickle():
+    """Families, models whose per-level geometry is built, and enclosures
+    survive a pickle round trip with the same bounds and cover."""
     E = IntervalSet.of(Interval(0.1, 0.3), Interval(0.55, 0.8))
-    greedy = allocate_carriers(6)
-    explicit = CarrierFamily.from_sets(6, {cell: greedy.carrier(*cell) for cell in greedy.cells()})
-    enc = pettis_integral(build_model(explicit, SPEC34, depth=6), E)
-    for obj in (E, explicit, enc):
-        assert pickle.loads(pickle.dumps(obj)) == obj
-    restored = pickle.loads(pickle.dumps(enc))
-    assert restored.lower == enc.lower and restored.cover == enc.cover
+    for kind in ("greedy-gap", "stratified", "explicit"):
+        family = _family(kind, 6)
+        model = build_model(family, SPEC34, depth=6)
+        enc = pettis_integral(model, E)
+        assert "geometry" in vars(model)
+        for obj in (E, family, model, enc):
+            assert pickle.loads(pickle.dumps(obj)) == obj
+        again = pettis_integral(pickle.loads(pickle.dumps(model)), E)
+        assert again.lower == enc.lower and again.cover == enc.cover
+        restored = pickle.loads(pickle.dumps(enc))
+        assert restored.lower == enc.lower and restored.cover == enc.cover
 
 
 def test_pairing_identity_two_code_paths():

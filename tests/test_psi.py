@@ -238,3 +238,32 @@ def test_certificate_prologue_rejects_bad_limits(validate):
     with pytest.raises(ConfigError, match="list rule too short"):
         validate(spec, SequenceRule("list", values=(3,)))
     assert validate(spec, SequenceRule("list", values=(1, 2))).n_max == 2
+
+
+def test_coefficients_evaluate_each_gauge_factor_once(monkeypatch):
+    """A depth-12 stratified build (the pairing-strat12 model) evaluates psi
+    at the 32 growth-term arguments once each; the coefficients reuse them."""
+    from pettis_forge import psi as psi_module
+    from pettis_forge.config import build_model_from_config
+
+    calls = []
+
+    def counting(spec, s):
+        calls.append(s)
+        return eval_psi_total(spec, s)
+
+    monkeypatch.setattr(psi_module, "eval_psi_total", counting)
+    build_model_from_config({
+        "kind": "pettis", "psi": {"family": "power", "exponent": 0.75}, "K": 1.0, "p": 2.0,
+        "rule": {"kind": "affine", "a": 1, "b": 0}, "depth": 12,
+        "carriers": {"scheme": "stratified"},
+    })
+    assert len(calls) == len(set(calls)) == 32
+    # the shared factors give the coefficients' own floats, also for levels
+    # beyond a short validation window
+    spec, rule = PsiSpec("power", exponent=0.75), SequenceRule("affine", a=2.0)
+    for n_max in (4, 32):
+        table = coefficients(spec, K=1.5, p=3.0, rule=rule, depth=24, n_max=n_max)
+        for n, m in enumerate(table.levels, start=1):
+            want = 2.0 * 1.5 * eval_psi_total(spec, math.ldexp(4.0, -rule.term(n - 1)))
+            assert table.coefficient(m).hex() == want.hex()
