@@ -1,4 +1,4 @@
-"""Kernel digests: the enclosure kernel's floats keep their exact bits.
+"""Kernel digests: the enclosure and continuous kernels keep their exact bits.
 
 A fixed seeded corpus of interval sets runs through ``pettis_integral`` and
 everything read from its enclosure: lower, upper, tail and clamp anomalies;
@@ -14,6 +14,15 @@ depths, each at p = 2, 3 and infinity, with one- to six-part sets whose
 endpoints are dyadic (often on slice ends), clustered inside one deep cell
 (several parts share an end cell) or uniform, the ``SHARED_END_CELLS``
 sets, and random truncation levels.
+
+The ``continuous`` corpus runs five continuous models (the depth-9
+reference model and four others with other gauges, slopes, constants and
+depths 8 to 20) through ``check_pair`` (lhs, rhs, holds),
+``separation_lower_bound``, ``eval_f`` (coordinates in sorted order, then
+the tail) and ``eval_fn`` at a random level, which is sometimes outside
+the model.  Pairs are uniform, dyadic, pinned at 0.0 or at the float just
+below 1.0, or inside one cell or two adjacent cells of a random level, plus
+fixed error cases; an error is hashed by its class name.
 """
 
 import hashlib
@@ -22,7 +31,19 @@ import random
 
 import pytest
 
-from pettis_forge import CarrierFamily, Functional, IntervalSet, allocate_carriers, build_model
+from pettis_forge import (
+    CarrierFamily,
+    Functional,
+    IntervalSet,
+    SequenceRule,
+    allocate_carriers,
+    build_continuous_model,
+    build_model,
+    check_pair,
+    eval_f,
+    eval_fn,
+    separation_lower_bound,
+)
 from pettis_forge.errors import MaterializationLimitError
 from pettis_forge.pettis import bochner_level_masses, pettis_integral
 from pettis_forge.psi import PsiSpec
@@ -49,12 +70,26 @@ FAMILIES = {
     "explicit": (("stratified", 6), ("greedy-gap", 8)),
 }
 
+#: (gauge, K, rule slope a, depth) per continuous model; the first is the
+#: reference model of the continuous campaign.
+CONTINUOUS_MODELS = (
+    (PsiSpec("power", exponent=0.25), 1.0, 4.0, 9),
+    (PsiSpec("power", exponent=0.5), 1.0, 4.0, 12),
+    (PsiSpec("sqrt-log", epsilon=0.5), 2.0, 3.0, 14),
+    (PsiSpec("power", exponent=0.75), 1.5, 5.0, 8),
+    (PsiSpec("sqrt-loglog", epsilon=0.5), 1.0, 1.0, 20),
+)
+
+#: The largest float below 1.0, the last point of [0, 1).
+LAST = math.nextafter(1.0, 0.0)
+
 # kind -> SHA-256 of the corpus.  Running this file prints the current
 # digests; a change here changes kernel bits and belongs in CHANGES.md.
 DIGESTS = {
     "greedy-gap": "54368eca5dcf8dc712f28bb536f2ee5560dc261250d98e30a4e85a1d39c0139e",
     "stratified": "d791143c82a489da42b28fe12bf0acedacd976561cef56897fb425d46de901ef",
     "explicit": "353160d42988f7bbde15fdbd8bedd4e95d695a2868e82bfbfd883e2418dc50e7",
+    "continuous": "18a7a80b1721b1447e669adcfa1a5001881f1ddb3cc3d98b77a22beea146898e",
 }
 
 
@@ -119,24 +154,82 @@ def _family(kind, scheme, depth):
     return family
 
 
-def kernel_digest(kind):
-    digest = hashlib.sha256()
+def _pettis_lines(kind):
     for scheme, depth in FAMILIES[kind]:
         family = _family(kind, scheme, depth)
         for p in (2.0, 3.0, math.inf):
             rng = random.Random(f"{kind}-{scheme}-{depth}-{p}")
             model = build_model(family, SPEC34, p=p, depth=depth)
             for E in _corpus(rng, depth):
-                for line in _enclosure_lines(rng, model, E):
-                    digest.update(line.encode("ascii") + b"\n")
+                yield from _enclosure_lines(rng, model, E)
+
+
+def _pairs(rng, model):
+    floor = model.separation_floor()
+    deepest = model.rule.term(model.depth)
+    yield from (
+        (0.3, 0.3),  # not distinct
+        (0.2, 0.2 + floor / 2),  # too close
+        (1.0, 1.0 - floor / 2),  # too close, and outside [0, 1)
+        (0.5, 1.0),  # bracketable, but outside [0, 1)
+        (1.0, 0.5),
+        (-0.25, 0.5),
+        (math.nan, 0.5),
+        (0.0, LAST),
+        (LAST, 0.0),
+    )
+    for _ in range(40):
+        yield rng.random(), rng.random()
+        yield 0.0, rng.random()
+        yield LAST, rng.random()
+    for _ in range(60):
+        s, t = (rng.randint(1, deepest + 2) for _ in range(2))
+        yield math.ldexp(rng.randrange(1 << s), -s), math.ldexp(rng.randrange(1 << t), -t)
+    for _ in range(60):
+        # one cell or two adjacent cells of a random level's partition
+        p = model.rule.term(rng.randint(2, model.depth))
+        k = rng.randrange(1 << p)
+        for j in (-1, 0, 1):
+            yield math.ldexp(k + rng.random(), -p), math.ldexp(k + j + rng.random(), -p)
+
+
+def _outcome(render, fn, *args):
+    """``render(fn(*args))``, or the class name of the error it raised."""
+    try:
+        return render(fn(*args))
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def _coords(v):
+    return " ".join(f"{n},{k}:{x.hex()}" for (n, k), x in sorted(v.coeffs.items()))
+
+
+def _continuous_lines():
+    for spec, K, a, depth in CONTINUOUS_MODELS:
+        rng = random.Random(f"continuous-{spec.family}-{K}-{a}-{depth}")
+        model = build_continuous_model(spec, K=K, rule=SequenceRule("affine", a=a), depth=depth)
+        for s, t in _pairs(rng, model):
+            yield _outcome(lambda pc: f"{pc.lhs.hex()} {pc.rhs.hex()} {pc.holds}", check_pair, model, s, t)
+            yield _outcome(float.hex, separation_lower_bound, model, s, t)
+            for omega in (s, t):
+                yield _outcome(lambda ft: f"{_coords(ft[0])} {ft[1].hex()}", eval_f, model, omega)
+                yield _outcome(_coords, eval_fn, model, rng.randint(1, depth + 1), omega)
+
+
+def kernel_digest(kind):
+    lines = _continuous_lines() if kind == "continuous" else _pettis_lines(kind)
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("ascii") + b"\n")
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@pytest.mark.parametrize("kind", sorted(DIGESTS))
 def test_kernel_digest(kind):
     assert kernel_digest(kind) == DIGESTS[kind]
 
 
 if __name__ == "__main__":
-    for kind in sorted(FAMILIES):
+    for kind in sorted(DIGESTS):
         print(kind, kernel_digest(kind))
