@@ -13,9 +13,21 @@ l_2 blocks used here.  The schedule is c_n = 2K * psi(2^-p_(n-2)), and a
 ratio certificate for sum psi(2^-p_n) makes the series and its tail bounds
 computable.
 
-One walk kernel, ``_walk``, gives c * f_n(omega) as its two coordinates.
-Levels are disjoint blocks, so a point of the truncated series is the union
-of its levels' coordinate pairs and is built as a single block vector.
+One walk primitive, ``_walk``, gives the cell index k and the weight alpha
+from omega * 2^p_n; the per-level constants come from the cached
+``ContinuousModel.geometry``.  Levels are disjoint blocks, so a point of the
+truncated series is the union of its levels' coordinate pairs (``eval_f``
+returns it as one block vector), and ||f(s) - f(t)||^2 is the sum over
+levels of the squared coordinate differences.
+
+``check_pair`` is one pass over the levels: it puts the differences of the
+level's coordinates of s and t in a small per-level map and adds all the
+squares with one ``math.fsum``, building no block vector.  Its result is
+bit-identical to the norm of the block-vector difference f(s) - f(t):
+``fsum`` is exactly rounded, so the order of its terms does not matter;
+a + (-1.0 * b) equals a - b; and the zero coordinates a block vector drops
+add nothing to the sum.  The layout check it skips cannot fail: omega < 1
+and ``ldexp`` is exact, so k <= 2^p_n and k + 1 is within the block.
 
 For s, t at distance d with 2^-p_n < d <= 2^-p_(n-1), the points fall in
 non-adjacent cells of partition n + 1, so the four coordinates touched by
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .blocks import BlockLayout, BlockVector
 from .errors import ConfigError, GrowthConditionError, PairTooCloseError
@@ -61,6 +74,19 @@ class ContinuousModel:
     coeffs: tuple[float, ...]  # c_n for n = 2..depth
     certificate: GrowthReport
 
+    @cached_property
+    def geometry(self) -> tuple[tuple[int, float, int, float], ...]:
+        """(n, c_n, p_n, 2^-p_(n-1)) per level n = 2..depth, built on first use.
+
+        2^-p_(n-1) is level n's bracket floor: level n separates the pairs
+        at distance d in (2^-p_(n-1), 2^-p_(n-2)].
+        """
+        term = self.rule.term
+        return tuple(
+            (n, c, term(n), math.ldexp(1.0, -term(n - 1)))
+            for n, c in zip(range(2, self.depth + 1), self.coeffs)
+        )
+
     def coefficient(self, n: int) -> float:
         if not (2 <= n <= self.depth):
             raise ConfigError(f"level {n} outside 2..{self.depth}")
@@ -73,10 +99,7 @@ class ContinuousModel:
 
     def lipschitz_constant(self) -> float:
         """Lipschitz bound of the truncation: sqrt(2) * sum c_n * 2^p_n."""
-        return _SQRT2 * math.fsum(
-            self.coefficient(n) * math.ldexp(1.0, self.rule.term(n))
-            for n in range(2, self.depth + 1)
-        )
+        return _SQRT2 * math.fsum(c * math.ldexp(1.0, p) for _, c, p, _ in self.geometry)
 
     def modulus_bound(self, distance: float) -> float:
         """Uniform-continuity witness: Lipschitz-plus-tail modulus."""
@@ -84,7 +107,7 @@ class ContinuousModel:
 
     def separation_floor(self) -> float:
         """Smallest pair distance the truncated model can certify."""
-        return math.ldexp(1.0, -self.rule.term(self.depth - 1))
+        return self.geometry[-1][3]
 
     def config_json(self) -> dict:
         return {
@@ -131,28 +154,35 @@ def build_continuous_model(
     )
 
 
-def _walk(model: ContinuousModel, n: int, omega: float, c: float) -> dict[tuple[int, int], float]:
-    """c * f_n(omega) as its two coordinates; the second is 0.0 when alpha = 1."""
-    if not (2 <= n <= model.depth):
-        raise ConfigError(f"level {n} outside 2..{model.depth}")
+def _walk(scaled: float) -> tuple[int, float]:
+    """(k, alpha) at scaled = omega * 2^p_n: omega lies in cell k and
+    f_n(omega) = alpha * e(n, k) + (1 - alpha) * e(n, k + 1), alpha in (0, 1]."""
+    k = math.floor(scaled) + 1
+    return k, k - scaled
+
+
+def _check_point(omega: float) -> None:
     if not (0.0 <= omega < 1.0):
         raise ValueError(f"point {omega} outside [0, 1)")
-    scaled = math.ldexp(omega, model.rule.term(n))  # exact power-of-two scaling
-    k = math.floor(scaled) + 1
-    alpha = k - scaled  # in (0, 1]
-    return {(n, k): c * alpha, (n, k + 1): c * (1.0 - alpha)}
 
 
 def _point(model: ContinuousModel, omega: float) -> BlockVector:
+    _check_point(omega)
     coords: dict[tuple[int, int], float] = {}
-    for n in range(2, model.depth + 1):
-        coords.update(_walk(model, n, omega, model.coefficient(n)))
+    for n, c, p, _ in model.geometry:
+        k, alpha = _walk(math.ldexp(omega, p))  # exact power-of-two scaling
+        coords[(n, k)] = c * alpha
+        coords[(n, k + 1)] = c * (1.0 - alpha)
     return BlockVector(model.layout, coords)
 
 
 def eval_fn(model: ContinuousModel, n: int, omega: float) -> BlockVector:
     """The level-n walk f_n(omega): a convex pair of adjacent coordinates."""
-    return BlockVector(model.layout, _walk(model, n, omega, 1.0))
+    if not (2 <= n <= model.depth):
+        raise ConfigError(f"level {n} outside 2..{model.depth}")
+    _check_point(omega)
+    k, alpha = _walk(math.ldexp(omega, model.geometry[n - 2][2]))
+    return BlockVector(model.layout, {(n, k): alpha, (n, k + 1): 1.0 - alpha})
 
 
 def eval_f(model: ContinuousModel, omega: float) -> tuple[BlockVector, float]:
@@ -167,9 +197,9 @@ def eval_f(model: ContinuousModel, omega: float) -> tuple[BlockVector, float]:
 
 def _bracket_level(model: ContinuousModel, distance: float) -> int:
     """Smallest n >= 1 with 2^-p_n < distance (then distance <= 2^-p_(n-1))."""
-    for n in range(1, model.depth):
-        if math.ldexp(1.0, -model.rule.term(n)) < distance:
-            return n
+    for n, _, _, floor in model.geometry:
+        if floor < distance:
+            return n - 1
     raise PairTooCloseError(
         f"pair distance {distance} at or below the resolved scale "
         f"{model.separation_floor()}"
@@ -197,6 +227,16 @@ def check_pair(model: ContinuousModel, s: float, t: float) -> PairCheck:
         raise ValueError("pair must be two distinct points")
     d = abs(s - t)
     _bracket_level(model, d)  # propagate pair-too-close before evaluating
-    lhs = _point(model, s).sub(_point(model, t)).norm()
+    _check_point(s)
+    _check_point(t)
+    squares: list[float] = []
+    for _, c, p, _ in model.geometry:
+        ks, a = _walk(math.ldexp(s, p))
+        kt, b = _walk(math.ldexp(t, p))
+        diff = {ks: c * a, ks + 1: c * (1.0 - a)}
+        diff[kt] = diff.get(kt, 0.0) - c * b
+        diff[kt + 1] = diff.get(kt + 1, 0.0) - c * (1.0 - b)
+        squares += [x * x for x in diff.values()]
+    lhs = math.sqrt(math.fsum(squares))
     rhs = eval_psi_total(model.psi, d)
     return PairCheck(holds=lhs >= rhs - 1e-12, lhs=lhs, rhs=rhs)

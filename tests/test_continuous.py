@@ -1,9 +1,13 @@
 """Continuous model: walks, separation bound, modulus witness."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pettis_forge import (
     PsiSpec,
@@ -17,6 +21,11 @@ from pettis_forge import (
 )
 from pettis_forge.blocks import BlockVector
 from pettis_forge.errors import ConfigError, GrowthConditionError, PairTooCloseError
+
+#: The largest float below 1.0, the last point of [0, 1).
+LAST = math.nextafter(1.0, 0.0)
+
+_points = st.one_of(st.sampled_from([0.0, LAST]), st.floats(0.0, 1.0, exclude_max=True))
 
 
 def test_build_and_schedule(cmodel9):
@@ -205,4 +214,59 @@ def test_block_vectors_built_per_point(cmodel9, monkeypatch):
     assert len(built) == 1
     built.clear()
     check_pair(cmodel9, 0.37, 0.81)
-    assert len(built) <= 5
+    assert built == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_points, t=_points)
+@example(s=0.0, t=LAST)
+@example(s=LAST, t=0.0)
+def test_check_pair_is_the_block_vector_distance(cmodel9, s, t):
+    # the block-vector route validates every coordinate against the layout,
+    # so this also shows that the pair kernel's walk stays inside each block
+    assume(abs(s - t) > cmodel9.separation_floor())
+    want = eval_f(cmodel9, s)[0].sub(eval_f(cmodel9, t)[0]).norm()
+    assert check_pair(cmodel9, s, t).lhs.hex() == want.hex()
+
+
+def test_check_pair_error_order(cmodel9):
+    floor = cmodel9.separation_floor()
+    # equal points are refused first, even outside [0, 1)
+    with pytest.raises(ValueError, match="distinct"):
+        check_pair(cmodel9, 1.5, 1.5)
+    # a pair too close to bracket is refused before either point is evaluated
+    with pytest.raises(PairTooCloseError):
+        check_pair(cmodel9, 1.0, 1.0 - floor / 2)
+    with pytest.raises(PairTooCloseError):
+        check_pair(cmodel9, math.nan, 0.5)
+    # a bracketable distance with a point outside [0, 1)
+    for s, t in ((0.5, 1.0), (1.0, 0.5), (-0.25, 0.5)):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)") as info:
+            check_pair(cmodel9, s, t)
+        assert type(info.value) is ValueError
+
+
+def test_check_pair_slack(cmodel9):
+    # holds lets lhs fall short of rhs by 1e-12: scale the coefficients so
+    # that lhs lands just inside and just outside that slack
+    s, t = 0.1, 0.6
+    pc = check_pair(cmodel9, s, t)
+    for short, holds in ((0.5e-12, True), (2e-12, False)):
+        scale = (pc.rhs - short) / pc.lhs
+        model = dataclasses.replace(cmodel9, coeffs=tuple(c * scale for c in cmodel9.coeffs))
+        got = check_pair(model, s, t)
+        assert got.rhs == pc.rhs
+        assert abs(got.lhs - (pc.rhs - short)) < 1e-14
+        assert got.holds is holds
+
+
+def test_model_pickles_after_check_pair():
+    model = build_continuous_model(
+        PsiSpec("power", exponent=0.25), rule=SequenceRule("affine", a=4.0), depth=9
+    )
+    before = check_pair(model, 0.37, 0.81)
+    assert "geometry" in vars(model)  # the cached levels travel with the model
+    clone = pickle.loads(pickle.dumps(model))
+    assert clone == model
+    assert clone.geometry == model.geometry
+    assert check_pair(clone, 0.37, 0.81).lhs.hex() == before.lhs.hex()
