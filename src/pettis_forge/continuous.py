@@ -197,9 +197,9 @@ def eval_f(model: ContinuousModel, omega: float) -> tuple[BlockVector, float]:
 
 def _bracket_level(model: ContinuousModel, distance: float) -> int:
     """Smallest n >= 1 with 2^-p_n < distance (then distance <= 2^-p_(n-1))."""
-    for n, _, _, floor in model.geometry:
+    for m, _, _, floor in model.geometry:  # floor = 2^-p_(m-1)
         if floor < distance:
-            return n - 1
+            return m - 1
     raise PairTooCloseError(
         f"pair distance {distance} at or below the resolved scale "
         f"{model.separation_floor()}"
@@ -233,7 +233,7 @@ def check_pair(model: ContinuousModel, s: float, t: float) -> PairCheck:
     for _, c, p, _ in model.geometry:
         ks, a = _walk(math.ldexp(s, p))
         kt, b = _walk(math.ldexp(t, p))
-        diff = {ks: c * a, ks + 1: c * (1.0 - a)}
+        diff = {ks: c * a, ks + 1: c * (1.0 - a)}  # c * (f_n(s) - f_n(t)) by index
         diff[kt] = diff.get(kt, 0.0) - c * b
         diff[kt + 1] = diff.get(kt + 1, 0.0) - c * (1.0 - b)
         squares += [x * x for x in diff.values()]
