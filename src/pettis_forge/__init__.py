@@ -2,7 +2,7 @@
 functions on [0, 1) in l_p block-sequence backends and numerically certifies
 their defining lower bounds with seeded, reproducible campaigns."""
 
-from .blocks import BlockLayout, BlockVector, Functional, apply_functional, dual_exponent
+from .blocks import BlockLayout, BlockVector, Functional, dual_exponent
 from .carriers import (
     CarrierFamily,
     DisjointnessReport,

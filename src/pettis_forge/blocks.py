@@ -156,6 +156,3 @@ class Functional:
     def max_level(self) -> int:
         return max((n for n, _ in self.coeffs), default=0)
 
-
-def apply_functional(x: Functional, v: BlockVector) -> float:
-    return x.apply(v)

@@ -6,6 +6,10 @@ serialized with shortest round-trip repr, so identical configs produce
 byte-identical reports.  Each row carries the inputs, the computed values,
 the target bound, and a pass flag recomputable from the row's own columns.
 
+``VERIFY_CAMPAIGNS`` maps each ``verify`` kind to its runner and the model
+class the runner needs; ``run`` dispatches through it.  ``psi-validate``
+takes a gauge rather than a model and is called directly.
+
 Hard assertions always use the sound side of an enclosure (the lower bound
 against gauge targets).  The averaged-rate campaign additionally reports a
 median trend without asserting any limit: a vanishing-rate statement over
@@ -35,8 +39,6 @@ HALFPOWER = "halfpower"
 CONTINUOUS = "continuous"
 BOCHNER = "bochner"
 PSI_VALIDATE = "psi-validate"
-
-CAMPAIGN_KINDS = (LOWER_BOUND, PAIRING, BLOWUP, HALFPOWER, CONTINUOUS, BOCHNER, PSI_VALIDATE)
 
 #: Absolute slack on interval lower-bound assertions (exact dyadic regime).
 BOUND_SLACK = 1e-12
@@ -69,7 +71,7 @@ class CampaignConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.kind not in CAMPAIGN_KINDS:
+        if self.kind not in VERIFY_CAMPAIGNS and self.kind != PSI_VALIDATE:
             raise ConfigError(f"unknown campaign kind {self.kind!r}")
         # type(...) is int also turns away bool, which JSON true/false become.
         for name in ("samples", "seed", "dyadic_level", "j_min", "j_max", "sets",
@@ -457,3 +459,25 @@ def run_psi_validate(
         "p": "inf" if math.isinf(p) else p,
     }
     return Report(PSI_VALIDATE, columns, rows, summary, violations)
+
+
+#: verify kind -> (runner, model class it needs); the CLI's ``verify`` subcommands.
+VERIFY_CAMPAIGNS = {
+    LOWER_BOUND: (run_lower_bound_sweep, PettisModel),
+    PAIRING: (run_pairing_check, PettisModel),
+    BLOWUP: (run_blowup, PettisModel),
+    HALFPOWER: (run_halfpower_statistic, PettisModel),
+    CONTINUOUS: (run_continuous_campaign, ContinuousModel),
+    BOCHNER: (run_bochner_divergence, PettisModel),
+}
+
+
+def run(model: PettisModel | ContinuousModel, cfg: CampaignConfig) -> Report:
+    """Run the verify campaign ``cfg.kind`` on a model of the kind it needs."""
+    if cfg.kind not in VERIFY_CAMPAIGNS:
+        raise ConfigError(f"{cfg.kind} is not a verify campaign")
+    runner, model_class = VERIFY_CAMPAIGNS[cfg.kind]
+    if not isinstance(model, model_class):
+        needed = "continuous" if model_class is ContinuousModel else "pettis"
+        raise ConfigError(f"{cfg.kind} campaign needs a {needed} model")
+    return runner(model, cfg)

@@ -36,12 +36,15 @@ arithmetic: a structural check of every level pair on the family's own
 pattern floats, plus a check that every endpoint ``carrier()`` realizes is
 the rational that check reasons about.  Explicit families (deserialized or
 hand-built) store their sets verbatim and get a full endpoint sweep.
+
+Serialized, a built-in family is its generator ``{depth, scheme}`` at every
+depth; only an explicit family writes its sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -66,11 +69,8 @@ MAX_STRATIFIED_DEPTH = 26
 #: Shortest component length allowed before middle-half extraction.
 POSITIVITY_FLOOR = math.ldexp(1.0, -80)
 
-#: Materialization guard for carrier() and occupied().
+#: Materialization guard for carrier().
 PART_LIMIT = 1 << 21
-
-#: Built-in families of at most this many parts ship their sets in to_json().
-ARCHIVE_PART_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class CarrierFamily:
 
     depth: int
     scheme: str
-    params: Mapping[str, object] = field(default_factory=dict)
     sets: Mapping[tuple[int, int], IntervalSet] | None = None
 
     # -- basic geometry -----------------------------------------------
@@ -259,38 +258,15 @@ class CarrierFamily:
             for k in range(1, (1 << n) + 1):
                 yield n, k
 
-    def total_parts(self) -> int:
-        if self.sets is not None:
-            return sum(len(s) for s in self.sets.values())
-        return sum(1 << a for a, *_ in self._slices)
-
-    def occupied(self) -> IntervalSet:
-        """Union of all carriers; guarded against oversized materialization."""
-        if self.total_parts() > PART_LIMIT:
-            raise MaterializationLimitError(
-                f"occupied() would materialize {self.total_parts()} parts"
-            )
-        acc: list[Interval] = []
-        for n, k in self.cells():
-            acc.extend(self.carrier(n, k).parts)
-        return IntervalSet(acc)
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Schema: {depth, scheme, params, sets: {"n,k": [[lo, hi], ...]}}.
-
-        A built-in family is its generator (depth, scheme, params); its sets
-        are included only up to ARCHIVE_PART_BUDGET parts and are otherwise
-        elided with a marker.  Explicit families always ship their sets.
-        """
-        out: dict = {"depth": self.depth, "scheme": self.scheme, "params": dict(self.params)}
-        if self.sets is None and self.total_parts() > ARCHIVE_PART_BUDGET:
-            out["sets_elided"] = True
-            return out
-        out["sets"] = {
-            f"{n},{k}": self.carrier(n, k).to_pairs() for n, k in self.cells()
-        }
+        """A built-in family is its generator {depth, scheme}, which rebuilds
+        it bit for bit; an explicit family adds its sets as
+        {"n,k": [[lo, hi], ...]}."""
+        out: dict = {"depth": self.depth, "scheme": self.scheme}
+        if self.sets is not None:
+            out["sets"] = {f"{n},{k}": self.carrier(n, k).to_pairs() for n, k in self.cells()}
         return out
 
     @classmethod
@@ -302,24 +278,18 @@ class CarrierFamily:
             raise ConfigError(f"malformed carrier archive: {exc}") from exc
         if type(depth) is not int:
             raise ConfigError(f"carrier archive depth must be an integer, got {depth!r}")
-        if scheme == EXPLICIT:
-            return cls.from_sets(depth, _parse_sets(obj.get("sets"), depth))
-        if scheme not in (GREEDY_GAP, STRATIFIED):
+        if scheme not in _SCHEMES:
             raise ConfigError(f"unknown carrier scheme {scheme!r} in archive")
-        if obj.get("sets") and not obj.get("sets_elided"):
-            # Sets shipped alongside a scheme tag are authoritative input;
-            # they get verified like any hand-built family, so tampering
+        if scheme == EXPLICIT or "sets" in obj:
+            # Sets, also next to a built-in scheme tag as in old or
+            # hand-edited archives, are untrusted input: they make an
+            # explicit family, which gets the full sweep, so tampering
             # surfaces as a disjointness failure rather than silent reuse.
-            return cls.from_sets(depth, _parse_sets(obj["sets"], depth), scheme=scheme)
-        return allocate_carriers(depth, scheme, obj.get("params") or {})
+            return cls.from_sets(depth, _parse_sets(obj.get("sets"), depth))
+        return allocate_carriers(depth, scheme)
 
     @classmethod
-    def from_sets(
-        cls,
-        depth: int,
-        sets: Mapping[tuple[int, int], IntervalSet],
-        scheme: str = EXPLICIT,
-    ) -> "CarrierFamily":
+    def from_sets(cls, depth: int, sets: Mapping[tuple[int, int], IntervalSet]) -> "CarrierFamily":
         if depth < 1:
             raise ConfigError(f"carrier depth must be >= 1, got {depth}")
         missing = [
@@ -330,7 +300,7 @@ class CarrierFamily:
         ]
         if missing:
             raise ConfigError(f"carrier sets missing {len(missing)} cells, e.g. {missing[0]}")
-        return cls(depth=depth, scheme=EXPLICIT, params={"source": scheme}, sets=dict(sets))
+        return cls(depth=depth, scheme=EXPLICIT, sets=dict(sets))
 
 
 def _parse_sets(raw: object, depth: int) -> dict[tuple[int, int], IntervalSet]:
@@ -347,9 +317,7 @@ def _parse_sets(raw: object, depth: int) -> dict[tuple[int, int], IntervalSet]:
     return out
 
 
-def allocate_carriers(
-    depth: int, scheme: str = GREEDY_GAP, params: Mapping[str, object] | None = None
-) -> CarrierFamily:
+def allocate_carriers(depth: int, scheme: str = GREEDY_GAP) -> CarrierFamily:
     """Deterministic family for the requested depth and scheme.
 
     Both built-in schemes allocate in closed form; the positivity floor is
@@ -363,9 +331,7 @@ def allocate_carriers(
     cap = MAX_STRATIFIED_DEPTH if scheme == STRATIFIED else MAX_DEPTH
     if depth > cap:
         raise ConfigError(f"scheme {scheme!r} supports depth <= {cap}, got {depth}")
-    if params is not None and not isinstance(params, Mapping):
-        raise ConfigError(f"carrier params must be an object, got {params!r}")
-    family = CarrierFamily(depth=depth, scheme=scheme, params=dict(params or {}))
+    family = CarrierFamily(depth=depth, scheme=scheme)
     for n in range(1, depth + 1):
         if family.carrier_measure(n, 1) < POSITIVITY_FLOOR:
             raise AllocationExhaustedError(

@@ -25,19 +25,9 @@ from .config import (
     load_json,
     write_archive,
 )
-from .continuous import ContinuousModel
 from .errors import ConfigError, PettisForgeError
 from .pettis import PettisModel
 from .psi import SequenceRule, PsiSpec, parse_exponent, parse_number
-
-_VERIFY_KINDS = (
-    campaigns.LOWER_BOUND,
-    campaigns.PAIRING,
-    campaigns.BLOWUP,
-    campaigns.HALFPOWER,
-    campaigns.CONTINUOUS,
-    campaigns.BOCHNER,
-)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -54,7 +44,7 @@ def _parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification campaign")
     verify_sub = verify.add_subparsers(dest="campaign", required=True)
-    for kind in _VERIFY_KINDS:
+    for kind in campaigns.VERIFY_CAMPAIGNS:
         _common_flags(verify_sub.add_parser(kind, help=f"{kind} campaign"))
     return parser
 
@@ -143,22 +133,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         raise ConfigError("verify config needs a 'model' object")
     model = build_model_from_config(model_cfg)
     cfg = _campaign_config(obj, args.campaign, args)
-    if args.campaign == campaigns.CONTINUOUS:
-        if not isinstance(model, ContinuousModel):
-            raise ConfigError("continuous campaign needs a continuous model")
-        report = campaigns.run_continuous_campaign(model, cfg)
-    else:
-        if not isinstance(model, PettisModel):
-            raise ConfigError(f"{args.campaign} campaign needs a pettis model")
-        runner = {
-            campaigns.LOWER_BOUND: campaigns.run_lower_bound_sweep,
-            campaigns.PAIRING: campaigns.run_pairing_check,
-            campaigns.BLOWUP: campaigns.run_blowup,
-            campaigns.HALFPOWER: campaigns.run_halfpower_statistic,
-            campaigns.BOCHNER: campaigns.run_bochner_divergence,
-        }[args.campaign]
-        report = runner(model, cfg)
-    return _emit(report, cfg)
+    return _emit(campaigns.run(model, cfg), cfg)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,15 +10,18 @@ Config schema:
         "p": 2.0 | "inf",
         "rule": {"kind": "affine", "a": 1, "b": 0} | {"kind": "list", "list": [...]},
         "depth": 24,
-        "carriers": {"scheme": "greedy-gap", "params": {}},
+        "carriers": {"scheme": "greedy-gap"},   # "params": {} is accepted, nothing else
         "archive": "path.json"                  # alternative to the fields above
       },
       "campaign": {"kind": ..., "samples": ..., "seed": ..., ...}
     }
 
-Explicit carrier sets found in a config or archive are treated as untrusted
-input: they are verified for disjointness, containment, and positivity
-before any model is built on top of them.
+An archive holds the model's generator: its config (above), plus the
+coefficient table for a pettis model, which is checked against the rebuilt
+schedule, and the carrier sets of an explicit family.  Carrier sets found
+in a config or archive are treated as untrusted input: they are verified
+for disjointness, containment, and positivity before any model is built on
+top of them.
 """
 
 from __future__ import annotations
@@ -55,8 +58,10 @@ def build_carriers_from_config(obj: Mapping | None, depth: int) -> CarrierFamily
         family = CarrierFamily.from_json({"depth": obj.get("depth", depth), **obj})
         _require_sound(family)
         return family
-    scheme = str(obj.get("scheme", "greedy-gap"))
-    return allocate_carriers(depth, scheme, obj.get("params") or {})
+    # Older configs and archives carry an empty "params"; no scheme reads one.
+    if obj.get("params", {}) != {}:
+        raise ConfigError(f"carrier params must be {{}} if given, got {obj['params']!r}")
+    return allocate_carriers(depth, str(obj.get("scheme", "greedy-gap")))
 
 
 def _require_sound(family: CarrierFamily) -> None:
@@ -123,26 +128,20 @@ def build_campaign_from_config(obj: Mapping, kind: str | None = None) -> Campaig
 
 
 def archive_model(model: PettisModel | ContinuousModel) -> dict:
-    """Self-contained JSON bundle: config, coefficient table, carriers.
+    """The model's generator as a JSON bundle.
 
-    A built-in carrier family is stored as its generating (depth, scheme,
-    params), which reproduces it bit-identically; its sets are included
-    verbatim only up to ``ARCHIVE_PART_BUDGET`` parts.  Explicit families
-    ship their sets, and shipped sets are verified on load.
+    A continuous archive is {kind, config}.  A pettis archive adds the
+    coefficient table, which ``load_archive`` compares with the rebuilt
+    schedule.  A built-in carrier family is named by the config's scheme
+    and rebuilt bit for bit, so only an explicit family adds a ``carriers``
+    block with its sets, and those sets are verified on load.
     """
     if isinstance(model, ContinuousModel):
-        return {
-            "kind": "continuous",
-            "config": model.config_json(),
-            "coefficients": list(model.coeffs),
-            "certificate": model.certificate.to_json(),
-        }
-    return {
-        "kind": "pettis",
-        "config": model.config_json(),
-        "table": model.table.to_json(),
-        "carriers": model.carriers.to_json(),
-    }
+        return {"kind": "continuous", "config": model.config_json()}
+    out = {"kind": "pettis", "config": model.config_json(), "table": model.table.to_json()}
+    if model.carriers.sets is not None:
+        out["carriers"] = model.carriers.to_json()
+    return out
 
 
 def write_archive(model: PettisModel | ContinuousModel, path: str | Path) -> None:
@@ -163,7 +162,7 @@ def load_archive(path: str | Path) -> PettisModel | ContinuousModel:
         raise ConfigError(f"archive {path} has unknown kind {kind!r}")
     carriers_obj = obj.get("carriers")
     model_cfg = dict(config)
-    if isinstance(carriers_obj, Mapping) and carriers_obj.get("sets"):
+    if isinstance(carriers_obj, Mapping) and "sets" in carriers_obj:
         model_cfg["carriers"] = dict(carriers_obj)
     model = build_model_from_config(model_cfg)
     table_obj = obj.get("table")

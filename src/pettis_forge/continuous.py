@@ -93,17 +93,19 @@ class ContinuousModel:
         return self.coeffs[n - 2]
 
     def tail(self) -> float:
-        """Bound on sum of c_n for n > depth (geometric continuation)."""
-        first_omitted = 2.0 * self.K * summability_term(self.psi, self.rule, self.depth - 1)
-        return self.certificate.geometric_tail(first_omitted)
+        """Bound on sum of c_n = 2K * u_(n-2) over n > depth.
+
+        The ratio certificate bounds u_m geometrically from m = n0 on; the
+        terms u_(depth-1) .. u_(n0-1) before it are added as they are.
+        """
+        cert = self.certificate
+        head = math.fsum(cert.terms[self.depth - 2 : cert.n0 - 1])
+        first = summability_term(self.psi, self.rule, max(self.depth - 1, cert.n0))
+        return 2.0 * self.K * head + cert.geometric_tail(2.0 * self.K * first)
 
     def lipschitz_constant(self) -> float:
         """Lipschitz bound of the truncation: sqrt(2) * sum c_n * 2^p_n."""
         return _SQRT2 * math.fsum(c * math.ldexp(1.0, p) for _, c, p, _ in self.geometry)
-
-    def modulus_bound(self, distance: float) -> float:
-        """Uniform-continuity witness: Lipschitz-plus-tail modulus."""
-        return self.lipschitz_constant() * distance + 2.0 * self.tail()
 
     def separation_floor(self) -> float:
         """Smallest pair distance the truncated model can certify."""
@@ -132,6 +134,9 @@ def build_continuous_model(
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
     if depth < 2:
         raise ConfigError(f"continuous model needs depth >= 2, got {depth}")
+    # The walk and the Lipschitz bound scale by 2^p_n, which must be a float.
+    if rule.term(depth) >= 1024:
+        raise ConfigError(f"continuous model needs p_depth < 1024, got {rule.term(depth)}")
     report = validate_summable(spec, rule)
     if not report.passed:
         raise GrowthConditionError(

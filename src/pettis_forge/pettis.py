@@ -104,7 +104,7 @@ class PettisModel:
             "p": "inf" if math.isinf(self.p) else self.p,
             "rule": self.rule.to_json(),
             "depth": self.depth,
-            "carriers": {"scheme": self.carriers.scheme, "params": dict(self.carriers.params)},
+            "carriers": {"scheme": self.carriers.scheme},
         }
 
 

@@ -339,7 +339,10 @@ def _gauge_factor(spec: PsiSpec, rule: SequenceRule, n: int) -> float:
 def _weighted(factor: float, p: float, rule: SequenceRule, n: int) -> float:
     if math.isinf(p):
         return factor
-    return factor * 2.0 ** (rule.term(n) / p)
+    try:
+        return factor * 2.0 ** (rule.term(n) / p)
+    except OverflowError:  # past the float range: a non-finite term fails the certificate
+        return math.inf
 
 
 def validate_growth(
@@ -433,9 +436,6 @@ class CoefficientTable:
 
     def coefficient(self, m: int) -> float:
         return self.coeffs.get(m, 0.0)
-
-    def support(self) -> tuple[int, ...]:
-        return self.levels
 
     def to_json(self) -> dict:
         return {

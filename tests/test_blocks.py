@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pettis_forge import BlockLayout, BlockVector, Functional, apply_functional, dual_exponent
+from pettis_forge import BlockLayout, BlockVector, Functional, dual_exponent
 from pettis_forge.errors import LayoutMismatchError
 
 L2 = BlockLayout.power_of_two(2.0, 6)
@@ -35,10 +35,10 @@ def test_project_examples():
 
 def test_apply_examples():
     x = Functional(L2, {(1, 1): 1.0})
-    assert apply_functional(x, BlockVector(L2, {(1, 1): 3.0})) == 3.0
-    assert apply_functional(x, BlockVector(L2, {(2, 2): 5.0})) == 0.0
+    assert x.apply(BlockVector(L2, {(1, 1): 3.0})) == 3.0
+    assert x.apply(BlockVector(L2, {(2, 2): 5.0})) == 0.0
     cancel = Functional(L2, {(1, 1): 1.0, (1, 2): -1.0})
-    assert apply_functional(cancel, BlockVector(L2, {(1, 1): 2.0, (1, 2): 2.0})) == 0.0
+    assert cancel.apply(BlockVector(L2, {(1, 1): 2.0, (1, 2): 2.0})) == 0.0
 
 
 def test_add_scale_identities():
@@ -65,7 +65,7 @@ def test_layout_mismatch_on_mixed_operands():
     with pytest.raises(LayoutMismatchError):
         BlockVector(L2, {(1, 1): 1.0}).add(BlockVector(other, {(1, 1): 1.0}))
     with pytest.raises(LayoutMismatchError):
-        apply_functional(Functional(other, {(1, 1): 1.0}), BlockVector(L2, {(1, 1): 1.0}))
+        Functional(other, {(1, 1): 1.0}).apply(BlockVector(L2, {(1, 1): 1.0}))
 
 
 def test_dual_exponent():

@@ -10,6 +10,7 @@ import pytest
 
 from pettis_forge import (
     CampaignConfig,
+    CarrierFamily,
     Interval,
     PsiSpec,
     SequenceRule,
@@ -23,12 +24,15 @@ from pettis_forge import (
     run_lower_bound_sweep,
     run_pairing_check,
     run_psi_validate,
+    verify_disjointness,
 )
+from pettis_forge import campaigns
 from pettis_forge.config import (
     archive_model,
     build_campaign_from_config,
     build_model_from_config,
     load_archive,
+    write_archive,
 )
 from pettis_forge.errors import ConfigError, DepthInsufficientError
 
@@ -267,6 +271,8 @@ _WRONG_TYPE_MODELS = {
     "p nan": {**_MODEL_CFG, "p": math.nan},
     "rule a": {**_MODEL_CFG, "rule": {"kind": "affine", "a": "x"}},
     "params": {**_MODEL_CFG, "carriers": {"scheme": "greedy-gap", "params": 5}},
+    # carrier params are not a setting: only the empty {} of older archives loads
+    "params object": {**_MODEL_CFG, "carriers": {"scheme": "greedy-gap", "params": {"x": 1}}},
     "exponent": {**_MODEL_CFG, "psi": {"family": "power", "exponent": "0.75"}},
     "psi": {**_MODEL_CFG, "psi": 5},
     "rule": {**_MODEL_CFG, "rule": 5},
@@ -382,6 +388,22 @@ def test_cli_exit_codes(tmp_path):
         assert r.returncode == 2, (name, value, r.stderr)
         assert f"config error: {name} must be" in r.stderr
         assert "Traceback" not in r.stderr
+    # 2^p_n past the float range.  Growth terms: psi validate reports FAIL, and
+    # building a model is a growth error.  Continuous: 2^p_depth is not a float.
+    steep = {**_MODEL_CFG, "p": 1.0, "rule": {"kind": "affine", "a": 40, "b": 0}, "depth": 40}
+    cont = {"kind": "continuous", "psi": {"family": "power", "exponent": 0.25},
+            "rule": {"kind": "affine", "a": 1200, "b": 0}, "depth": 3}
+    for args, payload, code in (
+        (("psi", "validate"), {"psi": steep["psi"], "p": 1.0, "rule": steep["rule"]}, 1),
+        (("verify", "lower-bound"), {"model": steep, "campaign": {"samples": 2}}, 2),
+        (("build",), {"model": steep}, 2),
+        (("verify", "continuous"), {"model": cont, "campaign": {"samples": 2}}, 2),
+        (("build",), {"model": cont}, 2),
+    ):
+        cfg = _write_cfg(tmp_path, "overflow.json", payload)
+        r = _cli(*args, "--config", cfg, "--out", str(tmp_path / "overflow.out"))
+        assert r.returncode == code, (args, r.stderr)
+        assert "Traceback" not in r.stderr, args
     # psi validate inputs that are not JSON objects, and a boolean norm exponent
     power = {"family": "power", "exponent": 0.75}
     for payload in ({"psi": 5}, {"psi": power, "rule": 5}, {"model": 5}, {"psi": power, "p": True}):
@@ -426,8 +448,16 @@ def test_cli_build_and_archive_paths(tmp_path):
         {"model": {"archive": arch}, "campaign": {"samples": 4, "dyadic_level": 3, "seed": 1}},
     )
     assert _cli("verify", "lower-bound", "--config", cfg2).returncode == 0
-    # corrupt one carrier: expect a disjointness complaint and exit 2
+    # ship an explicit family's sets in the archive: they are verified on load
     blob = json.loads((tmp_path / "arch.json").read_text())
+    assert "carriers" not in blob
+    fam = allocate_carriers(6)
+    blob["carriers"] = CarrierFamily.from_sets(
+        6, {cell: fam.carrier(*cell) for cell in fam.cells()}
+    ).to_json()
+    (tmp_path / "arch.json").write_text(json.dumps(blob))
+    assert _cli("verify", "lower-bound", "--config", cfg2).returncode == 0
+    # corrupt one carrier: expect a disjointness complaint and exit 2
     sets = blob["carriers"]["sets"]
     sets["1,1"] = sets["1,1"] + sets["2,1"]
     (tmp_path / "arch.json").write_text(json.dumps(blob))
@@ -443,9 +473,45 @@ def test_depth_20_archive_stores_the_generator(tmp_path):
     r = _cli("build", "--config", cfg, "--out", str(arch))
     assert r.returncode == 0, r.stderr
     assert arch.stat().st_size <= 1 << 20
-    carriers = json.loads(arch.read_text())["carriers"]
-    assert "sets" not in carriers and carriers["sets_elided"] is True
+    assert '"sets' not in arch.read_text()  # neither "sets" nor "sets_elided"
     assert load_archive(arch) == build_model_from_config(model)
+
+
+@pytest.mark.parametrize("scheme,depth", [("greedy-gap", 1), ("greedy-gap", 8),
+                                          ("greedy-gap", 11), ("stratified", 8)])
+def test_builtin_archive_reloads_the_generator(tmp_path, scheme, depth):
+    model = build_model_from_config({**_MODEL_CFG, "depth": depth, "carriers": {"scheme": scheme}})
+    arch = tmp_path / "arch.json"
+    write_archive(model, arch)
+    assert '"sets' not in arch.read_text()
+    back = load_archive(arch)
+    assert back == model
+    assert back.carriers.scheme == scheme
+    assert verify_disjointness(back.carriers).mode == "structural"
+
+
+def test_older_archives_still_load(tmp_path):
+    """Archives written before carriers were stored only as generators."""
+    model = build_model_from_config({**_MODEL_CFG, "depth": 6})
+    old = archive_model(model)
+    old["config"]["carriers"]["params"] = {}
+    # a large built-in family: an elided carriers block, never read
+    old["carriers"] = {"depth": 6, "params": {}, "scheme": "greedy-gap", "sets_elided": True}
+    assert load_archive(_write_cfg(tmp_path, "elided.json", old)) == model
+    # a small one: its sets next to the scheme tag, loaded as an explicit family
+    fam = model.carriers
+    old["carriers"] = {"depth": 6, "params": {}, "scheme": "greedy-gap",
+                       "sets": {f"{n},{k}": fam.carrier(n, k).to_pairs() for n, k in fam.cells()}}
+    back = load_archive(_write_cfg(tmp_path, "sets.json", old))
+    assert back.carriers.scheme == "explicit"
+    assert all(back.carriers.carrier(*cell) == fam.carrier(*cell) for cell in fam.cells())
+
+
+def test_continuous_archive_is_its_config(tmp_path, cmodel9):
+    arch = tmp_path / "arch.json"
+    write_archive(cmodel9, arch)
+    assert set(json.loads(arch.read_text())) == {"kind", "config"}
+    assert load_archive(arch) == cmodel9
 
 
 def test_cli_continuous_campaign(tmp_path):
@@ -467,6 +533,12 @@ def test_cli_continuous_campaign(tmp_path):
     # kind mismatch: a pettis campaign on a continuous model
     r = _cli("verify", "lower-bound", "--config", cfg)
     assert r.returncode == 2
+    assert "config error: lower-bound campaign needs a pettis model" in r.stderr
+    # and the other way round, through the same table
+    with pytest.raises(ConfigError, match="continuous campaign needs a continuous model"):
+        campaigns.run(_small_model(6), CampaignConfig("continuous", samples=2))
+    with pytest.raises(ConfigError, match="not a verify campaign"):
+        campaigns.run(_small_model(6), CampaignConfig("psi-validate"))
 
 
 def test_cli_seed_and_samples_overrides(tmp_path):

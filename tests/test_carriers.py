@@ -207,13 +207,15 @@ def test_archive_depth_must_be_integer():
 def test_occupied_measure_below_one(scheme):
     for depth in (1, 3, 6):
         fam = allocate_carriers(depth, scheme)
-        occ = fam.occupied()
+        carriers = [fam.carrier(n, k) for n, k in fam.cells()]
+        occ = IntervalSet([part for c in carriers for part in c.parts])
         assert occ.measure < 1.0
         total = math.fsum(
             fam.carrier_measure(n, k) for n, k in fam.cells()
         )
         assert abs(total - occ.measure) < 1e-12  # disjointness makes these equal
-        assert fam.total_parts() == sum(len(fam.carrier(n, k)) for n, k in fam.cells())
+        # one part per level-a cell: 2^a parts at every level
+        assert sum(len(c) for c in carriers) == sum(1 << a for a, *_ in fam._slices)
         for n, k in fam.cells():
             assert fam.carrier_measure(n, k) == fam.carrier(n, k).measure
 
@@ -306,9 +308,6 @@ def test_stratified_depth_cap():
 
 
 def test_materialization_guards():
-    fam = allocate_carriers(24)
-    with pytest.raises(MaterializationLimitError):
-        fam.occupied()
     strat = allocate_carriers(26, STRATIFIED)
     with pytest.raises(MaterializationLimitError):
         strat.carrier(1, 1)
@@ -317,17 +316,28 @@ def test_materialization_guards():
 def test_serialization_round_trip_small():
     fam = allocate_carriers(4)
     blob = fam.to_json()
-    assert blob["scheme"] == GREEDY_GAP
+    assert blob == {"depth": 4, "scheme": GREEDY_GAP}
     back = CarrierFamily.from_json(blob)
+    assert back == fam
     for cell in fam.cells():
         assert back.carrier(*cell) == fam.carrier(*cell)
-    assert verify_disjointness(back).passed
+    assert verify_disjointness(back).mode == "structural"
+    # an explicit family ships its sets, and they come back verbatim
+    explicit = CarrierFamily.from_sets(4, {cell: fam.carrier(*cell) for cell in fam.cells()})
+    blob = explicit.to_json()
+    assert blob["scheme"] == "explicit" and len(blob["sets"]) == 2**5 - 2
+    back = CarrierFamily.from_json(blob)
+    assert back == explicit
+    assert verify_disjointness(back).mode == "full-sweep"
+    # sets next to a built-in scheme tag (old archives) load as explicit
+    back = CarrierFamily.from_json({**blob, "scheme": GREEDY_GAP})
+    assert back == explicit
 
 
 def test_serialization_elides_large_sets():
     fam = allocate_carriers(24)
     blob = fam.to_json()
-    assert blob.get("sets_elided") is True
+    assert "sets" not in blob and "sets_elided" not in blob
     back = CarrierFamily.from_json(blob)
-    assert back.scheme == GREEDY_GAP
+    assert back == fam
     assert back.carrier(5, 17) == fam.carrier(5, 17)

@@ -48,6 +48,12 @@ def test_build_guards():
         build_continuous_model(PsiSpec("power", exponent=0.25), K=0.5)
     with pytest.raises(ConfigError):
         build_continuous_model(PsiSpec("power", exponent=0.25), depth=1)
+    # p_3 = 3600: 2^p_depth is past the float range, which the walk and the
+    # Lipschitz bound need; building it used to succeed and verify to crash
+    with pytest.raises(ConfigError, match="p_depth < 1024"):
+        build_continuous_model(
+            PsiSpec("power", exponent=0.25), rule=SequenceRule("affine", a=1200.0), depth=3
+        )
 
 
 def test_eval_fn_endpoints_and_midpoint(cmodel9):
@@ -93,6 +99,21 @@ def test_eval_f_tail_is_geometric(cmodel9):
     # coefficients halve per level: the omitted sum is c_10 + c_11 + ... = 2 * c_10
     want = 2.0 * 2.0 ** (3 - 10)
     assert abs(tail - want) < 1e-12
+
+
+def test_tail_before_the_certificate_index():
+    # psi is 1 on [2^-10, 1], so u_m = psi(2^-m) is 1 up to m = 10 and halves
+    # after: the ratio certificate only starts at n0 = 10
+    spec = PsiSpec("custom-table", knots=((0.0, 0.0), (2.0**-10, 1.0), (1.0, 1.0)))
+    rule = SequenceRule("affine", a=1.0)
+    for depth in range(2, 16):
+        model = build_continuous_model(spec, K=1.0, rule=rule, depth=depth)
+        assert model.certificate.n0 == 10
+        # sum of c_n = 2 * u_(n-2) over n > depth, exact in binary floats
+        true_tail = 2.0 * (max(0, 12 - depth) + min(1.0, 2.0 ** (12 - depth)))
+        assert model.tail() == true_tail, depth
+        assert eval_f(model, 0.3)[1] == true_tail
+    assert build_continuous_model(spec, K=1.0, rule=rule, depth=5).tail() == 16.0
 
 
 def test_separation_pure_coordinate_pair(cmodel9):
@@ -161,7 +182,6 @@ def test_lipschitz_plus_tail_modulus(cmodel9):
         fb, _ = eval_f(cmodel9, t)
         d = fa.sub(fb).norm()
         assert d <= lip * abs(s - t) + tail2 + 1e-9
-        assert d <= cmodel9.modulus_bound(abs(s - t)) + 1e-9
 
 
 def test_truncation_is_exact_lower_bound(cmodel9):

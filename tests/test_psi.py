@@ -145,7 +145,7 @@ def test_coefficient_examples():
     assert abs(table.coefficient(1) - 2.0**2.5) < 1e-12
     assert abs(table.coefficient(2) - 2.0**1.75) < 1e-12
     assert table.coefficient(0) == 0.0
-    assert table.support() == tuple(range(1, 25))
+    assert table.levels == tuple(range(1, 25))
     assert {m for m in range(0, 30) if table.coefficient(m) != 0.0} == set(range(1, 25))
 
 
