@@ -108,23 +108,40 @@ class Report:
         return self.violations == 0
 
     def to_csv_text(self) -> str:
+        """CSV with one line per row, each value as ``_fmt`` writes it.
+
+        A row of floats, ints and bools is formatted by one ``%`` operation
+        with a format string built once per row-type signature (``%r`` of a
+        float is its repr, ``%d`` of a bool is 1 or 0); a row holding any
+        other type, None included, falls back to ``_fmt`` per value.
+        """
         lines = [",".join(self.columns)]
+        formats: dict[tuple[type, ...], str | None] = {}
         for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            # an exact-size key: tuple(map(...)) over-allocates, shrinks, and
+            # leaves up to 2,000 freed tuples (0.2 MB) on CPython's free list
+            sig = (*map(type, row),)
+            if sig not in formats:
+                codes = [_FORMAT_CODES.get(t) for t in sig]
+                formats[sig] = None if None in codes else ",".join(codes)
+            fmt = formats[sig]
+            lines.append(fmt % row if fmt is not None else ",".join(_fmt(v) for v in row))
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
+        """The report as strict JSON data: non-finite floats become the
+        strings "inf", "-inf" and "nan", the spelling CSV reports use."""
         return {
             "campaign": self.campaign,
             "columns": list(self.columns),
-            "rows": [list(r) for r in self.rows],
-            "summary": self.summary,
+            "rows": [[_json_value(v) for v in r] for r in self.rows],
+            "summary": _json_value(self.summary),
             "violations": self.violations,
             "pass": self.passed,
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
@@ -141,6 +158,10 @@ class Report:
         return out
 
 
+#: %-format code per row value type that writes exactly what ``_fmt`` does.
+_FORMAT_CODES = {float: "%r", int: "%d", bool: "%d"}
+
+
 def _fmt(v: object) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
@@ -149,6 +170,16 @@ def _fmt(v: object) -> str:
     if v is None:
         return ""
     return str(v)
+
+
+def _json_value(v: object) -> object:
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)  # "inf", "-inf" or "nan"
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,11 @@ def allocate_carriers(depth: int, scheme: str = GREEDY_GAP) -> CarrierFamily:
 # ---------------------------------------------------------------------------
 
 
+#: ``DisjointnessReport.mode`` of an explicit and of a built-in family.
+FULL_SWEEP = "full-sweep"
+STRUCTURAL = "structural"
+
+
 @dataclass(frozen=True)
 class DisjointnessReport:
     passed: bool
@@ -374,13 +379,13 @@ def verify_disjointness(family: CarrierFamily) -> DisjointnessReport:
     violations: list[tuple] = []
     if family.sets is not None:
         pairs, cells = _sweep_all(family, violations)
-        mode = "full-sweep"
+        mode = FULL_SWEEP
     else:
         _endpoint_check(family, violations)
         # the structural check relies on the level conditions (a nondecreasing)
         pairs = 0 if violations else _structural_check(family, violations)
         cells = (1 << (family.depth + 1)) - 2
-        mode = "structural"
+        mode = STRUCTURAL
     return DisjointnessReport(
         passed=not violations,
         violations=tuple(violations),

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import campaigns
 from .campaigns import Report
-from .carriers import verify_disjointness
+from .carriers import FULL_SWEEP, verify_disjointness
 from .config import (
     build_campaign_from_config,
     build_model_from_config,
@@ -113,13 +113,14 @@ def _run_build(args: argparse.Namespace) -> int:
         raise ConfigError("build config needs a 'model' object")
     model = build_model_from_config(model_cfg)
     if isinstance(model, PettisModel):
-        report = verify_disjointness(model.carriers)
-        if not report.passed:
-            raise ConfigError(f"disjointness violated: {report.violations[0]}")
-        print(
-            f"carriers ok: depth {model.depth}, scheme {model.carriers.scheme}, "
-            f"mode {report.mode}"
-        )
+        if model.carriers.sets is None:
+            report = verify_disjointness(model.carriers)
+            if not report.passed:
+                raise ConfigError(f"disjointness violated: {report.violations[0]}")
+            mode = report.mode
+        else:  # build_model_from_config swept the explicit sets before building on them
+            mode = FULL_SWEEP
+        print(f"carriers ok: depth {model.depth}, scheme {model.carriers.scheme}, mode {mode}")
     out = args.out or "model-archive.json"
     write_archive(model, out)
     print(f"archive written to {out}")

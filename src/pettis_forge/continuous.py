@@ -14,20 +14,27 @@ ratio certificate for sum psi(2^-p_n) makes the series and its tail bounds
 computable.
 
 One walk primitive, ``_walk``, gives the cell index k and the weight alpha
-from omega * 2^p_n; the per-level constants come from the cached
-``ContinuousModel.geometry``.  Levels are disjoint blocks, so a point of the
-truncated series is the union of its levels' coordinate pairs (``eval_f``
-returns it as one block vector), and ||f(s) - f(t)||^2 is the sum over
-levels of the squared coordinate differences.
+from omega * 2^p_n for ``eval_fn`` and ``eval_f``; the per-level constants
+come from the cached ``ContinuousModel.geometry``.  Levels are disjoint
+blocks, so a point of the truncated series is the union of its levels'
+coordinate pairs (``eval_f`` returns it as one block vector), and
+||f(s) - f(t)||^2 is the sum over levels of the squared coordinate
+differences.
 
-``check_pair`` is one pass over the levels: it puts the differences of the
-level's coordinates of s and t in a small per-level map and adds all the
-squares with one ``math.fsum``, building no block vector.  Its result is
-bit-identical to the norm of the block-vector difference f(s) - f(t):
-``fsum`` is exactly rounded, so the order of its terms does not matter;
-a + (-1.0 * b) equals a - b; and the zero coordinates a block vector drops
-add nothing to the sum.  The layout check it skips cannot fail: omega < 1
-and ``ldexp`` is exact, so k <= 2^p_n and k + 1 is within the block.
+``check_pair`` is one pass over the levels with the walk inlined, building
+no block vector.  At level n, s touches coordinates ks, ks + 1 with values
+c*a, c*(1 - a) and t touches kt, kt + 1 with values c*b, c*(1 - b).  When
+|ks - kt| >= 2 the four coordinates are distinct, so the level adds exactly
+the four squares (c*a)^2, (c*(1-a))^2, (c*b)^2, (c*(1-b))^2.  Only same or
+adjacent cells share a coordinate; those levels merge the differences by
+index in a small map first.  All squares go to one ``math.fsum``, and the
+result is bit-identical to the norm of the block-vector difference
+f(s) - f(t): ``fsum`` is exactly rounded, so the order of its terms does
+not matter; a + (-1.0 * b) equals a - b; 0.0 - x is exactly -x and
+(-x)^2 equals x^2, so a separated level's squares are the ones the
+difference has; and the zero coordinates a block vector drops add nothing
+to the sum.  The layout check it skips cannot fail: omega < 1 and
+``ldexp`` is exact, so k <= 2^p_n and k + 1 is within the block.
 
 For s, t at distance d with 2^-p_n < d <= 2^-p_(n-1), the points fall in
 non-adjacent cells of partition n + 1, so the four coordinates touched by
@@ -227,7 +234,13 @@ def separation_lower_bound(model: ContinuousModel, s: float, t: float) -> float:
 
 
 def check_pair(model: ContinuousModel, s: float, t: float) -> PairCheck:
-    """Separation check: exact truncated distance against the gauge target."""
+    """Separation check: exact truncated distance against the gauge target.
+
+    A level whose cells for s and t are at least two apart adds the four
+    squares of its coordinates in closed form; a level with the same or
+    adjacent cells merges the shared coordinate's difference first.  The
+    module docstring shows why both give the block-vector norm bit for bit.
+    """
     if s == t:
         raise ValueError("pair must be two distinct points")
     d = abs(s - t)
@@ -236,12 +249,21 @@ def check_pair(model: ContinuousModel, s: float, t: float) -> PairCheck:
     _check_point(t)
     squares: list[float] = []
     for _, c, p, _ in model.geometry:
-        ks, a = _walk(math.ldexp(s, p))
-        kt, b = _walk(math.ldexp(t, p))
-        diff = {ks: c * a, ks + 1: c * (1.0 - a)}  # c * (f_n(s) - f_n(t)) by index
-        diff[kt] = diff.get(kt, 0.0) - c * b
-        diff[kt + 1] = diff.get(kt + 1, 0.0) - c * (1.0 - b)
-        squares += [x * x for x in diff.values()]
+        # _walk inlined for s and t: alpha = k - omega * 2^p_n with k = floor + 1
+        xs = math.ldexp(s, p)
+        ks = math.floor(xs) + 1
+        a = ks - xs
+        xt = math.ldexp(t, p)
+        kt = math.floor(xt) + 1
+        b = kt - xt
+        if abs(ks - kt) >= 2:  # four distinct coordinates: square each value
+            ca, ca1, cb, cb1 = c * a, c * (1.0 - a), c * b, c * (1.0 - b)
+            squares += (ca * ca, ca1 * ca1, cb * cb, cb1 * cb1)
+        else:  # shared coordinates: merge c * (f_n(s) - f_n(t)) by index
+            diff = {ks: c * a, ks + 1: c * (1.0 - a)}
+            diff[kt] = diff.get(kt, 0.0) - c * b
+            diff[kt + 1] = diff.get(kt + 1, 0.0) - c * (1.0 - b)
+            squares += [x * x for x in diff.values()]
     lhs = math.sqrt(math.fsum(squares))
     rhs = eval_psi_total(model.psi, d)
     return PairCheck(holds=lhs >= rhs - 1e-12, lhs=lhs, rhs=rhs)

@@ -26,7 +26,8 @@ from pettis_forge import (
     run_psi_validate,
     verify_disjointness,
 )
-from pettis_forge import campaigns
+from pettis_forge import campaigns, cli
+from pettis_forge import config as config_module
 from pettis_forge.config import (
     archive_model,
     build_campaign_from_config,
@@ -168,6 +169,65 @@ def test_reports_are_reproducible(model12):
     assert a.to_json_text() == b.to_json_text()
     c = run_lower_bound_sweep(model12, CampaignConfig("lower-bound", samples=100, dyadic_level=4, seed=78))
     assert a.to_csv_text() != c.to_csv_text()
+
+
+#: A gauge whose growth terms overflow: its psi-validate report holds inf and nan.
+_STEEP_PSI = {"psi": {"family": "power", "exponent": 0.75}, "p": 1.0,
+              "rule": {"kind": "affine", "a": 40, "b": 0}}
+
+
+def _steep_psi_report():
+    return run_psi_validate(PsiSpec.from_json(_STEEP_PSI["psi"]), 1.0,
+                            SequenceRule.from_json(_STEEP_PSI["rule"]),
+                            CampaignConfig("psi-validate"))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_csv_renderer_matches_per_value_format(model12, cmodel9):
+    small = {
+        campaigns.LOWER_BOUND: CampaignConfig("lower-bound", samples=40, dyadic_level=3),
+        campaigns.PAIRING: CampaignConfig("pairing", samples=4, sets=3),
+        campaigns.BLOWUP: CampaignConfig("blowup", j_min=2, j_max=8),
+        campaigns.HALFPOWER: CampaignConfig("halfpower", samples=4, j_min=4, j_max=9),
+        campaigns.CONTINUOUS: CampaignConfig("continuous", samples=200),
+        campaigns.BOCHNER: CampaignConfig("bochner"),
+    }
+    assert set(small) == set(campaigns.VERIFY_CAMPAIGNS)
+    reports = [campaigns.run(cmodel9 if kind == campaigns.CONTINUOUS else model12, cfg)
+               for kind, cfg in small.items()]
+    reports.append(_steep_psi_report())
+    # one column mixes None and float, another float and bool
+    reports.append(campaigns.Report("synthetic", ("x", "y"),
+                                    [(1.5, None), (None, 2.5), (0.25, True), (-0.0, 3)], {}, 0))
+    seen = set()
+    for report in reports:
+        want = [",".join(report.columns)]
+        want += [",".join(campaigns._fmt(v) for v in row) for row in report.rows]
+        assert report.to_csv_text().split("\n") == want + [""], report.campaign
+        seen.update(type(v) for row in report.rows for v in row)
+        seen.update(repr(v) for row in report.rows for v in row if isinstance(v, float))
+    assert {type(None), bool, int, float, "inf", "nan", "-0.0"} <= seen
+
+
+def test_json_reports_are_strict(tmp_path, capsys):
+    # the steep gauge's psi-validate report, as the CLI writes it (exit 1: FAIL)
+    out = tmp_path / "steep.json"
+    cfg = _write_cfg(tmp_path, "steep-cfg.json", _STEEP_PSI)
+    assert cli.main(["psi", "validate", "--config", cfg, "--format", "json", "--out", str(out)]) == 1
+    blob = json.loads(out.read_text(), parse_constant=_reject_constant)
+    values = [v for row in blob["rows"] for v in row]
+    assert values.count("inf") == 24 and values.count("nan") == 22
+    csv_values = [v for line in _steep_psi_report().to_csv_text().splitlines() for v in line.split(",")]
+    assert csv_values.count("inf") == 24 and csv_values.count("nan") == 22
+    # non-finite floats in the summary too, at any depth
+    report = campaigns.Report("synthetic", ("x",), [(-math.inf,)],
+                              {"a": math.nan, "b": {"c": [math.inf, 1.0]}}, 0)
+    blob = json.loads(report.to_json_text(), parse_constant=_reject_constant)
+    assert blob["rows"] == [["-inf"]]
+    assert blob["summary"] == {"a": "nan", "b": {"c": ["inf", 1.0]}}
 
 
 def test_campaign_config_validation():
@@ -464,6 +524,28 @@ def test_cli_build_and_archive_paths(tmp_path):
     r = _cli("verify", "lower-bound", "--config", cfg2)
     assert r.returncode == 2
     assert "disjointness violated" in r.stderr
+
+
+def test_build_sweeps_carriers_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(family):
+        calls.append(family.scheme)
+        return verify_disjointness(family)
+
+    # config and cli each import the function by name
+    monkeypatch.setattr(config_module, "verify_disjointness", counting)
+    monkeypatch.setattr(cli, "verify_disjointness", counting)
+    fam = allocate_carriers(6)
+    explicit = CarrierFamily.from_sets(6, {cell: fam.carrier(*cell) for cell in fam.cells()})
+    for carriers, mode in (({"scheme": "greedy-gap"}, "structural"),
+                           (explicit.to_json(), "full-sweep")):
+        calls.clear()
+        cfg = _write_cfg(tmp_path, "build.json", {"model": {**_MODEL_CFG, "depth": 6,
+                                                            "carriers": carriers}})
+        assert cli.main(["build", "--config", cfg, "--out", str(tmp_path / "arch.json")]) == 0
+        assert len(calls) == 1, (mode, calls)
+        assert f"carriers ok: depth 6, scheme {calls[0]}, mode {mode}" in capsys.readouterr().out
 
 
 def test_depth_20_archive_stores_the_generator(tmp_path):

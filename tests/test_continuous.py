@@ -241,9 +241,19 @@ def test_block_vectors_built_per_point(cmodel9, monkeypatch):
 @given(s=_points, t=_points)
 @example(s=0.0, t=LAST)
 @example(s=LAST, t=0.0)
+# cells of width 2^-8 at the coarsest level (n = 2): same, adjacent, two apart
+@example(s=0.5 + 2.0**-10, t=0.5 + 2.0**-9)
+@example(s=0.5 - 2.0**-10, t=0.5 + 2.0**-10)
+@example(s=0.5 - 2.0**-10, t=0.5 + 2.0**-8 + 2.0**-10)
+# cells of width 2^-20 at a middle level (n = 5): same, adjacent, two apart
+@example(s=0.5 + 2.0**-22, t=0.5 + 2.0**-21)
+@example(s=0.5 - 2.0**-22, t=0.5 + 2.0**-22)
+@example(s=0.5 - 2.0**-22, t=0.5 + 2.0**-20 + 2.0**-22)
 def test_check_pair_is_the_block_vector_distance(cmodel9, s, t):
     # the block-vector route validates every coordinate against the layout,
-    # so this also shows that the pair kernel's walk stays inside each block
+    # so this also shows that the pair kernel's walk stays inside each block;
+    # the examples put s and t in the same, adjacent and separated cells, so
+    # both the merged and the four-square branch of a level are compared
     assume(abs(s - t) > cmodel9.separation_floor())
     want = eval_f(cmodel9, s)[0].sub(eval_f(cmodel9, t)[0]).norm()
     assert check_pair(cmodel9, s, t).lhs.hex() == want.hex()
