@@ -31,6 +31,7 @@ _LOWER = {"kind": "lower-bound", "samples": 2000, "dyadic_level": 8, "seed": 11}
 _RUNNERS = {
     campaigns.LOWER_BOUND: campaigns.run_lower_bound_sweep,
     campaigns.PAIRING: campaigns.run_pairing_check,
+    campaigns.BLOWUP: campaigns.run_blowup,
     campaigns.HALFPOWER: campaigns.run_halfpower_statistic,
     campaigns.BOCHNER: campaigns.run_bochner_divergence,
     campaigns.CONTINUOUS: campaigns.run_continuous_campaign,
@@ -63,6 +64,11 @@ GOLDEN = {
         {**_REF, "depth": 8, "carriers": {"scheme": "stratified"}},
         {"kind": "pairing", "samples": 30, "sets": 6, "seed": 13},
         "a507e55c6c1e3e1b64856c5f05f9fe1d98da44e46632e436dbffc7213b539e73",
+    ),
+    "blowup-ref24": (
+        _REF,
+        {"kind": "blowup"},
+        "a2395b7c6cdedad3e93cd9b6b3ca2320c847f2fce5af7bf00304dda19d60addc",
     ),
     "halfpower-ref24": (
         _REF,

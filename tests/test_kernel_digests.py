@@ -23,6 +23,17 @@ the tail) and ``eval_fn`` at a random level, which is sometimes outside
 the model.  Pairs are uniform, dyadic, pinned at 0.0 or at the float just
 below 1.0, or inside one cell or two adjacent cells of a random level, plus
 fixed error cases; an error is hashed by its class name.
+
+The ``carriers`` corpus runs the same families and interval sets through
+the carrier geometry itself: ``verify_disjointness`` (verdict, mode and
+violations, plus one corrupted explicit family), ``single_slice`` and
+``carrier_measure`` at every level, ``carrier`` at one random cell of every
+level, then per set, at a random level, ``overlap`` with each part at its
+end cells and their neighbours, ``share`` at those cells and the indices
+0 and 2^n + 1, ``locate`` at part ends and a random point, and
+``scalar_integral`` of a random functional.  Fixed error cases cover the
+index errors of every accessor, ``locate`` outside [0, 1) and the
+materialization guard.
 """
 
 import hashlib
@@ -42,9 +53,11 @@ from pettis_forge import (
     check_pair,
     eval_f,
     eval_fn,
+    scalar_integral,
     separation_lower_bound,
+    verify_disjointness,
 )
-from pettis_forge.errors import MaterializationLimitError
+from pettis_forge.errors import MaterializationLimitError, PettisForgeError
 from pettis_forge.pettis import bochner_level_masses, pettis_integral
 from pettis_forge.psi import PsiSpec
 
@@ -90,6 +103,7 @@ DIGESTS = {
     "stratified": "d791143c82a489da42b28fe12bf0acedacd976561cef56897fb425d46de901ef",
     "explicit": "353160d42988f7bbde15fdbd8bedd4e95d695a2868e82bfbfd883e2418dc50e7",
     "continuous": "18a7a80b1721b1447e669adcfa1a5001881f1ddb3cc3d98b77a22beea146898e",
+    "carriers": "b68efe77f2ec09c85e27a6a1c5aec1472e3786861fed2f91b35403fd1cbe1c3b",
 }
 
 
@@ -197,7 +211,7 @@ def _outcome(render, fn, *args):
     """``render(fn(*args))``, or the class name of the error it raised."""
     try:
         return render(fn(*args))
-    except ValueError as exc:
+    except (PettisForgeError, ValueError) as exc:
         return type(exc).__name__
 
 
@@ -217,8 +231,70 @@ def _continuous_lines():
                 yield _outcome(_coords, eval_fn, model, rng.randint(1, depth + 1), omega)
 
 
+def _pairs_hex(s):
+    return " ".join(f"{lo.hex()},{hi.hex()}" for lo, hi in s.to_pairs())
+
+
+def _carrier_lines():
+    for kind in ("greedy-gap", "stratified", "explicit"):
+        for scheme, depth in FAMILIES[kind]:
+            family = _family(kind, scheme, depth)
+            rng = random.Random(f"carriers-{kind}-{scheme}-{depth}")
+            yield from _carrier_family_lines(rng, family)
+    # a corrupted explicit family: A(1, 1) also covers A(2, 1)
+    family = _family("explicit", "stratified", 6)
+    sets = dict(family.sets)
+    sets[(1, 1)] = IntervalSet(sets[(1, 1)].parts + sets[(2, 1)].parts)
+    report = verify_disjointness(CarrierFamily.from_sets(6, sets))
+    yield f"{report.passed} {report.mode} {report.violations}"
+    yield _outcome(_pairs_hex, allocate_carriers(26, "stratified").carrier, 1, 1)
+
+
+def _carrier_family_lines(rng, family):
+    depth = family.depth
+    report = verify_disjointness(family)
+    yield f"{report.passed} {report.mode} {report.violations}"
+    for n in range(1, depth + 1):
+        piece = family.single_slice(n)
+        yield "None" if piece is None else " ".join(x.hex() for x in piece)
+        yield family.carrier_measure(n, 1).hex()
+        yield _pairs_hex(family.carrier(n, rng.randint(1, 1 << n)))
+    for n, k in ((0, 1), (depth + 1, 1), (1, 0), (1, 3)):
+        yield _outcome(float.hex, family.overlap, n, k, 0.0, 1.0)
+        yield _outcome(float.hex, family.share, n, k, IntervalSet.from_pairs([(0.0, 1.0)]))
+        yield _outcome(float.hex, family.carrier_measure, n, k)
+        yield _outcome(_pairs_hex, family.carrier, n, k)
+    yield _outcome(str, family.single_slice, 0)
+    yield _outcome(str, family.single_slice, depth + 1)
+    for omega in (1.0, -0.25, math.nan):
+        yield _outcome(str, family.locate, omega)
+    model = build_model(family, SPEC34, depth=depth)
+    for E in _corpus(rng, depth):
+        n = rng.randint(1, depth)
+        ks = _cells(rng, n, E)
+        yield " ".join(_outcome(float.hex, family.share, n, k, E) for k in ks)
+        for part in E.parts:
+            k = math.floor(math.ldexp(part.lo, n)) + 1
+            for j in sorted({k - 1, k, k + 1, math.ceil(math.ldexp(part.hi, n))}):
+                yield _outcome(float.hex, family.overlap, n, j, part.lo, part.hi)
+        points = [p.lo for p in E.parts[:2]] + [E.parts[-1].hi, rng.random()]
+        yield " ".join(str(family.locate(w)) for w in points if w < 1.0)
+        coeffs = {}
+        for _ in range(rng.randint(1, 8)):
+            m = rng.randint(1, depth)
+            coeffs[(m, rng.randint(1, 1 << m))] = rng.uniform(-1.0, 1.0)
+        for k in ks[1:-1]:
+            coeffs[(n, k)] = rng.uniform(-1.0, 1.0)
+        yield scalar_integral(model, Functional(model.layout, coeffs), E).hex()
+
+
 def kernel_digest(kind):
-    lines = _continuous_lines() if kind == "continuous" else _pettis_lines(kind)
+    if kind == "continuous":
+        lines = _continuous_lines()
+    elif kind == "carriers":
+        lines = _carrier_lines()
+    else:
+        lines = _pettis_lines(kind)
     digest = hashlib.sha256()
     for line in lines:
         digest.update(line.encode("ascii") + b"\n")
