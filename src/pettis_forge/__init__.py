@@ -40,7 +40,6 @@ from .intervals import (
 from .pettis import (
     IntegralEnclosure,
     PettisModel,
-    bochner_partial,
     build_model,
     evaluate_f,
     pettis_integral,
@@ -52,7 +51,6 @@ from .psi import (
     PsiSpec,
     SequenceRule,
     coefficients,
-    eval_psi,
     eval_psi_total,
     tail_bound,
     validate_growth,

@@ -48,12 +48,6 @@ class BlockLayout:
         """Blocks of dimension 2^n for n = 1..depth."""
         return cls(p, tuple((n, 1 << n) for n in range(1, depth + 1)))
 
-    def dim(self, level: int) -> int:
-        for n, d in self.dims:
-            if n == level:
-                return d
-        raise LayoutMismatchError(f"level {level} not in layout")
-
     def _validate(self, coeffs: Mapping[tuple[int, int], float]) -> None:
         table = dict(self.dims)
         for (n, k) in coeffs:
@@ -95,10 +89,6 @@ class BlockVector:
     def norm(self) -> float:
         return _pnorm(self.coeffs.values(), self.layout.p)
 
-    def project_block(self, level: int) -> "BlockVector":
-        kept = {nk: v for nk, v in self.coeffs.items() if nk[0] == level}
-        return BlockVector(self.layout, kept)
-
     def add(self, other: "BlockVector") -> "BlockVector":
         self._check_layout(other)
         out = dict(self.coeffs)
@@ -112,18 +102,9 @@ class BlockVector:
     def scale(self, t: float) -> "BlockVector":
         return BlockVector(self.layout, {nk: t * v for nk, v in self.coeffs.items()})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _check_layout(self, other: "BlockVector | Functional") -> None:
         if self.layout != other.layout:
             raise LayoutMismatchError("operands use different layouts")
-
-    def to_json(self) -> dict:
-        return {
-            "p": "inf" if math.isinf(self.layout.p) else self.layout.p,
-            "coeffs": {f"{n},{k}": v for (n, k), v in sorted(self.coeffs.items())},
-        }
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,9 @@ from .continuous import ContinuousModel, check_pair
 from .errors import ConfigError, DepthInsufficientError
 from .intervals import Interval, IntervalSet
 from .pettis import PettisModel, bochner_level_masses, pettis_integral, scalar_integral
-from .psi import GrowthReport, PsiSpec, SequenceRule, eval_psi_total, validate_growth
+from .psi import (
+    DEFAULT_RATIO_CAP, DEFAULT_TERM_COUNT, PsiSpec, SequenceRule, eval_psi_total, validate_growth,
+)
 
 LOWER_BOUND = "lower-bound"
 PAIRING = "pairing"
@@ -327,12 +329,11 @@ def run_blowup(model: PettisModel, cfg: CampaignConfig) -> Report:
                 skipped += 1
                 continue
             enc = pettis_integral(model, Interval(t, t + h))
-            value = enc.lower / h
-            bound = eval_psi_total(model.psi, h) / h
-            ok = enc.lower >= eval_psi_total(model.psi, h) - BOUND_SLACK
+            target = eval_psi_total(model.psi, h)
+            ok = enc.lower >= target - BOUND_SLACK
             if not ok:
                 violations += 1
-            rows.append((t, j, h, value, bound, ok))
+            rows.append((t, j, h, enc.lower / h, target / h, ok))
     summary = {
         "grid_points": len(rows),
         "skipped_out_of_domain": skipped,
@@ -469,11 +470,11 @@ def run_psi_validate(
     p: float,
     rule: SequenceRule,
     cfg: CampaignConfig,
-    n_max: int = 48,
-    r_max: float = 0.95,
+    n_max: int = DEFAULT_TERM_COUNT,
+    r_max: float = DEFAULT_RATIO_CAP,
 ) -> Report:
     """Growth certificate as a report; FAIL is a finding, not an error."""
-    report: GrowthReport = validate_growth(spec, p, rule, n_max=n_max, r_max=r_max)
+    report = validate_growth(spec, p, rule, n_max=n_max, r_max=r_max)
     columns = ("n", "p_n", "term", "ratio", "certified")
     rows: list[tuple] = []
     for i, term in enumerate(report.terms, start=1):

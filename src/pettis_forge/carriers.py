@@ -358,15 +358,6 @@ class DisjointnessReport:
     pairs_checked: int
     cells_checked: int
 
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "violations": [list(v) for v in self.violations],
-            "mode": self.mode,
-            "pairs_checked": self.pairs_checked,
-            "cells_checked": self.cells_checked,
-        }
-
 
 def verify_disjointness(family: CarrierFamily) -> DisjointnessReport:
     """Check pairwise disjointness, containment and positivity of a family.

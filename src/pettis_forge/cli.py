@@ -27,7 +27,9 @@ from .config import (
 )
 from .errors import ConfigError, PettisForgeError
 from .pettis import PettisModel
-from .psi import SequenceRule, PsiSpec, parse_exponent, parse_number
+from .psi import (
+    DEFAULT_RATIO_CAP, DEFAULT_TERM_COUNT, PsiSpec, SequenceRule, parse_exponent, parse_number,
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -71,14 +73,18 @@ def _campaign_config(obj: dict, kind: str, args: argparse.Namespace):
 
 
 def _emit(report: Report, cfg) -> int:
+    """Write the report to ``cfg.out``, or alone on stdout with the summary
+    lines on stderr, so that stdout parses as CSV or JSON."""
     text = report.render(cfg.format)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        summary = sys.stdout
     else:
         sys.stdout.write(text)
+        summary = sys.stderr
     for line in report.summary_lines():
-        print(line)
+        print(line, file=summary)
     return 0 if report.passed else 1
 
 
@@ -97,10 +103,10 @@ def _run_psi_validate(args: argparse.Namespace) -> int:
     spec = PsiSpec.from_json(psi_obj)
     rule = SequenceRule.from_json(rule_obj)
     p = parse_exponent(obj.get("p", spec.p))
-    n_max = obj.get("n_max", 48)
+    n_max = obj.get("n_max", DEFAULT_TERM_COUNT)
     if type(n_max) is not int:
         raise ConfigError(f"n_max must be an integer, got {n_max!r}")
-    r_max = parse_number(obj.get("r_max", 0.95), "r_max")
+    r_max = parse_number(obj.get("r_max", DEFAULT_RATIO_CAP), "r_max")
     cfg = _campaign_config(obj, campaigns.PSI_VALIDATE, args)
     report = campaigns.run_psi_validate(spec, p, rule, cfg, n_max=n_max, r_max=r_max)
     return _emit(report, cfg)

@@ -38,12 +38,6 @@ class Interval:
     def measure(self) -> float:
         return self.hi - self.lo
 
-    def is_empty(self) -> bool:
-        return self.hi <= self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x < self.hi
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.lo!r}, {self.hi!r})"
 
@@ -121,10 +115,6 @@ class IntervalSet:
     def from_pairs(cls, pairs: Iterable[Iterable[float]]) -> "IntervalSet":
         return cls(Interval(float(lo), float(hi)) for lo, hi in pairs)
 
-    @classmethod
-    def full(cls) -> "IntervalSet":
-        return cls((Interval(0.0, 1.0),))
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -162,9 +152,6 @@ class IntervalSet:
             else:
                 ib += 1
         return IntervalSet(out)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.parts + other.parts)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         out: list[Interval] = []

@@ -70,9 +70,6 @@ class PettisModel:
     depth: int
     _tails: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def levels(self) -> tuple[int, ...]:
-        return self.table.levels
-
     @cached_property
     def geometry(self) -> tuple[tuple[int, float, float, _Slice | None], ...]:
         """(level, c, c**p, slice) per realized level, built on first use.
@@ -367,11 +364,3 @@ def bochner_level_masses(model: PettisModel, E: IntervalSet | Interval) -> dict[
     return {
         n: c * (whole + math.fsum(ratios.values())) for n, (c, _, whole, ratios) in cover.items()
     }
-
-
-def bochner_partial(model: PettisModel, E: IntervalSet | Interval, N: int) -> float:
-    """Integral of ||f restricted to levels <= N|| over E; nondecreasing in N."""
-    if not (0 <= N <= model.depth):
-        raise SupportDepthError(f"partial-sum level {N} outside 0..{model.depth}")
-    masses = bochner_level_masses(model, E)
-    return math.fsum(v for n, v in masses.items() if n <= N)

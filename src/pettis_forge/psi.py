@@ -149,22 +149,10 @@ def parse_exponent(value: object) -> float:
     return p
 
 
-def eval_psi(spec: PsiSpec, s: float) -> float:
-    """Gauge value at s >= 0; log families only below their threshold."""
-    if s < 0.0:
-        raise PsiDomainError(f"gauge argument {s} is negative")
-    th = spec.threshold()
-    if th is not None and s >= th:
-        raise PsiDomainError(
-            f"{spec.family} formula is only monotone below {th:.6g}; got s={s:.6g}"
-        )
-    return _eval_formula(spec, s)
-
-
 def eval_psi_total(spec: PsiSpec, s: float) -> float:
-    """Total monotone extension: formula below the threshold, a continuous
-    sqrt(s) continuation at and above it.  Identical to eval_psi for the
-    power and custom-table families."""
+    """Gauge value at s >= 0 through the total monotone extension: the
+    formula below the threshold, a continuous sqrt(s) continuation at and
+    above it.  The power and custom-table families are their formula."""
     if s < 0.0:
         raise PsiDomainError(f"gauge argument {s} is negative")
     th = spec.threshold()
@@ -313,17 +301,6 @@ class GrowthReport:
         if not self.passed or self.ratio is None:
             raise GrowthConditionError("no ratio certificate available")
         return first_omitted / (1.0 - self.ratio)
-
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "p": _p_json(self.p),
-            "r_max": self.r_max,
-            "n_max": self.n_max,
-            "n0": self.n0,
-            "ratio": self.ratio,
-            "terms": list(self.terms),
-        }
 
 
 def growth_term(spec: PsiSpec, p: float, rule: SequenceRule, n: int) -> float:

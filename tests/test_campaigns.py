@@ -230,6 +230,16 @@ def test_json_reports_are_strict(tmp_path, capsys):
     assert blob["summary"] == {"a": "nan", "b": {"c": ["inf", 1.0]}}
 
 
+def test_report_alone_on_stdout_without_out(tmp_path, capsys):
+    # without --out the summary lines go to stderr, so stdout parses as JSON
+    cfg = _write_cfg(tmp_path, "steep-cfg.json", _STEEP_PSI)
+    assert cli.main(["psi", "validate", "--config", cfg, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == _steep_psi_report().to_json_text()
+    assert json.loads(captured.out, parse_constant=_reject_constant)["pass"] is False
+    assert captured.err.startswith("[FAIL] psi-validate: 48 rows, 1 violations\n")
+
+
 def test_campaign_config_validation():
     bad = [
         {"kind": "nope"},
@@ -482,7 +492,8 @@ def test_cli_psi_validate_exit_one(tmp_path):
     )
     r = _cli("psi", "validate", "--config", cfg)
     assert r.returncode == 1
-    assert "[FAIL] psi-validate" in r.stdout
+    assert r.stdout.startswith("n,p_n,term,ratio,certified\n")
+    assert "[FAIL] psi-validate" in r.stderr and "[FAIL]" not in r.stdout
     ok_cfg = _write_cfg(
         tmp_path,
         "psi_ok.json",

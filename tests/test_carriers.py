@@ -34,7 +34,7 @@ def simulate_greedy(depth: int) -> dict:
             length = best.measure
             chunk = IntervalSet.of(Interval(best.lo + length / 4, best.lo + 3 * length / 4))
             sets[(n, k)] = chunk
-            occupied = occupied.union(chunk)
+            occupied = IntervalSet(occupied.parts + chunk.parts)
     return sets
 
 
@@ -108,7 +108,7 @@ def test_disjointness_full_sweep(scheme, depth):
 def test_disjointness_catches_corruption():
     fam = allocate_carriers(2)
     sets = {cell: fam.carrier(*cell) for cell in fam.cells()}
-    sets[(1, 1)] = sets[(1, 1)].union(sets[(2, 1)])
+    sets[(1, 1)] = IntervalSet(sets[(1, 1)].parts + sets[(2, 1)].parts)
     bad = CarrierFamily.from_sets(2, sets)
     report = verify_disjointness(bad)
     assert not report.passed and report.mode == "full-sweep"

@@ -35,7 +35,7 @@ def test_build_and_schedule(cmodel9):
         assert abs(cmodel9.coefficient(n) - 2.0 ** (3 - n)) < 1e-12
     # block n holds 2^p_n + 1 coordinates: the walk's last step needs the extra one
     for n in range(2, 10):
-        assert cmodel9.layout.dim(n) == (1 << (4 * n)) + 1
+        assert dict(cmodel9.layout.dims)[n] == (1 << (4 * n)) + 1
 
 
 def test_build_guards():

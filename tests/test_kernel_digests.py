@@ -141,7 +141,7 @@ def _enclosure_lines(rng, model, E):
     N = rng.choice([None, rng.randint(first, depth)])
     enc = pettis_integral(model, E, truncate_at=N)
     yield f"{enc.N} {enc.lower.hex()} {enc.upper.hex()} {enc.tail.hex()} {enc.clamp_anomalies}"
-    for n in model.levels():
+    for n in model.table.levels:
         yield " ".join(f"{k}:{enc.coefficient(n, k).hex()}" for k in _cells(rng, n, E))
     coeffs = {}
     for _ in range(rng.randint(1, 8)):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pettis_forge import (
+    BlockVector,
     CarrierFamily,
     Functional,
     Interval,
@@ -16,7 +17,6 @@ from pettis_forge import (
     PsiSpec,
     SequenceRule,
     allocate_carriers,
-    bochner_partial,
     build_model,
     evaluate_f,
     eval_psi_total,
@@ -53,7 +53,7 @@ def test_build_model_guards():
 def test_build_model_sup_norm_regime():
     model = build_model(None, PsiSpec("power", exponent=0.25), p=math.inf,
                         rule=SequenceRule("affine", a=4.0), depth=12)
-    assert model.levels() == (4, 8, 12)
+    assert model.table.levels == (4, 8, 12)
     enc = pettis_integral(model, Interval(0.0, 1.0))
     # sup-norm block sum: the biggest single coefficient, plus a tail cap
     assert abs(enc.lower - model.table.coefficient(4)) < 1e-12
@@ -66,8 +66,8 @@ def test_evaluate_f_depth_one_examples():
     assert set(v.coeffs) == {(1, 1)}
     assert abs(v.coeffs[(1, 1)] - 2.0**2.5 / 0.25) < 1e-12
     assert abs(v.coeffs[(1, 1)] - 22.627416997969522) < 1e-9
-    assert evaluate_f(model, 0.5).is_zero()  # cell boundary, never allocated
-    assert evaluate_f(model, 0.99999).is_zero()
+    assert evaluate_f(model, 0.5) == BlockVector(model.layout)  # cell boundary, never allocated
+    assert evaluate_f(model, 0.99999) == BlockVector(model.layout)
 
 
 def test_evaluate_f_single_coordinate_everywhere():
@@ -94,7 +94,7 @@ def test_pettis_integral_empty_and_full():
     assert abs(full.lower - oracle) < 1e-9
     assert full.lower <= full.upper
     # indices just outside a level name no cell: their coordinate is 0
-    for n in model.levels():
+    for n in model.table.levels:
         assert full.coefficient(n, 1) == full.coefficient(n, 2**n) == model.table.coefficient(n)
         assert full.coefficient(n, 0) == full.coefficient(n, 2**n + 1) == 0.0
 
@@ -115,7 +115,7 @@ def test_enclosure_coefficients_in_range():
         E = _random_interval_set(rng)
         enc = pettis_integral(model, E)
         assert enc.clamp_anomalies == 0
-        for n in model.levels():
+        for n in model.table.levels:
             c = model.table.coefficient(n)
             for k in {1, 2, rng.randint(1, 1 << n), 1 << n}:
                 assert -1e-15 <= enc.coefficient(n, k) <= c * (1 + 1e-15)
@@ -159,7 +159,7 @@ def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
         vec = enc.to_block_vector().coeffs
         masses = bochner_level_masses(model, E)
         acc = 0.0
-        for n in model.levels():
+        for n in model.table.levels:
             c = model.table.coefficient(n)
             level_ratios = []
             for k in range(1, (1 << n) + 1):
@@ -174,7 +174,7 @@ def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
                 shared_cells += n == depth and len(met) >= 2
             mass = c * math.fsum(level_ratios)
             assert abs(masses.get(n, 0.0) - mass) < 1e-9 * (1 + mass), n
-        assert set(vec) <= {(n, k) for n in model.levels() for k in range(1, (1 << n) + 1)}
+        assert set(vec) <= {(n, k) for n in model.table.levels for k in range(1, (1 << n) + 1)}
         assert abs(enc.lower - math.sqrt(acc)) < 1e-9
     # two of the fixed sets put several parts into one deepest-level carrier
     assert shared_cells >= 2
@@ -206,7 +206,7 @@ def test_end_cells_match_overlap_bits(kind, depth):
         if hi <= lo:
             continue
         enc = pettis_integral(model, Interval(lo, hi))
-        for n in model.levels():
+        for n in model.table.levels:
             c = model.table.coefficient(n)
             for k in {math.floor(math.ldexp(lo, n)) + 1, math.ceil(math.ldexp(hi, n))}:
                 want = c * min(1.0, fam.overlap(n, k, lo, hi) / fam.carrier_measure(n, k))
@@ -370,15 +370,20 @@ def test_to_block_vector_round_trip_small():
     assert abs(v.coeffs[(6, 20)] - shared) < 1e-12
 
 
+def _strong_partial_sum(model, E, N):
+    """Integral over E of the norm of f restricted to levels <= N."""
+    return math.fsum(v for n, v in bochner_level_masses(model, E).items() if n <= N)
+
+
 def test_bochner_full_space_closed_form():
     model = build_model(None, SPEC34, depth=24)
     full = Interval(0.0, 1.0)
     for N in (1, 4, 12, 24):
         want = math.fsum(2.0 ** (13 / 4 + n / 4) for n in range(1, N + 1))
-        got = bochner_partial(model, full, N)
+        got = _strong_partial_sum(model, full, N)
         assert abs(got - want) <= 1e-9 * want
     # monotone nondecreasing in N
-    seq = [bochner_partial(model, full, N) for N in range(0, 25)]
+    seq = [_strong_partial_sum(model, full, N) for N in range(0, 25)]
     assert seq[0] == 0.0
     assert all(b >= a for a, b in zip(seq, seq[1:]))
 
@@ -390,7 +395,7 @@ def test_bochner_matches_explicit_at_small_depth():
     for _ in range(20):
         E = _random_interval_set(rng)
         masses = bochner_level_masses(model, E)
-        for n in model.levels():
+        for n in model.table.levels:
             c = model.table.coefficient(n)
             want = c * math.fsum(
                 fam.carrier(n, k).intersect(E).measure / fam.carrier(n, k).measure
@@ -399,11 +404,9 @@ def test_bochner_matches_explicit_at_small_depth():
             assert abs(masses.get(n, 0.0) - want) < 1e-9 * (1 + want)
 
 
-def test_bochner_empty_and_guard():
+def test_bochner_empty_set():
     model = build_model(None, SPEC34, depth=8)
-    assert bochner_partial(model, IntervalSet(), 8) == 0.0
-    with pytest.raises(SupportDepthError):
-        bochner_partial(model, Interval(0.0, 1.0), 9)
+    assert bochner_level_masses(model, IntervalSet()) == {}
 
 
 def test_stratified_backend_agrees_on_enclosures():

