@@ -403,13 +403,18 @@ def _sweep_all(family: CarrierFamily, violations: list[tuple]) -> tuple[int, int
         a = _check_cell(family, n, k, violations)
         cells += 1
         events.extend((p.lo, p.hi, n, k) for p in a.parts)
-    # sorted by lo, a part that starts inside another carrier's part overlaps it
+    # sorted by lo, a part that starts inside another carrier's part overlaps it;
+    # a carrier pair is reported once, however many of its parts overlap
     events.sort()
     prev_hi = -1.0
     prev_owner: tuple[int, int] | None = None
+    reported: set[frozenset] = set()
     for lo, hi, n, k in events:
         if prev_owner is not None and lo < prev_hi and (n, k) != prev_owner:
-            violations.append(("overlap", prev_owner, (n, k)))
+            pair = frozenset((prev_owner, (n, k)))
+            if pair not in reported:
+                reported.add(pair)
+                violations.append(("overlap", prev_owner, (n, k)))
         if hi > prev_hi:
             prev_hi, prev_owner = hi, (n, k)
     return len(events), cells

@@ -116,6 +116,16 @@ def test_disjointness_catches_corruption():
     assert {overlap[1], overlap[2]} == {(1, 1), (2, 1)}
 
 
+def test_disjointness_reports_each_overlapping_pair_once():
+    # A(2, 1) has 16 parts at depth 6, and every one of them overlaps A(1, 1)
+    fam = allocate_carriers(6, STRATIFIED)
+    sets = {cell: fam.carrier(*cell) for cell in fam.cells()}
+    assert len(sets[(2, 1)].parts) == 16
+    sets[(1, 1)] = IntervalSet(sets[(1, 1)].parts + sets[(2, 1)].parts)
+    report = verify_disjointness(CarrierFamily.from_sets(6, sets))
+    assert report.violations == (("overlap", (2, 1), (1, 1)),)
+
+
 def test_structural_mode_at_depth_24():
     report = verify_disjointness(allocate_carriers(24))
     assert report.passed and not report.violations

@@ -103,7 +103,7 @@ DIGESTS = {
     "stratified": "d791143c82a489da42b28fe12bf0acedacd976561cef56897fb425d46de901ef",
     "explicit": "353160d42988f7bbde15fdbd8bedd4e95d695a2868e82bfbfd883e2418dc50e7",
     "continuous": "18a7a80b1721b1447e669adcfa1a5001881f1ddb3cc3d98b77a22beea146898e",
-    "carriers": "b68efe77f2ec09c85e27a6a1c5aec1472e3786861fed2f91b35403fd1cbe1c3b",
+    "carriers": "8d28f49135fc8938f2e1ed5bf41ee73a21e660bac93341a2860c76f09dc4785f",
 }
 
 
