@@ -48,6 +48,14 @@ BOUND_SLACK = 1e-12
 #: Relative slack on the two-code-path pairing identity.
 PAIRING_SLACK = 1e-9
 
+#: Pairing samples: at most this many parts per interval set, and this many
+#: coordinates per functional.
+SET_PARTS_MAX = 4
+SUPPORT_MAX = 8
+
+#: Continuous campaign: the modulus table's scales delta = 2^-g.
+DELTA_LEVELS = (2, 3, 4, 5, 6, 7, 8)
+
 _RATE_LIMIT_NOTE = (
     "vanishing-rate limit not decidable from finite samples; median trend is informative only"
 )
@@ -66,9 +74,6 @@ class CampaignConfig:
     j_max: int = 20
     interval: tuple[float, float] = (0.25, 0.5)
     sets: int = 50
-    set_parts_max: int = 4
-    support_max: int = 8
-    delta_levels: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
     out: str | None = None
     format: str = "csv"
 
@@ -76,13 +81,10 @@ class CampaignConfig:
         if self.kind not in VERIFY_CAMPAIGNS and self.kind != PSI_VALIDATE:
             raise ConfigError(f"unknown campaign kind {self.kind!r}")
         # type(...) is int also turns away bool, which JSON true/false become.
-        for name in ("samples", "seed", "dyadic_level", "j_min", "j_max", "sets",
-                     "set_parts_max", "support_max"):
+        for name in ("samples", "seed", "dyadic_level", "j_min", "j_max", "sets"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not all(type(g) is int for g in self.delta_levels):
-            raise ConfigError(f"delta_levels must be integers, got {list(self.delta_levels)}")
-        for name in ("samples", "sets", "set_parts_max", "support_max"):
+        for name in ("samples", "sets"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dyadic_level < 0:
@@ -189,16 +191,16 @@ def _json_value(v: object) -> object:
 # ---------------------------------------------------------------------------
 
 
-def _random_interval_set(rng: random.Random, parts_max: int) -> IntervalSet:
-    parts = rng.randint(1, parts_max)
+def _random_interval_set(rng: random.Random) -> IntervalSet:
+    parts = rng.randint(1, SET_PARTS_MAX)
     points = sorted(rng.random() for _ in range(2 * parts))
     return IntervalSet.of(
         *(Interval(points[2 * i], points[2 * i + 1]) for i in range(parts))
     )
 
 
-def _random_functional(rng: random.Random, model: PettisModel, support_max: int) -> Functional:
-    size = rng.randint(1, support_max)
+def _random_functional(rng: random.Random, model: PettisModel) -> Functional:
+    size = rng.randint(1, SUPPORT_MAX)
     coeffs: dict[tuple[int, int], float] = {}
     for _ in range(size):
         n = rng.randint(1, model.depth)
@@ -284,8 +286,8 @@ def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
     reads, so the two code paths share only the interval data itself.
     """
     rng = random.Random(cfg.seed)
-    functionals = [_random_functional(rng, model, cfg.support_max) for _ in range(cfg.samples)]
-    interval_sets = [_random_interval_set(rng, cfg.set_parts_max) for _ in range(cfg.sets)]
+    functionals = [_random_functional(rng, model) for _ in range(cfg.samples)]
+    interval_sets = [_random_interval_set(rng) for _ in range(cfg.sets)]
     enclosures = [pettis_integral(model, E) for E in interval_sets]
     columns = ("idx", "functional_norm", "lhs", "rhs", "abs_err", "tol", "pass")
     rows: list[tuple] = []
@@ -407,7 +409,7 @@ def run_continuous_campaign(model: ContinuousModel, cfg: CampaignConfig) -> Repo
         rows.append((s, t, d, pc.lhs, pc.rhs, pc.holds, mod, mod_ok))
         accepted += 1
     delta_table = {}
-    for g in cfg.delta_levels:
+    for g in DELTA_LEVELS:
         delta = math.ldexp(1.0, -g)
         close = [lhs for d, lhs in observed if d <= delta]
         delta_table[str(g)] = {

@@ -49,12 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping
 
-from .errors import (
-    AllocationExhaustedError,
-    CarrierIndexError,
-    ConfigError,
-    MaterializationLimitError,
-)
+from .errors import CarrierIndexError, ConfigError, MaterializationLimitError
 from .intervals import Interval, IntervalSet
 
 GREEDY_GAP = "greedy-gap"
@@ -65,9 +60,6 @@ _SCHEMES = (GREEDY_GAP, STRATIFIED, EXPLICIT)
 
 MAX_DEPTH = 40
 MAX_STRATIFIED_DEPTH = 26
-
-#: Shortest component length allowed before middle-half extraction.
-POSITIVITY_FLOOR = math.ldexp(1.0, -80)
 
 #: Materialization guard for carrier().
 PART_LIMIT = 1 << 21
@@ -320,9 +312,11 @@ def _parse_sets(raw: object, depth: int) -> dict[tuple[int, int], IntervalSet]:
 def allocate_carriers(depth: int, scheme: str = GREEDY_GAP) -> CarrierFamily:
     """Deterministic family for the requested depth and scheme.
 
-    Both built-in schemes allocate in closed form; the positivity floor is
-    checked once per level (shortest component is 2^-(depth+2) for
-    greedy-gap, 2^-2n for stratified, both far above 2^-80 at depth 40).
+    Both built-in schemes allocate in closed form, so nothing is computed
+    here.  Their smallest carrier measures, 2^-(depth+2) for greedy-gap and
+    2^-2n at level n for stratified, are exact floats at every supported
+    depth, and ``verify_disjointness`` proves 0 < rl < rh at every level
+    in exact arithmetic.
     """
     if not isinstance(depth, int) or depth < 1:
         raise ConfigError(f"carrier depth must be a positive integer, got {depth!r}")
@@ -331,13 +325,7 @@ def allocate_carriers(depth: int, scheme: str = GREEDY_GAP) -> CarrierFamily:
     cap = MAX_STRATIFIED_DEPTH if scheme == STRATIFIED else MAX_DEPTH
     if depth > cap:
         raise ConfigError(f"scheme {scheme!r} supports depth <= {cap}, got {depth}")
-    family = CarrierFamily(depth=depth, scheme=scheme)
-    for n in range(1, depth + 1):
-        if family.carrier_measure(n, 1) < POSITIVITY_FLOOR:
-            raise AllocationExhaustedError(
-                f"level {n} component below positivity floor at depth {depth}"
-            )
-    return family
+    return CarrierFamily(depth=depth, scheme=scheme)
 
 
 # ---------------------------------------------------------------------------

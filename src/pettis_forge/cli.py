@@ -22,14 +22,13 @@ from .carriers import FULL_SWEEP, verify_disjointness
 from .config import (
     build_campaign_from_config,
     build_model_from_config,
+    gauge_from_config,
     load_json,
     write_archive,
 )
 from .errors import ConfigError, PettisForgeError
 from .pettis import PettisModel
-from .psi import (
-    DEFAULT_RATIO_CAP, DEFAULT_TERM_COUNT, PsiSpec, SequenceRule, parse_exponent, parse_number,
-)
+from .psi import DEFAULT_RATIO_CAP, DEFAULT_TERM_COUNT, parse_number
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -93,16 +92,9 @@ def _run_psi_validate(args: argparse.Namespace) -> int:
     model = obj.get("model") or {}
     if not isinstance(model, dict):
         raise ConfigError(f"psi validate model must be an object, got {model!r}")
-    psi_obj = obj.get("psi") or model.get("psi")
-    if psi_obj is None:
-        raise ConfigError("psi validate config needs a 'psi' object")
-    rule_obj = obj.get("rule", model.get("rule", {"kind": "affine"}))
-    for key, value in (("psi", psi_obj), ("rule", rule_obj)):
-        if not isinstance(value, dict):
-            raise ConfigError(f"psi validate {key} must be an object, got {value!r}")
-    spec = PsiSpec.from_json(psi_obj)
-    rule = SequenceRule.from_json(rule_obj)
-    p = parse_exponent(obj.get("p", spec.p))
+    # top-level psi, rule and p override the model's; p is the one the model builds with
+    given = {key: obj[key] for key in ("psi", "rule", "p") if key in obj}
+    spec, rule, p = gauge_from_config({**model, **given})
     n_max = obj.get("n_max", DEFAULT_TERM_COUNT)
     if type(n_max) is not int:
         raise ConfigError(f"n_max must be an integer, got {n_max!r}")

@@ -5,7 +5,7 @@ Config schema:
     {
       "model": {
         "kind": "pettis" | "continuous",        # default "pettis"
-        "psi": {"family": ..., "exponent"|"epsilon"|..., "p": ...},
+        "psi": {"family": ..., "exponent"|"epsilon"|...},
         "K": 1.0,
         "p": 2.0 | "inf",
         "rule": {"kind": "affine", "a": 1, "b": 0} | {"kind": "list", "list": [...]},
@@ -71,18 +71,32 @@ def _require_sound(family: CarrierFamily) -> None:
         raise ConfigError(f"disjointness violated: {first}")
 
 
+def gauge_from_config(obj: Mapping) -> tuple[PsiSpec, SequenceRule, float]:
+    """The gauge, level rule and norm exponent p of a model object.
+
+    p is a model setting (default 2).  Older configs and archives also
+    carry a gauge "p"; it is validated, and read only when the model has
+    no "p".
+    """
+    for key in ("psi", "rule"):
+        if key in obj and not isinstance(obj[key], Mapping):
+            raise ConfigError(f"model {key} must be an object, got {obj[key]!r}")
+    if "psi" not in obj:
+        raise ConfigError("model config missing 'psi'")
+    p = parse_exponent(obj["psi"].get("p", 2.0))
+    if "p" in obj:
+        p = parse_exponent(obj["p"])
+    rule = SequenceRule.from_json(obj.get("rule", {"kind": "affine"}))
+    return PsiSpec.from_json(obj["psi"]), rule, p
+
+
 def build_model_from_config(obj: Mapping) -> PettisModel | ContinuousModel:
     if "archive" in obj:
         return load_archive(obj["archive"])
     kind = str(obj.get("kind", "pettis"))
-    for key in ("psi", "rule", "carriers"):
-        if key in obj and not isinstance(obj[key], Mapping):
-            raise ConfigError(f"model {key} must be an object, got {obj[key]!r}")
-    try:
-        psi = PsiSpec.from_json(obj["psi"])
-    except KeyError as exc:
-        raise ConfigError(f"model config missing {exc}") from exc
-    rule = SequenceRule.from_json(obj.get("rule", {"kind": "affine"}))
+    if "carriers" in obj and not isinstance(obj["carriers"], Mapping):
+        raise ConfigError(f"model carriers must be an object, got {obj['carriers']!r}")
+    psi, rule, p = gauge_from_config(obj)
     K = parse_number(obj.get("K", 1.0), "K")
     depth = obj.get("depth", 24)
     if type(depth) is not int:
@@ -91,7 +105,6 @@ def build_model_from_config(obj: Mapping) -> PettisModel | ContinuousModel:
         return build_continuous_model(psi, K=K, rule=rule, depth=depth)
     if kind != "pettis":
         raise ConfigError(f"unknown model kind {kind!r}")
-    p = parse_exponent(obj.get("p", psi.p))
     carriers = build_carriers_from_config(obj.get("carriers"), depth)
     return build_model(carriers, psi, K=K, p=p, rule=rule, depth=depth)
 
@@ -106,11 +119,10 @@ def build_campaign_from_config(obj: Mapping, kind: str | None = None) -> Campaig
     unknown = set(obj) - known
     if unknown:
         raise ConfigError(f"unknown campaign fields: {sorted(unknown)}")
-    for key in ("t_grid", "delta_levels"):
-        if key in obj:
-            if not isinstance(obj[key], (list, tuple)):
-                raise ConfigError(f"campaign {key} must be a list, got {obj[key]!r}")
-            obj[key] = tuple(obj[key])
+    if "t_grid" in obj:
+        if not isinstance(obj["t_grid"], (list, tuple)):
+            raise ConfigError(f"campaign t_grid must be a list, got {obj['t_grid']!r}")
+        obj["t_grid"] = tuple(obj["t_grid"])
     if "interval" in obj:
         iv = obj["interval"]
         if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
@@ -190,6 +202,7 @@ def _check_table(model: PettisModel, table_obj: Mapping, path: str | Path) -> No
 
 __all__ = [
     "load_json",
+    "gauge_from_config",
     "build_model_from_config",
     "build_campaign_from_config",
     "build_carriers_from_config",

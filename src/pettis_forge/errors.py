@@ -17,10 +17,6 @@ class DegenerateIntervalError(PettisForgeError, ValueError):
     """An operation needed an interval of positive measure."""
 
 
-class AllocationExhaustedError(PettisForgeError, RuntimeError):
-    """A carrier cell's free region dropped below the positivity floor."""
-
-
 class CarrierIndexError(PettisForgeError, KeyError):
     """Carrier lookup outside the family's (level, index) range."""
 

@@ -109,15 +109,13 @@ def build_model(
     carriers: CarrierFamily | None,
     spec: PsiSpec,
     K: float = 1.0,
-    p: float | None = None,
+    p: float = 2.0,
     rule: SequenceRule | None = None,
     depth: int = 24,
 ) -> PettisModel:
     """Validated model; growth failure and depth mismatches are errors."""
     if rule is None:
         rule = SequenceRule("affine")
-    if p is None:
-        p = spec.p
     if carriers is None:
         carriers = allocate_carriers(depth)
     if carriers.depth != depth:

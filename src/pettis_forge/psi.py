@@ -46,13 +46,12 @@ MAX_TERM_COUNT = 64
 
 @dataclass(frozen=True)
 class PsiSpec:
-    """A gauge family with its parameters and default norm exponent."""
+    """A gauge family with its parameters."""
 
     family: str
     exponent: float | None = None  # power family: psi(s) = s^exponent
     epsilon: float | None = None  # log families: the 1 + epsilon power
     knots: tuple[tuple[float, float], ...] = ()  # custom-table
-    p: float = 2.0
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -74,8 +73,6 @@ class PsiSpec:
             for (s0, v0), (s1, v1) in zip(k, k[1:]):
                 if s1 <= s0 or v1 < v0:
                     raise ConfigError("custom-table knots must increase in s and not decrease in value")
-        if not (1.0 <= self.p):
-            raise ConfigError(f"norm exponent must be >= 1, got {self.p}")
 
     def threshold(self) -> float | None:
         if self.family == SQRT_LOG:
@@ -85,7 +82,7 @@ class PsiSpec:
         return None
 
     def to_json(self) -> dict:
-        out: dict = {"family": self.family, "p": _p_json(self.p)}
+        out: dict = {"family": self.family}
         if self.exponent is not None:
             out["exponent"] = self.exponent
         if self.epsilon is not None:
@@ -107,7 +104,6 @@ class PsiSpec:
                 exponent=obj.get("exponent"),
                 epsilon=obj.get("epsilon"),
                 knots=tuple((parse_number(s, "knot s"), parse_number(v, "knot value")) for s, v in knots),
-                p=parse_exponent(obj.get("p", 2.0)),
             )
         except KeyError as exc:
             raise ConfigError(f"gauge spec missing field {exc}") from exc
@@ -269,7 +265,7 @@ class SequenceRule:
             if type(b) is not int:
                 raise ConfigError(f"affine rule b must be an integer, got {b!r}")
             return cls("affine", a=parse_number(obj.get("a", 1.0), "affine rule a"), b=b)
-        values = obj.get("list", obj.get("values"))
+        values = obj.get("list")
         if not isinstance(values, Sequence) or not all(type(v) is int for v in values):
             raise ConfigError(f"list rule needs a 'list' array of integers, got {values!r}")
         return cls("list", values=tuple(values))
@@ -324,7 +320,7 @@ def _weighted(factor: float, p: float, rule: SequenceRule, n: int) -> float:
 
 def validate_growth(
     spec: PsiSpec,
-    p: float | None = None,
+    p: float = 2.0,
     rule: SequenceRule | None = None,
     n_max: int = DEFAULT_TERM_COUNT,
     r_max: float = DEFAULT_RATIO_CAP,
@@ -336,8 +332,6 @@ def validate_growth(
     """
     if rule is None:
         rule = SequenceRule("affine")
-    if p is None:
-        p = spec.p
     return _certify(lambda n: growth_term(spec, p, rule, n), p, rule, n_max, r_max)
 
 
@@ -429,7 +423,7 @@ class CoefficientTable:
 def coefficients(
     spec: PsiSpec,
     K: float = 1.0,
-    p: float | None = None,
+    p: float = 2.0,
     rule: SequenceRule | None = None,
     depth: int = 24,
     n_max: int | None = None,
@@ -446,8 +440,6 @@ def coefficients(
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
     if rule is None:
         rule = SequenceRule("affine")
-    if p is None:
-        p = spec.p
     levels = rule.levels_within(depth)
     if not levels:
         raise ConfigError(f"no sequence level within depth {depth}")

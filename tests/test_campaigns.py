@@ -245,8 +245,6 @@ def test_campaign_config_validation():
         {"kind": "nope"},
         {"kind": "blowup", "j_min": 9, "j_max": 4},
         {"kind": "pairing", "sets": 0},
-        {"kind": "pairing", "set_parts_max": 0},
-        {"kind": "pairing", "support_max": 0},
         {"kind": "blowup", "t_grid": (1.5,)},
         {"kind": "blowup", "t_grid": (0.0, 1.0)},
         {"kind": "blowup", "t_grid": (-0.25,)},
@@ -258,10 +256,6 @@ def test_campaign_config_validation():
         {"kind": "lower-bound", "seed": 1.0},
         {"kind": "blowup", "j_min": 4.0},
         {"kind": "blowup", "j_max": "20"},
-        {"kind": "pairing", "set_parts_max": False},
-        {"kind": "pairing", "support_max": 8.5},
-        {"kind": "continuous", "delta_levels": (2, 3.0)},
-        {"kind": "continuous", "delta_levels": (True,)},
         # a negative level would sweep no dyadic cell at all
         {"kind": "lower-bound", "dyadic_level": -2},
     ]
@@ -274,8 +268,10 @@ def test_campaign_config_validation():
         build_campaign_from_config({"kind": "blowup", "whatever": 1})
     with pytest.raises(ConfigError):
         build_campaign_from_config({"kind": "bochner", "interval": [0.1]})
-    with pytest.raises(ConfigError):
-        build_campaign_from_config({"kind": "continuous", "delta_levels": 3})
+    # the sample shapes and the modulus scales are constants, not settings
+    for key in ("set_parts_max", "support_max", "delta_levels"):
+        with pytest.raises(ConfigError, match="unknown campaign fields"):
+            build_campaign_from_config({"kind": "pairing", key: 4})
     cfg = build_campaign_from_config({"samples": 3}, kind="pairing")
     assert cfg.kind == "pairing" and cfg.samples == 3
 
@@ -419,11 +415,11 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
     # a field that would leave the sampler an empty range
     cfg = _write_cfg(
-        tmp_path, "empty.json", {"model": _MODEL_CFG, "campaign": {"samples": 2, "support_max": 0}}
+        tmp_path, "empty.json", {"model": _MODEL_CFG, "campaign": {"samples": 2, "sets": 0}}
     )
     r = _cli("verify", "pairing", "--config", cfg)
     assert r.returncode == 2
-    assert "config error: support_max must be >= 1" in r.stderr
+    assert "config error: sets must be >= 1" in r.stderr
     # non-integer counts, levels and depths are config errors, not crashes
     # or silently truncated runs
     for name, kind, model, campaign in (
@@ -598,6 +594,58 @@ def test_older_archives_still_load(tmp_path):
     back = load_archive(_write_cfg(tmp_path, "sets.json", old))
     assert back.carriers.scheme == "explicit"
     assert all(back.carriers.carrier(*cell) == fam.carrier(*cell) for cell in fam.cells())
+
+
+def test_archive_holds_p_once(tmp_path):
+    model = build_model_from_config({**_MODEL_CFG, "p": 3.0, "depth": 8})
+    arch = tmp_path / "arch.json"
+    write_archive(model, arch)
+    config = json.loads(arch.read_text())["config"]
+    assert config["p"] == 3.0 and "p" not in config["psi"]
+    assert load_archive(arch) == model
+
+
+#: A depth-3, p = 3 archive as written when the gauge still carried its own p.
+_GAUGE_P_ARCHIVE = {
+    "config": {"K": 1.0, "carriers": {"scheme": "greedy-gap"}, "depth": 3, "kind": "pettis",
+               "p": 3.0, "psi": {"exponent": 0.75, "family": "power", "p": 2.0},
+               "rule": {"a": 1.0, "b": 0, "kind": "affine"}},
+    "kind": "pettis",
+    "table": {"K": 1.0, "coeffs": {"1": 5.656854249492381, "2": 3.363585661014858, "3": 2.0},
+              "depth": 3, "levels": [1, 2, 3], "n0": 1, "p": 3.0, "ratio": 0.7491535384383411},
+}
+
+
+def test_gauge_p_archive_reloads_with_the_model_p(tmp_path):
+    back = load_archive(_write_cfg(tmp_path, "gauge-p.json", _GAUGE_P_ARCHIVE))
+    assert back.p == 3.0 and back.table.p == 3.0
+    assert back == build_model_from_config({**_MODEL_CFG, "p": 3.0, "depth": 3})
+
+
+def test_gauge_p_is_read_only_without_a_model_p():
+    gauge_only = {key: v for key, v in _MODEL_CFG.items() if key != "p"}
+    gauge_only["psi"] = {"family": "power", "exponent": 0.75, "p": 3}
+    assert build_model_from_config(gauge_only).p == 3.0
+    assert build_model_from_config({**gauge_only, "p": 2.0}).p == 2.0
+    # a gauge p is still validated, with or without a model p
+    for model in (gauge_only, {**gauge_only, "p": 2.0}):
+        with pytest.raises(ConfigError, match="norm exponent"):
+            build_model_from_config({**model, "psi": {**model["psi"], "p": True}})
+
+
+def test_psi_validate_reads_the_model_p(tmp_path, capsys):
+    # the steep gauge nested under "model": psi validate certifies the p the
+    # model is built with, so it fails where build fails
+    steep = {**_MODEL_CFG, **_STEEP_PSI, "depth": 40}
+    cfg = _write_cfg(tmp_path, "steep-model.json", {"model": steep})
+    assert cli.main(["psi", "validate", "--config", cfg]) == 1
+    assert "\n  p: 1.0\n" in capsys.readouterr().err
+    assert cli.main(["build", "--config", cfg, "--out", str(tmp_path / "steep-archive.json")]) == 2
+    assert "failed growth validation for p=1.0" in capsys.readouterr().err
+    # a top-level p overrides the model's
+    cfg = _write_cfg(tmp_path, "steep-p2.json", {"model": steep, "p": 2.0})
+    assert cli.main(["psi", "validate", "--config", cfg]) == 0
+    assert "\n  p: 2.0\n" in capsys.readouterr().err
 
 
 def test_continuous_archive_is_its_config(tmp_path, cmodel9):

@@ -4,8 +4,8 @@ Each case builds its model and campaign from a config mapping, the way the
 CLI does, runs the campaign and renders the JSON report (rows and summary).
 The SHA-256 of that text is pinned, so any change to an enclosure, a
 coefficient, a sampler or the float formatting shows up as a digest change.
-A psi-validate case reads its gauge, exponent and rule from the mapping as
-``pettis-forge psi validate`` does.
+A psi-validate case reads its gauge, exponent and rule from the mapping
+with ``gauge_from_config``, as ``pettis-forge psi validate`` does.
 """
 
 import hashlib
@@ -13,8 +13,11 @@ import hashlib
 import pytest
 
 from pettis_forge import campaigns
-from pettis_forge.config import build_campaign_from_config, build_model_from_config
-from pettis_forge.psi import PsiSpec, SequenceRule, parse_exponent
+from pettis_forge.config import (
+    build_campaign_from_config,
+    build_model_from_config,
+    gauge_from_config,
+)
 
 _REF = {
     "kind": "pettis",
@@ -97,9 +100,8 @@ GOLDEN = {
 def _report_sha256(model_cfg, campaign_cfg):
     cfg = build_campaign_from_config(campaign_cfg)
     if cfg.kind == campaigns.PSI_VALIDATE:
-        spec = PsiSpec.from_json(model_cfg["psi"])
-        rule = SequenceRule.from_json(model_cfg["rule"])
-        report = campaigns.run_psi_validate(spec, parse_exponent(model_cfg["p"]), rule, cfg)
+        spec, rule, p = gauge_from_config(model_cfg)
+        report = campaigns.run_psi_validate(spec, p, rule, cfg)
     else:
         report = _RUNNERS[cfg.kind](build_model_from_config(model_cfg), cfg)
     assert report.passed

@@ -201,9 +201,12 @@ def test_summability_certificate():
 
 def test_psi_spec_json_round_trip():
     for spec in (
-        PsiSpec("power", exponent=0.75, p=2.0),
-        PsiSpec("sqrt-log", epsilon=1.0, p=math.inf),
+        PsiSpec("power", exponent=0.75),
+        PsiSpec("sqrt-log", epsilon=1.0),
+        PsiSpec("custom-table", knots=((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))),
     ):
+        # p is a model setting, not part of the gauge
+        assert "p" not in spec.to_json()
         assert PsiSpec.from_json(spec.to_json()) == spec
     rule = SequenceRule("affine", a=4.0, b=1)
     assert SequenceRule.from_json(rule.to_json()) == rule
