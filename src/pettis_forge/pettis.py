@@ -27,9 +27,13 @@ and, for a level whose carriers are single slices of their cells (every
 greedy-gap level and the deepest stratified one), the cell width, the two
 slice offsets and the carrier measure.  The model is frozen, so they cannot
 go stale, and each is the float a fresh computation gives, so enclosures
-stay bit-identical.  On single-slice levels the kernel clips each end cell
-against its slice inline; multi-slice levels and explicit families ask the
-carriers for ``overlap`` and ``carrier_measure``.
+stay bit-identical.
+
+The enclosure kernel takes one part [lo, hi) at a time, in one pass over
+the levels: it counts the whole cells, clips the at most two end cells
+(inline on single-slice levels, through ``overlap`` elsewhere) and appends
+the level's norm term, bit for bit the per-level ``fsum`` over the cover.
+A set of several parts merges its parts' covers in part order.
 """
 
 from __future__ import annotations
@@ -231,67 +235,106 @@ def _as_interval_set(E: IntervalSet | Interval) -> IntervalSet:
     return E
 
 
-def _level_cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Cover, int]:
-    """The cover of E at the realized levels <= N, plus the total count of
-    clamp anomalies, in one pass over levels and parts.
+def _part_cover(
+    model: PettisModel, lo: float, hi: float, N: int
+) -> tuple[_Cover, list[float], int]:
+    """One part [lo, hi) in one pass over the realized levels <= N: its
+    cover, each covered level's norm term and the count of clamp anomalies.
 
-    A part [lo, hi) meets cells k_first..k_last of a level.  The cells
-    strictly between lie inside the part and count exactly 1, so they are
-    only counted; the end cells need overlap arithmetic: each part adds its
-    ratio, clamped to [0, 1], to its end cells, and each cell's sum is
-    capped at 1 (the ratios are nonnegative, so capping every partial sum
-    gives the same float).  A part meets its end cells with positive length,
-    so no other part of the (disjoint) set contains them: every part meeting
-    an end cell adds to it.  Scaling by 2^level is exact in binary floating
-    point, so the indices need no rounding guard.
+    At level n the part meets cells k1 = floor(lo * 2^n) + 1 through
+    k2 = ceil(hi * 2^n); scaling by 2^n is exact in binary floating point,
+    so the indices need no rounding guard.  The cells strictly between lie
+    inside the part and are only counted; the end cells k1 and k2 (one cell
+    when k1 == k2) get ratios r1 and r2, capped at 1.  On a single-slice
+    level the end cell's carrier is [base + a, base + b) with
+    base = (k - 1) * width exact, and the ratio is the clipped length divided
+    once by the level's measure; other levels ask the carriers.  No ratio
+    needs a clamp at 0: each is a clipped length (>= 0, inline or from
+    ``overlap``) divided by a positive carrier measure.
 
-    On a single-slice level the end cell's carrier is [base + a, base + b)
-    with base = (k - 1) * width exact, and the ratio is the clipped length
-    divided once by the level's measure.  Other levels ask the carriers.
+    The term cp * (whole + (r1**p + r2**p)), a missing cell's r being 0.0,
+    is the float cp * (whole + fsum(r**p over the nonzero ratios)): ``fsum``
+    of at most two floats is their correctly rounded sum, as is one float
+    addition, and adding 0.0 changes nothing.
     """
     floor, ceil, ldexp = math.floor, math.ceil, math.ldexp
     carriers = model.carriers
-    cover = {}
+    p = model.p
+    cover: _Cover = {}
+    terms = []
     anomalies = 0
     for level, c, cp, piece in model.geometry:
         if level > N:
             break
-        if piece is not None:
+        k1 = floor(ldexp(lo, level)) + 1
+        k2 = ceil(ldexp(hi, level))
+        r2 = 0.0
+        if piece is None:
+            r1 = carriers.overlap(level, k1, lo, hi) / carriers.carrier_measure(level, k1)
+            if k2 != k1:
+                r2 = carriers.overlap(level, k2, lo, hi) / carriers.carrier_measure(level, k2)
+        else:
             width, a, b, measure, cells = piece
-        whole = 0
-        ratios: dict[int, float] = {}
-        for part in parts:
-            lo, hi = part.lo, part.hi
-            k_first = floor(ldexp(lo, level)) + 1
-            k_last = ceil(ldexp(hi, level))
-            if k_last - k_first >= 2:
-                whole += k_last - k_first - 1
-            for k in (k_first,) if k_first == k_last else (k_first, k_last):
-                if piece is None:
-                    r = carriers.overlap(level, k, lo, hi) / carriers.carrier_measure(level, k)
-                else:
-                    if not 1 <= k <= cells:
-                        carriers._check_index(level, k)
-                    base = (k - 1) * width
-                    s_lo, s_hi = base + a, base + b
-                    s_lo = lo if lo > s_lo else s_lo
-                    s_hi = hi if hi < s_hi else s_hi
-                    r = (s_hi - s_lo) / measure if s_hi > s_lo else 0.0
-                if r > 1.0:
-                    anomalies += r > 1.0 + CLAMP_SLACK
-                    r = 1.0
-                elif r < 0.0:
-                    anomalies += r < -CLAMP_SLACK
-                    r = 0.0
-                if r:
-                    if k in ratios:
-                        r += ratios[k]
-                        if r > 1.0:
-                            r = 1.0
-                    ratios[k] = r
-        if whole or ratios:
+            if k1 < 1 or k2 > cells:
+                carriers._check_index(level, k1)
+                carriers._check_index(level, k2)
+            base = (k1 - 1) * width
+            s_lo, s_hi = base + a, base + b
+            s_lo = lo if lo > s_lo else s_lo
+            s_hi = hi if hi < s_hi else s_hi
+            r1 = (s_hi - s_lo) / measure if s_hi > s_lo else 0.0
+            if k2 != k1:
+                base = (k2 - 1) * width
+                s_lo, s_hi = base + a, base + b
+                s_lo = lo if lo > s_lo else s_lo
+                s_hi = hi if hi < s_hi else s_hi
+                r2 = (s_hi - s_lo) / measure if s_hi > s_lo else 0.0
+        if r1 > 1.0 or r2 > 1.0:
+            anomalies += (r1 > 1.0 + CLAMP_SLACK) + (r2 > 1.0 + CLAMP_SLACK)
+            r1, r2 = min(r1, 1.0), min(r2, 1.0)
+        whole = k2 - k1 - 1 if k2 - k1 >= 2 else 0
+        if whole or r1 or r2:
+            ratios = {k1: r1} if r1 else {}
+            if r2:
+                ratios[k2] = r2
             cover[level] = (c, cp, whole, ratios)
-    return cover, anomalies
+            terms.append(cp * (whole + (r1**p + r2**p)))
+    return cover, terms, anomalies
+
+
+def _level_cover(
+    model: PettisModel, parts: tuple[Interval, ...], N: int
+) -> tuple[_Cover, list[float], int]:
+    """The cover of E at the realized levels <= N, the norm term of each
+    covered level, and the total count of clamp anomalies.
+
+    One part is ``_part_cover``.  Several parts' covers merge level by level
+    in part order: whole counts add, and an end cell that several parts meet
+    (each meets it with positive length, and the set is disjoint, so no part
+    contains it whole) sums their nonnegative ratios, capped at 1 after each
+    addition.  A merged level can hold more than two ratios, so its term is
+    recomputed as cp * (whole + fsum(r**p over its ratios)).
+    """
+    if len(parts) == 1:
+        return _part_cover(model, parts[0].lo, parts[0].hi, N)
+    p = model.p
+    covers = [_part_cover(model, part.lo, part.hi, N) for part in parts]
+    merged: _Cover = {}
+    terms = []
+    for level, c, cp, _ in model.geometry:
+        if level > N:
+            break
+        whole, ratios = 0, {}
+        for cover, _, _ in covers:
+            entry = cover.get(level)
+            if entry:
+                whole += entry[2]
+                for k, r in entry[3].items():
+                    ratios[k] = min(r + ratios[k], 1.0) if k in ratios else r
+        if whole or ratios:
+            merged[level] = (c, cp, whole, ratios)
+            terms.append(cp * (whole + math.fsum([r**p for r in ratios.values()])))
+    return merged, terms, sum(count for _, _, count in covers)
 
 
 def pettis_integral(
@@ -307,7 +350,7 @@ def pettis_integral(
     if not (0 <= N <= model.depth):
         raise SupportDepthError(f"truncation level {N} outside 0..{model.depth}")
     Eset = _as_interval_set(E)
-    cover, anomalies = _level_cover(model, Eset.parts, N)
+    cover, terms, anomalies = _level_cover(model, Eset.parts, N)
     p = model.p
     tail = model.tail(N)
     if math.isinf(p):
@@ -318,10 +361,7 @@ def pettis_integral(
         )
         upper = max(lower, tail)
     else:
-        total = math.fsum(
-            cp * (whole + math.fsum(r**p for r in ratios.values()))
-            for _, cp, whole, ratios in cover.values()
-        )
+        total = math.fsum(terms)
         lower = total ** (1.0 / p)
         upper = (total + tail**p) ** (1.0 / p)
     return IntegralEnclosure(model, lower, upper, tail, anomalies, E=Eset, N=N, cover=cover)
@@ -358,7 +398,7 @@ def bochner_level_masses(model: PettisModel, E: IntervalSet | Interval) -> dict[
     Exact because carrier disjointness makes the pointwise norm single-
     coordinate.
     """
-    cover, _ = _level_cover(model, _as_interval_set(E).parts, model.depth)
+    cover = _level_cover(model, _as_interval_set(E).parts, model.depth)[0]
     return {
         n: c * (whole + math.fsum(ratios.values())) for n, (c, _, whole, ratios) in cover.items()
     }

@@ -2,7 +2,6 @@
 
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +16,7 @@ from pettis_forge import (
 from pettis_forge.carriers import GREEDY_GAP, STRATIFIED
 from pettis_forge.errors import CarrierIndexError, ConfigError, MaterializationLimitError
 from pettis_forge.intervals import Interval
-from pettis_forge.pettis import _level_cover
+from pettis_forge.pettis import _part_cover
 
 
 def simulate_greedy(depth: int) -> dict:
@@ -67,12 +66,12 @@ def test_carrier_index_errors():
             with pytest.raises(CarrierIndexError):
                 fam.single_slice(n)
         # A part reaching past [0, 1) names a cell outside 1..2^n at level 1,
-        # which the enclosure kernel rejects: inline on greedy-gap's
+        # which the per-part enclosure kernel rejects: inline on greedy-gap's
         # single-slice levels, through overlap on stratified's multi-slice one.
         model = build_model(fam, spec, depth=3)
         for lo, hi in ((-1 / 16, 0.5), (0.5, 1 + 1 / 16)):
             with pytest.raises(CarrierIndexError):
-                _level_cover(model, (SimpleNamespace(lo=lo, hi=hi),), 3)
+                _part_cover(model, lo, hi, 3)
 
 
 def test_zero_depth_rejected():

@@ -154,8 +154,10 @@ def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
     fam = model.carriers
     rng = random.Random(17)
     shared_cells = 0
+    wide_levels = 0
     for E in SHARED_END_CELLS + tuple(_random_interval_set(rng) for _ in range(40)):
         enc = pettis_integral(model, E)
+        wide_levels += sum(len(ratios) >= 3 for _, _, _, ratios in enc.cover.values())
         vec = enc.to_block_vector().coeffs
         masses = bochner_level_masses(model, E)
         acc = 0.0
@@ -178,6 +180,32 @@ def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
         assert abs(enc.lower - math.sqrt(acc)) < 1e-9
     # two of the fixed sets put several parts into one deepest-level carrier
     assert shared_cells >= 2
+    # merged levels with three or more end cells, whose norm term is the fsum
+    assert wide_levels >= 2
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("kind", ["greedy-gap", "stratified", "explicit"])
+def test_norm_terms_match_the_cover_sum(kind, p):
+    """The kernel computes each level's norm term as it clips; every term is
+    bit for bit cp * (whole + fsum(r**p over the level's end-cell ratios))
+    read back from the finished cover, and the bounds are those of the fsum
+    of the terms, for one-part sets (at most two ratios a level) and merged
+    ones."""
+    model = build_model(_family(kind, 8), SPEC34, p=p, depth=8)
+    rng = random.Random(41)
+    for E in SHARED_END_CELLS + tuple(_random_interval_set(rng, 4) for _ in range(300)):
+        N = rng.choice([8, rng.randint(1, 8)])
+        enc = pettis_integral(model, E, truncate_at=N)
+        want = [
+            cp * (whole + math.fsum(r**p for r in ratios.values()))
+            for _, cp, whole, ratios in enc.cover.values()
+        ]
+        cover, terms, _ = pettis_module._level_cover(model, E.parts, N)
+        assert cover == enc.cover and [t.hex() for t in terms] == [t.hex() for t in want], (E, N)
+        total = math.fsum(want)
+        assert enc.lower.hex() == (total ** (1.0 / p)).hex(), (E, N)
+        assert enc.upper.hex() == ((total + enc.tail**p) ** (1.0 / p)).hex(), (E, N)
 
 
 @pytest.mark.parametrize(
