@@ -32,6 +32,7 @@ from .intervals import Interval, IntervalSet
 from .pettis import PettisModel, bochner_level_masses, pettis_integral, scalar_integral
 from .psi import (
     DEFAULT_RATIO_CAP, DEFAULT_TERM_COUNT, PsiSpec, SequenceRule, eval_psi_total, validate_growth,
+    validate_summable,
 )
 
 LOWER_BOUND = "lower-bound"
@@ -474,9 +475,15 @@ def run_psi_validate(
     cfg: CampaignConfig,
     n_max: int = DEFAULT_TERM_COUNT,
     r_max: float = DEFAULT_RATIO_CAP,
+    continuous: bool = False,
 ) -> Report:
-    """Growth certificate as a report; FAIL is a finding, not an error."""
-    report = validate_growth(spec, p, rule, n_max=n_max, r_max=r_max)
+    """The certificate a model is built on, as a report: the growth
+    certificate at p for a pettis model, the summability certificate (the
+    p = inf series) for a continuous one.  FAIL is a finding, not an error."""
+    if continuous:
+        report = validate_summable(spec, rule, n_max=n_max, r_max=r_max)
+    else:
+        report = validate_growth(spec, p, rule, n_max=n_max, r_max=r_max)
     columns = ("n", "p_n", "term", "ratio", "certified")
     rows: list[tuple] = []
     for i, term in enumerate(report.terms, start=1):
@@ -490,7 +497,7 @@ def run_psi_validate(
         "ratio": report.ratio,
         "r_max": r_max,
         "n_max": report.n_max,
-        "p": "inf" if math.isinf(p) else p,
+        "p": "inf" if math.isinf(report.p) else report.p,
     }
     return Report(PSI_VALIDATE, columns, rows, summary, violations)
 

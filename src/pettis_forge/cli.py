@@ -95,12 +95,18 @@ def _run_psi_validate(args: argparse.Namespace) -> int:
     # top-level psi, rule and p override the model's; p is the one the model builds with
     given = {key: obj[key] for key in ("psi", "rule", "p") if key in obj}
     spec, rule, p = gauge_from_config({**model, **given})
+    # a continuous model is built on the summability certificate, not on growth at p
+    kind = str(model.get("kind", "pettis"))
+    if kind not in ("pettis", "continuous"):
+        raise ConfigError(f"unknown model kind {kind!r}")
     n_max = obj.get("n_max", DEFAULT_TERM_COUNT)
     if type(n_max) is not int:
         raise ConfigError(f"n_max must be an integer, got {n_max!r}")
     r_max = parse_number(obj.get("r_max", DEFAULT_RATIO_CAP), "r_max")
     cfg = _campaign_config(obj, campaigns.PSI_VALIDATE, args)
-    report = campaigns.run_psi_validate(spec, p, rule, cfg, n_max=n_max, r_max=r_max)
+    report = campaigns.run_psi_validate(
+        spec, p, rule, cfg, n_max=n_max, r_max=r_max, continuous=kind == "continuous"
+    )
     return _emit(report, cfg)
 
 

@@ -265,6 +265,8 @@ class SequenceRule:
             if type(b) is not int:
                 raise ConfigError(f"affine rule b must be an integer, got {b!r}")
             return cls("affine", a=parse_number(obj.get("a", 1.0), "affine rule a"), b=b)
+        if kind != "list":
+            raise ConfigError(f"unknown sequence rule kind {kind!r}")
         values = obj.get("list")
         if not isinstance(values, Sequence) or not all(type(v) is int for v in values):
             raise ConfigError(f"list rule needs a 'list' array of integers, got {values!r}")

@@ -648,6 +648,29 @@ def test_psi_validate_reads_the_model_p(tmp_path, capsys):
     assert "\n  p: 2.0\n" in capsys.readouterr().err
 
 
+def test_psi_validate_runs_the_continuous_certificate(tmp_path, capsys):
+    # a continuous model is built on the summability certificate (the p = inf
+    # series), so psi validate on its config agrees with build
+    ref9 = {"kind": "continuous", "psi": {"family": "power", "exponent": 0.25},
+            "K": 1.0, "rule": {"kind": "affine", "a": 4, "b": 0}, "depth": 9}
+    cfg = _write_cfg(tmp_path, "ref9.json", {"model": ref9})
+    assert cli.main(["psi", "validate", "--config", cfg]) == 0
+    assert "\n  p: inf\n" in capsys.readouterr().err
+    assert cli.main(["build", "--config", cfg, "--out", str(tmp_path / "ref9-archive.json")]) == 0
+    capsys.readouterr()
+    # a gauge too flat to sum along the rule fails both
+    flat = {**ref9, "psi": {"family": "power", "exponent": 0.05}, "rule": {"kind": "affine"}}
+    cfg = _write_cfg(tmp_path, "flat.json", {"model": flat})
+    assert cli.main(["psi", "validate", "--config", cfg]) == 1
+    assert "[FAIL] psi-validate" in capsys.readouterr().err
+    assert cli.main(["build", "--config", cfg, "--out", str(tmp_path / "flat-archive.json")]) == 2
+    assert "not certified summable" in capsys.readouterr().err
+    # a model kind that build rejects is a config error here too
+    cfg = _write_cfg(tmp_path, "odd.json", {"model": {**ref9, "kind": "odd"}})
+    assert cli.main(["psi", "validate", "--config", cfg]) == 2
+    assert "unknown model kind 'odd'" in capsys.readouterr().err
+
+
 def test_continuous_archive_is_its_config(tmp_path, cmodel9):
     arch = tmp_path / "arch.json"
     write_archive(cmodel9, arch)

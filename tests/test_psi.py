@@ -214,6 +214,16 @@ def test_psi_spec_json_round_trip():
     assert SequenceRule.from_json(lst.to_json()) == lst
 
 
+def test_sequence_rule_json_rejects_unknown_kinds():
+    # an unknown kind is named, whether or not a "list" array comes with it
+    for obj in ({"kind": "geometric", "list": [1, 2, 3]}, {"kind": "geometric"}):
+        with pytest.raises(ConfigError, match="unknown sequence rule kind 'geometric'"):
+            SequenceRule.from_json(obj)
+    # the two known kinds still load, and a rule without a kind is affine
+    assert SequenceRule.from_json({"kind": "list", "list": [1, 2]}).values == (1, 2)
+    assert SequenceRule.from_json({}) == SequenceRule("affine")
+
+
 @pytest.mark.parametrize(
     "validate",
     [
