@@ -34,6 +34,16 @@ end cells and their neighbours, ``share`` at those cells and the indices
 ``scalar_integral`` of a random functional.  Fixed error cases cover the
 index errors of every accessor, ``locate`` outside [0, 1) and the
 materialization guard.
+
+The ``one-part`` corpus runs one-part intervals only, where the kernel
+clips both end cells of a level itself and never merges covers, through
+``pettis_integral`` on every family above at p = 2, 3 and infinity (the
+greedy-gap depth-24 model at p = 2 is the reference lower-bound model):
+dyadic cells, uniform intervals, intervals with both ends on slice ends,
+and intervals from 0 or to 1.  Per interval it hashes lower, upper, tail
+and clamp anomalies, then ``coefficient`` at the two end cells of every
+realized level.  It holds enough intervals that a one-ulp change in a
+single level's norm term reaches some lower or upper bound.
 """
 
 import hashlib
@@ -58,6 +68,7 @@ from pettis_forge import (
     verify_disjointness,
 )
 from pettis_forge.errors import MaterializationLimitError, PettisForgeError
+from pettis_forge.intervals import Interval
 from pettis_forge.pettis import bochner_level_masses, pettis_integral
 from pettis_forge.psi import PsiSpec
 
@@ -104,6 +115,7 @@ DIGESTS = {
     "explicit": "353160d42988f7bbde15fdbd8bedd4e95d695a2868e82bfbfd883e2418dc50e7",
     "continuous": "18a7a80b1721b1447e669adcfa1a5001881f1ddb3cc3d98b77a22beea146898e",
     "carriers": "8d28f49135fc8938f2e1ed5bf41ee73a21e660bac93341a2860c76f09dc4785f",
+    "one-part": "5108abf936e632f11e9580be51e06565cdef9b66a4c053f2b3bc18e46a5fcd9a",
 }
 
 
@@ -176,6 +188,54 @@ def _pettis_lines(kind):
             model = build_model(family, SPEC34, p=p, depth=depth)
             for E in _corpus(rng, depth):
                 yield from _enclosure_lines(rng, model, E)
+
+
+def _one_part(rng, family, style):
+    depth = family.depth
+    if style == "dyadic":
+        m = rng.randint(0, depth + 3)
+        k = rng.randint(1, 1 << m)
+        return math.ldexp(k - 1, -m), math.ldexp(k, -m)
+    if style == "slice-ends":
+        ends = []
+        for _ in range(2):
+            n = rng.randint(1, depth)
+            part = rng.choice(family.carrier(n, rng.randint(1, 1 << n)).parts)
+            ends.append(rng.choice((part.lo, part.hi)))
+        return min(ends), max(ends)
+    if style == "from-zero":
+        return 0.0, rng.choice((1.0, rng.random()))
+    if style == "to-one":
+        return rng.random(), 1.0
+    return tuple(sorted((rng.random(), rng.random())))
+
+
+#: (style, count) of the one-part intervals drawn per model.
+ONE_PART_STYLES = (("dyadic", 40), ("uniform", 120), ("slice-ends", 80), ("from-zero", 10), ("to-one", 10))
+
+
+def _one_part_lines():
+    for kind in ("greedy-gap", "stratified", "explicit"):
+        for scheme, depth in FAMILIES[kind]:
+            family = _family(kind, scheme, depth)
+            for p in (2.0, 3.0, math.inf):
+                rng = random.Random(f"one-part-{kind}-{scheme}-{depth}-{p}")
+                model = build_model(family, SPEC34, p=p, depth=depth)
+                first = model.table.rule.term(model.table.n0)
+                for style, count in ONE_PART_STYLES:
+                    for _ in range(count):
+                        lo, hi = _one_part(rng, family, style)
+                        if hi <= lo:
+                            continue
+                        N = rng.choice([None, None, rng.randint(first, depth)])
+                        enc = pettis_integral(model, Interval(lo, hi), truncate_at=N)
+                        yield (f"{lo.hex()} {hi.hex()} {enc.N} {enc.lower.hex()} "
+                               f"{enc.upper.hex()} {enc.tail.hex()} {enc.clamp_anomalies}")
+                        yield " ".join(
+                            f"{enc.coefficient(n, k).hex()}"
+                            for n in model.table.levels
+                            for k in (math.floor(math.ldexp(lo, n)) + 1, math.ceil(math.ldexp(hi, n)))
+                        )
 
 
 def _pairs(rng, model):
@@ -293,6 +353,8 @@ def kernel_digest(kind):
         lines = _continuous_lines()
     elif kind == "carriers":
         lines = _carrier_lines()
+    elif kind == "one-part":
+        lines = _one_part_lines()
     else:
         lines = _pettis_lines(kind)
     digest = hashlib.sha256()
