@@ -90,6 +90,8 @@ class CampaignConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dyadic_level < 0:
             raise ConfigError(f"dyadic_level must be >= 0, got {self.dyadic_level}")
+        if not self.t_grid:
+            raise ConfigError("t_grid must hold at least one value")
         if not all(0.0 <= t < 1.0 for t in self.t_grid):
             raise ConfigError(f"t_grid values must lie in [0, 1), got {list(self.t_grid)}")
         if not (0 <= self.j_min < self.j_max <= 40):
@@ -337,6 +339,11 @@ def run_blowup(model: PettisModel, cfg: CampaignConfig) -> Report:
             if not ok:
                 violations += 1
             rows.append((t, j, h, enc.lower / h, target / h, ok))
+    if not rows:
+        raise ConfigError(
+            f"every blowup grid point has t + 2^-j > 1: t_grid {list(cfg.t_grid)}, "
+            f"j {cfg.j_min}..{cfg.j_max}"
+        )
     summary = {
         "grid_points": len(rows),
         "skipped_out_of_domain": skipped,

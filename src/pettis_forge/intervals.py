@@ -192,6 +192,9 @@ class IntervalSet:
 
 
 def _canonical(parts: Iterable[Interval]) -> tuple[Interval, ...]:
+    # One nonempty part is already canonical: ``IntervalSet.of(iv)`` skips the sort.
+    if type(parts) is tuple and len(parts) == 1 and parts[0].lo < parts[0].hi:
+        return parts
     nonempty = sorted((p for p in parts if p.hi > p.lo), key=lambda p: p.lo)
     merged: list[Interval] = []
     for p in nonempty:

@@ -21,19 +21,36 @@ beyond the depth carries the certified geometric bound from the coefficient
 table, so each integral comes with a sound [lower, upper] norm enclosure.
 Assertions downstream always use the lower side.
 
-Per-level constants and the tail bound of each truncation level are
-computed on first use and kept on the model: the coefficient c and c**p,
-and, for a level whose carriers are single slices of their cells (every
-greedy-gap level and the deepest stratified one), the cell width, the two
-slice offsets and the carrier measure.  The model is frozen, so they cannot
-go stale, and each is the float a fresh computation gives, so enclosures
-stay bit-identical.
+``PettisModel.geometry`` keeps one flat tuple per realized level, built on
+first use:
+
+    (level, c, c**p, 2^level, width, a, b, measure)
+
+where, on a level whose carriers are single slices of their cells (every
+greedy-gap level and the deepest stratified one), ``width`` is the cell
+width 2^-level, ``a`` and ``b`` the slice's offsets inside its cell and
+``measure`` the carrier measure; all four are None on multi-slice levels
+and explicit families.  The tail bound of each truncation level is kept on
+the model too.  The model is frozen, so none of this can go stale, and each
+value is the float a fresh computation gives, so enclosures stay
+bit-identical.
 
 The enclosure kernel takes one part [lo, hi) at a time, in one pass over
-the levels: it counts the whole cells, clips the at most two end cells
-(inline on single-slice levels, through ``overlap`` elsewhere) and appends
-the level's norm term, bit for bit the per-level ``fsum`` over the cover.
-A set of several parts merges its parts' covers in part order.
+the levels.  The end cells' indices come from floor(lo * 2^level) and
+ceil(hi * 2^level): multiplying by a power of two only moves the exponent,
+so the product is exact (as ``ldexp`` is) and the indices are those of the
+exact rationals.  An ``Interval`` lies in [0, 1) with lo < hi, which puts
+both indices in 1..2^level at every level, so one check of lo >= 0 and
+hi <= 1 per part replaces a check per level and cell.  The kernel counts the
+whole cells, clips the at most two end cells (inline on single-slice
+levels, through ``overlap`` elsewhere) and appends the level's norm term,
+bit for bit the per-level ``fsum`` over the cover.  It returns only the
+terms and the anomaly count; the cover, the per-level record of whole
+counts and end-cell ratios, is filled only when a dict is handed in.  An
+enclosure builds it on first read, except where the bounds needed it
+anyway: a set of several parts merges its parts' covers in part order, and
+p = infinity takes its lower bound from the largest coordinate, so those
+enclosures keep the cover they built.
 """
 
 from __future__ import annotations
@@ -56,8 +73,9 @@ from .psi import CoefficientTable, PsiSpec, SequenceRule, coefficients, tail_bou
 #: Ratios mu(E n A)/mu(A) beyond 1 by more than this are counted as anomalies.
 CLAMP_SLACK = 1e-12
 
-#: (cell width, slice lo offset, slice hi offset, carrier measure, cell count).
-_Slice = tuple[float, float, float, float, int]
+#: (level, c, c**p, 2^level, cell width, slice lo offset, slice hi offset,
+#: carrier measure); the last four are None unless the level is single-slice.
+_Level = tuple[int, float, float, float, float | None, float | None, float | None, float | None]
 
 
 @dataclass(frozen=True)
@@ -75,20 +93,20 @@ class PettisModel:
     _tails: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def geometry(self) -> tuple[tuple[int, float, float, _Slice | None], ...]:
-        """(level, c, c**p, slice) per realized level, built on first use.
+    def geometry(self) -> tuple[_Level, ...]:
+        """(level, c, c**p, 2^level, width, a, b, measure) per realized level.
 
-        ``slice`` is (cell width 2^-level, lo offset, hi offset, carrier
-        measure, 2^level) for a level whose carriers are single slices, and
-        None for multi-slice levels and explicit families.
+        Built on first use.  For a level whose carriers are single slices,
+        ``width`` is the cell width 2^-level, ``a`` and ``b`` the slice's lo
+        and hi offsets inside its cell and ``measure`` the carrier measure;
+        multi-slice levels and explicit families have None in all four.
         """
         out = []
         for m in self.table.levels:
             c = self.table.coefficient(m)
-            piece = self.carriers.single_slice(m)
-            if piece is not None:
-                piece = (math.ldexp(1.0, -m), *piece, 1 << m)
-            out.append((m, c, c**self.p, piece))
+            a, b, measure = self.carriers.single_slice(m) or (None, None, None)
+            width = None if a is None else math.ldexp(1.0, -m)
+            out.append((m, c, c**self.p, math.ldexp(1.0, m), width, a, b, measure))
         return tuple(out)
 
     def tail(self, N: int) -> float:
@@ -176,11 +194,20 @@ class IntegralEnclosure:
 
         lower <= true norm <= upper.
 
-    The truncated vector is kept as the kernel's per-level cover of ``E``:
-    per level, the number of cells lying wholly inside a part (coordinate
-    c each) and the ratios of the end cells.  ``coefficient``, ``apply`` and
+    The truncated vector is the kernel's per-level cover of ``E``: per
+    level, the number of cells lying wholly inside a part (coordinate c
+    each) and the ratios of the end cells.  ``coefficient``, ``apply`` and
     ``to_block_vector`` read the end cells from the cover and decide whole-
     cell membership from ``E.parts`` when a coordinate is read.
+
+    The bounds of a one-part set at finite p need only the norm terms, so
+    ``cover`` is built the first time it is read, by running the kernel
+    over ``E`` once more with a dict to fill; the kernel is deterministic,
+    so that is the cover the bounds came from.  A set of several parts, or
+    p = infinity, needs the cover for its bounds, and ``pettis_integral``
+    hands over the one it built.  The cover is derived data: it is left out
+    of equality and of the pickled state, so an enclosure pickles the same
+    before and after its cover is read.
     """
 
     model: PettisModel
@@ -190,7 +217,17 @@ class IntegralEnclosure:
     clamp_anomalies: int
     E: IntervalSet = field(repr=False)
     N: int
-    cover: _Cover = field(repr=False, compare=False)
+
+    @cached_property
+    def cover(self) -> _Cover:
+        cover: _Cover = {}
+        _level_cover(self.model, self.E.parts, self.N, cover)
+        return cover
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("cover", None)
+        return state
 
     def coefficient(self, n: int, k: int) -> float:
         if n not in self.cover:
@@ -236,48 +273,55 @@ def _as_interval_set(E: IntervalSet | Interval) -> IntervalSet:
 
 
 def _part_cover(
-    model: PettisModel, lo: float, hi: float, N: int
-) -> tuple[_Cover, list[float], int]:
-    """One part [lo, hi) in one pass over the realized levels <= N: its
-    cover, each covered level's norm term and the count of clamp anomalies.
+    model: PettisModel, lo: float, hi: float, N: int, cover: _Cover | None = None
+) -> tuple[list[float], int]:
+    """One part [lo, hi) in one pass over the realized levels <= N: the
+    norm term of each level the part meets and the count of clamp anomalies.
+    Given a dict, it also fills in the part's cover.
 
     At level n the part meets cells k1 = floor(lo * 2^n) + 1 through
-    k2 = ceil(hi * 2^n); scaling by 2^n is exact in binary floating point,
-    so the indices need no rounding guard.  The cells strictly between lie
-    inside the part and are only counted; the end cells k1 and k2 (one cell
-    when k1 == k2) get ratios r1 and r2, capped at 1.  On a single-slice
-    level the end cell's carrier is [base + a, base + b) with
-    base = (k - 1) * width exact, and the ratio is the clipped length divided
-    once by the level's measure; other levels ask the carriers.  No ratio
-    needs a clamp at 0: each is a clipped length (>= 0, inline or from
-    ``overlap``) divided by a positive carrier measure.
+    k2 = ceil(hi * 2^n).  ``geometry`` holds 2^n as a float, and multiplying
+    by a power of two changes only the exponent, so lo * 2^n is exact (the
+    same float ``ldexp`` gives) and the indices need no rounding guard.  A
+    part with 0 <= lo < hi <= 1 has 1 <= k1 <= k2 <= 2^n at every level, so
+    the cell indices are checked once per part: lo < 0 puts k1 below 1, and
+    hi > 1 puts k2 above 2^n, at every level, so the first realized level
+    raises the ``CarrierIndexError`` the per-cell checks would.
+
+    The cells strictly between k1 and k2 lie inside the part and are only
+    counted; the end cells k1 and k2 (one cell when k1 == k2) get ratios r1
+    and r2, capped at 1.  On a single-slice level the end cell's carrier is
+    [base + a, base + b) with base = (k - 1) * width exact, and the ratio is
+    the clipped length divided once by the level's measure; other levels ask
+    the carriers.  No ratio needs a clamp at 0: each is a clipped length
+    (>= 0, inline or from ``overlap``) divided by a positive carrier measure.
 
     The term cp * (whole + (r1**p + r2**p)), a missing cell's r being 0.0,
     is the float cp * (whole + fsum(r**p over the nonzero ratios)): ``fsum``
     of at most two floats is their correctly rounded sum, as is one float
     addition, and adding 0.0 changes nothing.
     """
-    floor, ceil, ldexp = math.floor, math.ceil, math.ldexp
+    floor, ceil = math.floor, math.ceil
     carriers = model.carriers
+    geometry = model.geometry
     p = model.p
-    cover: _Cover = {}
+    if (lo < 0.0 or hi > 1.0) and geometry and geometry[0][0] <= N:
+        level, scale = geometry[0][0], geometry[0][3]
+        carriers._check_index(level, floor(lo * scale) + 1)
+        carriers._check_index(level, ceil(hi * scale))
     terms = []
     anomalies = 0
-    for level, c, cp, piece in model.geometry:
+    for level, c, cp, scale, width, a, b, measure in geometry:
         if level > N:
             break
-        k1 = floor(ldexp(lo, level)) + 1
-        k2 = ceil(ldexp(hi, level))
+        k1 = floor(lo * scale) + 1
+        k2 = ceil(hi * scale)
         r2 = 0.0
-        if piece is None:
+        if width is None:
             r1 = carriers.overlap(level, k1, lo, hi) / carriers.carrier_measure(level, k1)
             if k2 != k1:
                 r2 = carriers.overlap(level, k2, lo, hi) / carriers.carrier_measure(level, k2)
         else:
-            width, a, b, measure, cells = piece
-            if k1 < 1 or k2 > cells:
-                carriers._check_index(level, k1)
-                carriers._check_index(level, k2)
             base = (k1 - 1) * width
             s_lo, s_hi = base + a, base + b
             s_lo = lo if lo > s_lo else s_lo
@@ -294,19 +338,20 @@ def _part_cover(
             r1, r2 = min(r1, 1.0), min(r2, 1.0)
         whole = k2 - k1 - 1 if k2 - k1 >= 2 else 0
         if whole or r1 or r2:
-            ratios = {k1: r1} if r1 else {}
-            if r2:
-                ratios[k2] = r2
-            cover[level] = (c, cp, whole, ratios)
             terms.append(cp * (whole + (r1**p + r2**p)))
-    return cover, terms, anomalies
+            if cover is not None:
+                ratios = {k1: r1} if r1 else {}
+                if r2:
+                    ratios[k2] = r2
+                cover[level] = (c, cp, whole, ratios)
+    return terms, anomalies
 
 
 def _level_cover(
-    model: PettisModel, parts: tuple[Interval, ...], N: int
-) -> tuple[_Cover, list[float], int]:
-    """The cover of E at the realized levels <= N, the norm term of each
-    covered level, and the total count of clamp anomalies.
+    model: PettisModel, parts: tuple[Interval, ...], N: int, cover: _Cover | None = None
+) -> tuple[list[float], int]:
+    """The norm term of each realized level <= N that E meets, and the
+    total count of clamp anomalies; given a dict, it also fills in E's cover.
 
     One part is ``_part_cover``.  Several parts' covers merge level by level
     in part order: whole counts add, and an end cell that several parts meet
@@ -316,25 +361,29 @@ def _level_cover(
     recomputed as cp * (whole + fsum(r**p over its ratios)).
     """
     if len(parts) == 1:
-        return _part_cover(model, parts[0].lo, parts[0].hi, N)
+        return _part_cover(model, parts[0].lo, parts[0].hi, N, cover)
     p = model.p
-    covers = [_part_cover(model, part.lo, part.hi, N) for part in parts]
-    merged: _Cover = {}
+    covers = []
+    anomalies = 0
+    for part in parts:
+        covers.append({})
+        anomalies += _part_cover(model, part.lo, part.hi, N, covers[-1])[1]
     terms = []
-    for level, c, cp, _ in model.geometry:
+    for level, c, cp, *_ in model.geometry:
         if level > N:
             break
         whole, ratios = 0, {}
-        for cover, _, _ in covers:
-            entry = cover.get(level)
+        for part_cover in covers:
+            entry = part_cover.get(level)
             if entry:
                 whole += entry[2]
                 for k, r in entry[3].items():
                     ratios[k] = min(r + ratios[k], 1.0) if k in ratios else r
         if whole or ratios:
-            merged[level] = (c, cp, whole, ratios)
             terms.append(cp * (whole + math.fsum([r**p for r in ratios.values()])))
-    return merged, terms, sum(count for _, _, count in covers)
+            if cover is not None:
+                cover[level] = (c, cp, whole, ratios)
+    return terms, anomalies
 
 
 def pettis_integral(
@@ -350,8 +399,11 @@ def pettis_integral(
     if not (0 <= N <= model.depth):
         raise SupportDepthError(f"truncation level {N} outside 0..{model.depth}")
     Eset = _as_interval_set(E)
-    cover, terms, anomalies = _level_cover(model, Eset.parts, N)
     p = model.p
+    # Merging several parts builds the cover anyway, and p = inf reads its
+    # bound from it; a one-part set at finite p leaves it to the first read.
+    cover = {} if len(Eset.parts) > 1 or math.isinf(p) else None
+    terms, anomalies = _level_cover(model, Eset.parts, N, cover)
     tail = model.tail(N)
     if math.isinf(p):
         lower = max(
@@ -364,7 +416,10 @@ def pettis_integral(
         total = math.fsum(terms)
         lower = total ** (1.0 / p)
         upper = (total + tail**p) ** (1.0 / p)
-    return IntegralEnclosure(model, lower, upper, tail, anomalies, E=Eset, N=N, cover=cover)
+    enc = IntegralEnclosure(model, lower, upper, tail, anomalies, E=Eset, N=N)
+    if cover is not None:
+        vars(enc)["cover"] = cover  # the cached value of the ``cover`` property
+    return enc
 
 
 def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval) -> float:
@@ -398,7 +453,8 @@ def bochner_level_masses(model: PettisModel, E: IntervalSet | Interval) -> dict[
     Exact because carrier disjointness makes the pointwise norm single-
     coordinate.
     """
-    cover = _level_cover(model, _as_interval_set(E).parts, model.depth)[0]
+    cover: _Cover = {}
+    _level_cover(model, _as_interval_set(E).parts, model.depth, cover)
     return {
         n: c * (whole + math.fsum(ratios.values())) for n, (c, _, whole, ratios) in cover.items()
     }

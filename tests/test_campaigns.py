@@ -248,6 +248,7 @@ def test_campaign_config_validation():
         {"kind": "blowup", "t_grid": (1.5,)},
         {"kind": "blowup", "t_grid": (0.0, 1.0)},
         {"kind": "blowup", "t_grid": (-0.25,)},
+        {"kind": "blowup", "t_grid": ()},
         # integer fields take ints only: no floats, bools or strings
         {"kind": "pairing", "sets": 1.5},
         {"kind": "lower-bound", "dyadic_level": 2.0},
@@ -420,6 +421,13 @@ def test_cli_exit_codes(tmp_path):
     r = _cli("verify", "pairing", "--config", cfg)
     assert r.returncode == 2
     assert "config error: sets must be >= 1" in r.stderr
+    # a blowup grid with no point, or with every point past 1, checks nothing
+    for grid, message in (([], "t_grid must hold"), ([0.9999999], "every blowup grid point")):
+        campaign = {"t_grid": grid, "j_min": 2, "j_max": 6}
+        cfg = _write_cfg(tmp_path, "grid.json", {"model": _MODEL_CFG, "campaign": campaign})
+        r = _cli("verify", "blowup", "--config", cfg)
+        assert r.returncode == 2, (grid, r.stderr)
+        assert f"config error: {message}" in r.stderr and "[PASS]" not in r.stderr
     # non-integer counts, levels and depths are config errors, not crashes
     # or silently truncated runs
     for name, kind, model, campaign in (

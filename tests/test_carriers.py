@@ -65,13 +65,16 @@ def test_carrier_index_errors():
         for n in (0, 4):
             with pytest.raises(CarrierIndexError):
                 fam.single_slice(n)
-        # A part reaching past [0, 1) names a cell outside 1..2^n at level 1,
-        # which the per-part enclosure kernel rejects: inline on greedy-gap's
-        # single-slice levels, through overlap on stratified's multi-slice one.
+        # A part reaching past [0, 1) names a cell outside 1..2^n at every
+        # level, which the per-part enclosure kernel rejects once per part,
+        # at the first realized level, whether or not it fills a cover.
         model = build_model(fam, spec, depth=3)
-        for lo, hi in ((-1 / 16, 0.5), (0.5, 1 + 1 / 16)):
-            with pytest.raises(CarrierIndexError):
-                _part_cover(model, lo, hi, 3)
+        for lo, hi, k in ((-1 / 16, 0.5, 0), (0.5, 1 + 1 / 16, 3)):
+            message = rf"index {k} outside 1\.\.2\^1 at level 1"
+            for cover in (None, {}):
+                with pytest.raises(CarrierIndexError, match=message):
+                    _part_cover(model, lo, hi, 3, cover)
+                assert not cover
 
 
 def test_zero_depth_rejected():

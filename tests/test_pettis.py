@@ -201,7 +201,8 @@ def test_norm_terms_match_the_cover_sum(kind, p):
             cp * (whole + math.fsum(r**p for r in ratios.values()))
             for _, cp, whole, ratios in enc.cover.values()
         ]
-        cover, terms, _ = pettis_module._level_cover(model, E.parts, N)
+        cover = {}
+        terms, _ = pettis_module._level_cover(model, E.parts, N, cover)
         assert cover == enc.cover and [t.hex() for t in terms] == [t.hex() for t in want], (E, N)
         total = math.fsum(want)
         assert enc.lower.hex() == (total ** (1.0 / p)).hex(), (E, N)
@@ -278,6 +279,57 @@ def test_interval_sets_explicit_families_and_enclosures_pickle():
         assert again.lower == enc.lower and again.cover == enc.cover
         restored = pickle.loads(pickle.dumps(enc))
         assert restored.lower == enc.lower and restored.cover == enc.cover
+
+
+@pytest.mark.parametrize("kind", ["greedy-gap", "stratified", "explicit"])
+def test_one_part_cover_is_built_when_first_read(kind):
+    """A one-part enclosure at finite p gets its bounds from the norm terms
+    alone; its cover is built on first read, is exactly the dict the kernel
+    fills, and does not change the pickled enclosure."""
+    model = build_model(_family(kind, 8), SPEC34, depth=8)
+    rng = random.Random(71)
+    uniform = [sorted((rng.random(), rng.random())) for _ in range(20)]
+    for lo, hi in [(0.0, 1.0), (0.25, 0.5), *uniform]:
+        N = rng.randint(1, 8)
+        enc = pettis_integral(model, Interval(lo, hi), truncate_at=N)
+        assert "cover" not in vars(enc)
+        before = pickle.dumps(enc)
+        want = {}
+        pettis_module._level_cover(model, enc.E.parts, N, want)
+        assert enc.cover == want and "cover" in vars(enc)
+        assert pickle.dumps(enc) == before
+        assert pickle.loads(before).cover == want
+
+
+def test_enclosures_that_need_the_cover_run_the_kernel_once_per_part(monkeypatch):
+    """Several parts merge their covers, and p = inf reads its bound from
+    the cover, so those enclosures keep the cover they built: reading it
+    runs no part through the kernel again.  A one-part enclosure at finite
+    p runs its part once for the bounds and once more on the first read."""
+    calls = []
+    part_cover = pettis_module._part_cover
+
+    def counting_part_cover(model, lo, hi, N, cover=None):
+        calls.append((lo, hi))
+        return part_cover(model, lo, hi, N, cover)
+
+    monkeypatch.setattr(pettis_module, "_part_cover", counting_part_cover)
+    finite = build_model(None, SPEC34, depth=10)
+    sup = build_model(None, SPEC34, p=math.inf, depth=10)
+    two = IntervalSet.of(Interval(0.1, 0.3), Interval(0.55, 0.8))
+    for model, E, runs, after_read in (
+        (finite, two, 2, 2),
+        (sup, two, 2, 2),
+        (sup, Interval(0.1, 0.3), 1, 1),
+        (finite, Interval(0.1, 0.3), 1, 2),
+    ):
+        calls.clear()
+        enc = pettis_integral(model, E)
+        assert len(calls) == runs
+        enc.coefficient(3, 2)
+        enc.apply(Functional(model.layout, {(3, 2): 1.0, (10, 300): -0.5}))
+        enc.to_block_vector()
+        assert len(calls) == after_read
 
 
 def test_pairing_identity_two_code_paths():
