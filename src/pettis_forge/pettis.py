@@ -35,22 +35,17 @@ the model too.  The model is frozen, so none of this can go stale, and each
 value is the float a fresh computation gives, so enclosures stay
 bit-identical.
 
-The enclosure kernel takes one part [lo, hi) at a time, in one pass over
-the levels.  The end cells' indices come from floor(lo * 2^level) and
-ceil(hi * 2^level): multiplying by a power of two only moves the exponent,
+The enclosure makes one pass over the realized levels <= N.  At level n a
+part [lo, hi) meets cells k1 = floor(lo * 2^n) + 1 through
+k2 = ceil(hi * 2^n): multiplying by a power of two only moves the exponent,
 so the product is exact (as ``ldexp`` is) and the indices are those of the
-exact rationals.  An ``Interval`` lies in [0, 1) with lo < hi, which puts
-both indices in 1..2^level at every level, so one check of lo >= 0 and
-hi <= 1 per part replaces a check per level and cell.  The kernel counts the
-whole cells, clips the at most two end cells (inline on single-slice
-levels, through ``overlap`` elsewhere) and appends the level's norm term,
-bit for bit the per-level ``fsum`` over the cover.  It returns only the
-terms and the anomaly count; the cover, the per-level record of whole
-counts and end-cell ratios, is filled only when a dict is handed in.  An
-enclosure builds it on first read, except where the bounds needed it
-anyway: a set of several parts merges its parts' covers in part order, and
-p = infinity takes its lower bound from the largest coordinate, so those
-enclosures keep the cover they built.
+exact rationals.  A part of an ``IntervalSet`` has 0 <= lo < hi <= 1
+(``Interval`` checks the range, the set drops empty parts), so
+1 <= k1 <= k2 <= 2^n and no kernel checks an index.  ``_cover`` builds the
+cover, the per-level record of whole-cell counts and end-cell ratios, and
+no other code does.  ``_part_terms`` runs one part for its norm terms
+alone, the floats the cover gives: that is all the bounds of a one-part set
+at finite p need, so its cover waits for the first read.
 """
 
 from __future__ import annotations
@@ -194,20 +189,18 @@ class IntegralEnclosure:
 
         lower <= true norm <= upper.
 
-    The truncated vector is the kernel's per-level cover of ``E``: per
-    level, the number of cells lying wholly inside a part (coordinate c
-    each) and the ratios of the end cells.  ``coefficient``, ``apply`` and
-    ``to_block_vector`` read the end cells from the cover and decide whole-
-    cell membership from ``E.parts`` when a coordinate is read.
+    The truncated vector is ``cover``, built by ``_cover``: per level, the
+    number of cells lying wholly inside a part (coordinate c each) and the
+    ratios of the end cells.  ``coefficient``, ``apply`` and
+    ``to_block_vector`` read the end cells from it and decide whole-cell
+    membership from ``E.parts`` when a coordinate is read.
 
-    The bounds of a one-part set at finite p need only the norm terms, so
-    ``cover`` is built the first time it is read, by running the kernel
-    over ``E`` once more with a dict to fill; the kernel is deterministic,
-    so that is the cover the bounds came from.  A set of several parts, or
-    p = infinity, needs the cover for its bounds, and ``pettis_integral``
-    hands over the one it built.  The cover is derived data: it is left out
-    of equality and of the pickled state, so an enclosure pickles the same
-    before and after its cover is read.
+    ``pettis_integral`` hands over the cover when the bounds came from it
+    (several parts, or p = infinity).  A one-part set at finite p gets its
+    bounds from ``_part_terms`` alone and builds its cover on first read.
+    The cover is derived data: it is left out of equality and of the
+    pickled state, so an enclosure pickles the same before and after its
+    cover is read.
     """
 
     model: PettisModel
@@ -220,9 +213,7 @@ class IntegralEnclosure:
 
     @cached_property
     def cover(self) -> _Cover:
-        cover: _Cover = {}
-        _level_cover(self.model, self.E.parts, self.N, cover)
-        return cover
+        return _cover(self.model, self.E.parts, self.N)[0]
 
     def __getstate__(self) -> dict:
         state = dict(vars(self))
@@ -272,46 +263,88 @@ def _as_interval_set(E: IntervalSet | Interval) -> IntervalSet:
     return E
 
 
-def _part_cover(
-    model: PettisModel, lo: float, hi: float, N: int, cover: _Cover | None = None
-) -> tuple[list[float], int]:
-    """One part [lo, hi) in one pass over the realized levels <= N: the
-    norm term of each level the part meets and the count of clamp anomalies.
-    Given a dict, it also fills in the part's cover.
+def _clip(carriers: CarrierFamily, geo: _Level, k: int, lo: float, hi: float) -> float:
+    """The ratio mu([lo, hi) n A(level, k)) / mu(A(level, k)) of end cell k,
+    before the cap at 1; ``geo`` is the level's ``geometry`` tuple.
 
-    At level n the part meets cells k1 = floor(lo * 2^n) + 1 through
-    k2 = ceil(hi * 2^n).  ``geometry`` holds 2^n as a float, and multiplying
-    by a power of two changes only the exponent, so lo * 2^n is exact (the
-    same float ``ldexp`` gives) and the indices need no rounding guard.  A
-    part with 0 <= lo < hi <= 1 has 1 <= k1 <= k2 <= 2^n at every level, so
-    the cell indices are checked once per part: lo < 0 puts k1 below 1, and
-    hi > 1 puts k2 above 2^n, at every level, so the first realized level
-    raises the ``CarrierIndexError`` the per-cell checks would.
+    On a single-slice level the carrier is [base + a, base + b) with
+    base = (k - 1) * width, exact because width is a power of two.  The
+    slice is clipped to [lo, hi) and the clipped length divided once by the
+    level's measure; other levels ask the carriers' ``overlap`` and
+    ``carrier_measure``.  No clamp at 0 is needed: the clipped length is
+    never negative (0.0 when the slice misses the part, a measure from
+    ``overlap``) and the carrier measure is positive.
+    """
+    level, _, _, _, width, a, b, measure = geo
+    if width is None:
+        return carriers.overlap(level, k, lo, hi) / carriers.carrier_measure(level, k)
+    base = (k - 1) * width
+    s_lo, s_hi = base + a, base + b
+    s_lo = lo if lo > s_lo else s_lo
+    s_hi = hi if hi < s_hi else s_hi
+    return (s_hi - s_lo) / measure if s_hi > s_lo else 0.0
 
-    The cells strictly between k1 and k2 lie inside the part and are only
-    counted; the end cells k1 and k2 (one cell when k1 == k2) get ratios r1
-    and r2, capped at 1.  On a single-slice level the end cell's carrier is
-    [base + a, base + b) with base = (k - 1) * width exact, and the ratio is
-    the clipped length divided once by the level's measure; other levels ask
-    the carriers.  No ratio needs a clamp at 0: each is a clipped length
-    (>= 0, inline or from ``overlap``) divided by a positive carrier measure.
 
-    The term cp * (whole + (r1**p + r2**p)), a missing cell's r being 0.0,
-    is the float cp * (whole + fsum(r**p over the nonzero ratios)): ``fsum``
-    of at most two floats is their correctly rounded sum, as is one float
-    addition, and adding 0.0 changes nothing.
+def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Cover, int]:
+    """E's cover up to level N and its count of clamp anomalies, in one
+    pass over the realized levels <= N with the parts as the inner loop.
+    This is the only code that builds a cover.
+
+    At level n a part [lo, hi) meets cells k1 = floor(lo * 2^n) + 1 through
+    k2 = ceil(hi * 2^n) (one cell when k1 == k2).  The cells strictly
+    between lie inside the part and are only counted.  Each end cell is
+    clipped by ``_clip``; a ratio beyond 1 + CLAMP_SLACK is an anomaly, and
+    every ratio is capped at 1.  An end cell that several parts meet (each
+    with positive length; the set is disjoint, so no part holds it whole)
+    adds their capped ratios in part order, capping the sum at 1 after each
+    addition.  A level enters the cover when it has a whole cell or a
+    positive ratio; its ratios keep part order, k1 before k2 in a part.
     """
     floor, ceil = math.floor, math.ceil
     carriers = model.carriers
-    geometry = model.geometry
+    cover: _Cover = {}
+    anomalies = 0
+    for geo in model.geometry:
+        level, c, cp, scale = geo[:4]
+        if level > N:
+            break
+        whole, ratios = 0, {}
+        for part in parts:
+            lo, hi = part.lo, part.hi
+            k1, k2 = floor(lo * scale) + 1, ceil(hi * scale)
+            whole += k2 - k1 - 1 if k2 - k1 >= 2 else 0
+            for k in (k1, k2) if k2 != k1 else (k1,):
+                r = _clip(carriers, geo, k, lo, hi)
+                anomalies += r > 1.0 + CLAMP_SLACK
+                if r:
+                    r = min(r, 1.0)
+                    ratios[k] = min(r + ratios[k], 1.0) if k in ratios else r
+        if whole or ratios:
+            cover[level] = (c, cp, whole, ratios)
+    return cover, anomalies
+
+
+def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> tuple[list[float], int]:
+    """The norm term of each realized level <= N that the part [lo, hi)
+    meets, and the count of clamp anomalies: the bounds of a one-part set at
+    finite p, with the cells, caps and anomalies of ``_cover`` but no cover.
+
+    The single-slice clip is ``_clip`` inlined: this is the lower-bound
+    campaign's hot loop, and a call per end cell made a one-part integral on
+    the greedy-gap depth-24 model about 40% slower.
+
+    The term cp * (whole + (r1**p + r2**p)), a missing cell's r being 0.0,
+    is the float cp * (whole + fsum(r**p over the cover's ratios)) that
+    ``pettis_integral`` computes from a cover: ``fsum`` of at most two
+    floats is their correctly rounded sum, as is one float addition, and
+    adding 0.0 changes nothing.
+    """
+    floor, ceil = math.floor, math.ceil
+    carriers = model.carriers
     p = model.p
-    if (lo < 0.0 or hi > 1.0) and geometry and geometry[0][0] <= N:
-        level, scale = geometry[0][0], geometry[0][3]
-        carriers._check_index(level, floor(lo * scale) + 1)
-        carriers._check_index(level, ceil(hi * scale))
     terms = []
     anomalies = 0
-    for level, c, cp, scale, width, a, b, measure in geometry:
+    for level, _, cp, scale, width, a, b, measure in model.geometry:
         if level > N:
             break
         k1 = floor(lo * scale) + 1
@@ -339,50 +372,6 @@ def _part_cover(
         whole = k2 - k1 - 1 if k2 - k1 >= 2 else 0
         if whole or r1 or r2:
             terms.append(cp * (whole + (r1**p + r2**p)))
-            if cover is not None:
-                ratios = {k1: r1} if r1 else {}
-                if r2:
-                    ratios[k2] = r2
-                cover[level] = (c, cp, whole, ratios)
-    return terms, anomalies
-
-
-def _level_cover(
-    model: PettisModel, parts: tuple[Interval, ...], N: int, cover: _Cover | None = None
-) -> tuple[list[float], int]:
-    """The norm term of each realized level <= N that E meets, and the
-    total count of clamp anomalies; given a dict, it also fills in E's cover.
-
-    One part is ``_part_cover``.  Several parts' covers merge level by level
-    in part order: whole counts add, and an end cell that several parts meet
-    (each meets it with positive length, and the set is disjoint, so no part
-    contains it whole) sums their nonnegative ratios, capped at 1 after each
-    addition.  A merged level can hold more than two ratios, so its term is
-    recomputed as cp * (whole + fsum(r**p over its ratios)).
-    """
-    if len(parts) == 1:
-        return _part_cover(model, parts[0].lo, parts[0].hi, N, cover)
-    p = model.p
-    covers = []
-    anomalies = 0
-    for part in parts:
-        covers.append({})
-        anomalies += _part_cover(model, part.lo, part.hi, N, covers[-1])[1]
-    terms = []
-    for level, c, cp, *_ in model.geometry:
-        if level > N:
-            break
-        whole, ratios = 0, {}
-        for part_cover in covers:
-            entry = part_cover.get(level)
-            if entry:
-                whole += entry[2]
-                for k, r in entry[3].items():
-                    ratios[k] = min(r + ratios[k], 1.0) if k in ratios else r
-        if whole or ratios:
-            terms.append(cp * (whole + math.fsum([r**p for r in ratios.values()])))
-            if cover is not None:
-                cover[level] = (c, cp, whole, ratios)
     return terms, anomalies
 
 
@@ -399,11 +388,15 @@ def pettis_integral(
     if not (0 <= N <= model.depth):
         raise SupportDepthError(f"truncation level {N} outside 0..{model.depth}")
     Eset = _as_interval_set(E)
+    parts = Eset.parts
     p = model.p
-    # Merging several parts builds the cover anyway, and p = inf reads its
-    # bound from it; a one-part set at finite p leaves it to the first read.
-    cover = {} if len(Eset.parts) > 1 or math.isinf(p) else None
-    terms, anomalies = _level_cover(model, Eset.parts, N, cover)
+    # A one-part set at finite p needs only the norm terms and leaves the
+    # cover to the first read; every other set reads its bounds from it.
+    cover = None
+    if len(parts) == 1 and not math.isinf(p):
+        terms, anomalies = _part_terms(model, parts[0].lo, parts[0].hi, N)
+    else:
+        cover, anomalies = _cover(model, parts, N)
     tail = model.tail(N)
     if math.isinf(p):
         lower = max(
@@ -413,6 +406,11 @@ def pettis_integral(
         )
         upper = max(lower, tail)
     else:
+        if cover is not None:
+            terms = [
+                cp * (whole + math.fsum([r**p for r in ratios.values()]))
+                for _, cp, whole, ratios in cover.values()
+            ]
         total = math.fsum(terms)
         lower = total ** (1.0 / p)
         upper = (total + tail**p) ** (1.0 / p)
@@ -453,8 +451,7 @@ def bochner_level_masses(model: PettisModel, E: IntervalSet | Interval) -> dict[
     Exact because carrier disjointness makes the pointwise norm single-
     coordinate.
     """
-    cover: _Cover = {}
-    _level_cover(model, _as_interval_set(E).parts, model.depth, cover)
+    cover, _ = _cover(model, _as_interval_set(E).parts, model.depth)
     return {
         n: c * (whole + math.fsum(ratios.values())) for n, (c, _, whole, ratios) in cover.items()
     }

@@ -8,15 +8,12 @@ import pytest
 from pettis_forge import (
     CarrierFamily,
     IntervalSet,
-    PsiSpec,
     allocate_carriers,
-    build_model,
     verify_disjointness,
 )
 from pettis_forge.carriers import GREEDY_GAP, STRATIFIED
 from pettis_forge.errors import CarrierIndexError, ConfigError, MaterializationLimitError
 from pettis_forge.intervals import Interval
-from pettis_forge.pettis import _part_cover
 
 
 def simulate_greedy(depth: int) -> dict:
@@ -59,22 +56,11 @@ def test_carrier_index_errors():
         fam.carrier(1, 3)
     with pytest.raises(CarrierIndexError):
         fam.carrier(2, 1)
-    spec = PsiSpec("power", exponent=0.75)
     for scheme in (GREEDY_GAP, STRATIFIED):
         fam = allocate_carriers(3, scheme)
         for n in (0, 4):
             with pytest.raises(CarrierIndexError):
                 fam.single_slice(n)
-        # A part reaching past [0, 1) names a cell outside 1..2^n at every
-        # level, which the per-part enclosure kernel rejects once per part,
-        # at the first realized level, whether or not it fills a cover.
-        model = build_model(fam, spec, depth=3)
-        for lo, hi, k in ((-1 / 16, 0.5, 0), (0.5, 1 + 1 / 16, 3)):
-            message = rf"index {k} outside 1\.\.2\^1 at level 1"
-            for cover in (None, {}):
-                with pytest.raises(CarrierIndexError, match=message):
-                    _part_cover(model, lo, hi, 3, cover)
-                assert not cover
 
 
 def test_zero_depth_rejected():

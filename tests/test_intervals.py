@@ -46,6 +46,16 @@ def test_dyadic_measure_exact_everywhere():
             assert dyadic_interval(DyadicIndex(n, k)).measure == math.ldexp(1.0, -n)
 
 
+def test_interval_range_checked():
+    """Intervals lie in [0, 1] with lo <= hi; the enclosure kernels rely on
+    this and check no cell index."""
+    for lo, hi in ((-1 / 16, 0.5), (0.5, 1 + 1 / 16), (0.6, 0.4), (math.nan, 0.5)):
+        with pytest.raises(ValueError):
+            Interval(lo, hi)
+    with pytest.raises(ValueError):
+        IntervalSet.from_pairs([(-0.1, 0.2)])
+
+
 def test_measure_examples():
     s = IntervalSet.of(Interval(0.25, 0.375), Interval(0.5, 0.625))
     assert s.measure == 0.25

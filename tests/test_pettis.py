@@ -187,26 +187,32 @@ def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("kind", ["greedy-gap", "stratified", "explicit"])
 def test_norm_terms_match_the_cover_sum(kind, p):
-    """The kernel computes each level's norm term as it clips; every term is
-    bit for bit cp * (whole + fsum(r**p over the level's end-cell ratios))
-    read back from the finished cover, and the bounds are those of the fsum
-    of the terms, for one-part sets (at most two ratios a level) and merged
-    ones."""
+    """Two independent implementations agree.  On one-part sets the norm
+    terms of ``_part_terms``, which clips as it goes and builds no cover,
+    are bit for bit cp * (whole + fsum(r**p over the level's end-cell
+    ratios)) read from the cover ``_cover`` builds; on every set the bounds
+    are those of the fsum of the cover's terms, and the cover and anomaly
+    count are the enclosure's."""
     model = build_model(_family(kind, 8), SPEC34, p=p, depth=8)
     rng = random.Random(41)
+    one_part = 0
     for E in SHARED_END_CELLS + tuple(_random_interval_set(rng, 4) for _ in range(300)):
         N = rng.choice([8, rng.randint(1, 8)])
         enc = pettis_integral(model, E, truncate_at=N)
+        cover, anomalies = pettis_module._cover(model, E.parts, N)
         want = [
             cp * (whole + math.fsum(r**p for r in ratios.values()))
-            for _, cp, whole, ratios in enc.cover.values()
+            for _, cp, whole, ratios in cover.values()
         ]
-        cover = {}
-        terms, _ = pettis_module._level_cover(model, E.parts, N, cover)
-        assert cover == enc.cover and [t.hex() for t in terms] == [t.hex() for t in want], (E, N)
+        assert cover == enc.cover and anomalies == enc.clamp_anomalies, (E, N)
+        if len(E.parts) == 1:
+            one_part += 1
+            terms, _ = pettis_module._part_terms(model, E.parts[0].lo, E.parts[0].hi, N)
+            assert [t.hex() for t in terms] == [t.hex() for t in want], (E, N)
         total = math.fsum(want)
         assert enc.lower.hex() == (total ** (1.0 / p)).hex(), (E, N)
         assert enc.upper.hex() == ((total + enc.tail**p) ** (1.0 / p)).hex(), (E, N)
+    assert one_part >= 50
 
 
 @pytest.mark.parametrize(
@@ -294,42 +300,42 @@ def test_one_part_cover_is_built_when_first_read(kind):
         enc = pettis_integral(model, Interval(lo, hi), truncate_at=N)
         assert "cover" not in vars(enc)
         before = pickle.dumps(enc)
-        want = {}
-        pettis_module._level_cover(model, enc.E.parts, N, want)
+        want, _ = pettis_module._cover(model, enc.E.parts, N)
         assert enc.cover == want and "cover" in vars(enc)
         assert pickle.dumps(enc) == before
         assert pickle.loads(before).cover == want
 
 
 def test_enclosures_that_need_the_cover_run_the_kernel_once_per_part(monkeypatch):
-    """Several parts merge their covers, and p = inf reads its bound from
-    the cover, so those enclosures keep the cover they built: reading it
-    runs no part through the kernel again.  A one-part enclosure at finite
-    p runs its part once for the bounds and once more on the first read."""
+    """Several parts, and p = inf, read their bounds from the cover, so
+    ``_cover`` runs once and reading the cover runs nothing again.  A
+    one-part enclosure at finite p runs ``_part_terms`` for the bounds and
+    ``_cover`` on the first read."""
     calls = []
-    part_cover = pettis_module._part_cover
+    for name in ("_part_terms", "_cover"):
+        kernel = getattr(pettis_module, name)
 
-    def counting_part_cover(model, lo, hi, N, cover=None):
-        calls.append((lo, hi))
-        return part_cover(model, lo, hi, N, cover)
+        def counting(*args, name=name, kernel=kernel):
+            calls.append(name)
+            return kernel(*args)
 
-    monkeypatch.setattr(pettis_module, "_part_cover", counting_part_cover)
+        monkeypatch.setattr(pettis_module, name, counting)
     finite = build_model(None, SPEC34, depth=10)
     sup = build_model(None, SPEC34, p=math.inf, depth=10)
     two = IntervalSet.of(Interval(0.1, 0.3), Interval(0.55, 0.8))
     for model, E, runs, after_read in (
-        (finite, two, 2, 2),
-        (sup, two, 2, 2),
-        (sup, Interval(0.1, 0.3), 1, 1),
-        (finite, Interval(0.1, 0.3), 1, 2),
+        (finite, two, (0, 1), (0, 1)),
+        (sup, two, (0, 1), (0, 1)),
+        (sup, Interval(0.1, 0.3), (0, 1), (0, 1)),
+        (finite, Interval(0.1, 0.3), (1, 0), (1, 1)),
     ):
         calls.clear()
         enc = pettis_integral(model, E)
-        assert len(calls) == runs
+        assert (calls.count("_part_terms"), calls.count("_cover")) == runs
         enc.coefficient(3, 2)
         enc.apply(Functional(model.layout, {(3, 2): 1.0, (10, 300): -0.5}))
         enc.to_block_vector()
-        assert len(calls) == after_read
+        assert (calls.count("_part_terms"), calls.count("_cover")) == after_read
 
 
 def test_pairing_identity_two_code_paths():
