@@ -285,8 +285,9 @@ def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
     integral; the right side is ``scalar_integral``, which measures each
     carrier's share of E in closed form over the slice pattern for built-in
     families and by set intersection for explicit ones.  The oracle never
-    calls ``overlap`` or ``single_slice``, the carrier geometry the enclosure
-    reads, so the two code paths share only the interval data itself.
+    calls ``overlap``, ``pattern`` or ``slice_overlap``, the carrier geometry
+    the enclosure reads, so the two code paths share only the interval data
+    itself.
     """
     rng = random.Random(cfg.seed)
     functionals = [_random_functional(rng, model) for _ in range(cfg.samples)]

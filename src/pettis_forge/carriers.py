@@ -149,29 +149,10 @@ class CarrierFamily:
             return 0.0
         if self.sets is not None:
             return self.sets[(n, k)].clip(lo, hi).measure
-        a, _, _, s_lo, s_hi = self._slices[n - 1]
-        base = math.ldexp(k - 1, -n)
-        lo = max(lo, base)
-        hi = min(hi, base + math.ldexp(1.0, -n))
-        if hi <= lo:
+        if hi <= math.ldexp(k - 1, -n) or lo >= math.ldexp(k, -n):
             return 0.0
-        s_len = s_hi - s_lo
-        # Level-a cells fully inside [lo, hi) contribute one whole slice.
-        j_first = math.ceil(math.ldexp(lo, a))  # first fully-contained index
-        j_last = math.floor(math.ldexp(hi, a)) - 1  # last fully-contained index
-        total = max(0, j_last - j_first + 1) * s_len
-        # At most two partially covered level-a cells at the ends.
-        partial: set[int] = set()
-        ja = math.floor(math.ldexp(lo, a))
-        if ja < j_first:
-            partial.add(ja)
-        jb = math.floor(math.ldexp(hi, a))
-        if jb > j_last and math.ldexp(jb, -a) < hi:
-            partial.add(jb)
-        for j in partial:
-            s_a = math.ldexp(j, -a) + s_lo
-            total += max(0.0, min(hi, s_a + s_len) - max(lo, s_a))
-        return total
+        a, _, _, s_lo, s_hi = self._slices[n - 1]
+        return slice_overlap(a - n, math.ldexp(1.0, -a), s_lo, s_hi, k, lo, hi)
 
     def share(self, n: int, k: int, E: IntervalSet) -> float:
         """mu(E n A(n, k)) / mu(A(n, k)), bit for bit what set intersection gives.
@@ -185,8 +166,8 @@ class CarrierFamily:
         the carrier measure 2^(a-n) * s_len are exact, and ``fsum`` rounds
         the same exact sum as the measure of the materialized intersection.
         Cost is O(parts of E) instead of O(2^(a-n)).  Nothing here reads
-        ``overlap`` or ``single_slice``, so the pairing oracle stays
-        independent of the enclosure kernel.
+        ``overlap``, ``pattern`` or ``slice_overlap``, so the pairing oracle
+        stays independent of the enclosure kernel.
         """
         self._check_index(n, k)
         if self.sets is not None:
@@ -215,18 +196,19 @@ class CarrierFamily:
                     terms.append(piece)
         return math.fsum(terms) / math.ldexp(s_len, a - n)
 
-    def single_slice(self, n: int) -> tuple[float, float, float] | None:
-        """(lo offset, hi offset, measure) when every level-n carrier is one slice.
+    def pattern(self, n: int) -> tuple[int, float, float, float] | None:
+        """(a, s_lo, s_hi, measure) of built-in level n, None for explicit families.
 
-        A built-in level with a == n has A(n, k) = [(k-1)/2^n + lo offset,
-        (k-1)/2^n + hi offset); the enclosure kernel clips against it inline.
-        Other built-in levels and explicit families give None.
+        A(n, k) is the slice [s_lo, s_hi) of each of the 2^(a-n) level-a cells
+        inside I(n, k), offsets absolute within a level-a cell, and measure is
+        ``carrier_measure(n, k)`` for every k: the arguments, with d = a - n
+        and w = 2^-a, that ``slice_overlap`` clips against.
         """
         self._check_index(n, 1)
-        if self.sets is not None or self._slices[n - 1][0] != n:
+        if self.sets is not None:
             return None
-        _, _, _, s_lo, s_hi = self._slices[n - 1]
-        return s_lo, s_hi, self.carrier_measure(n, 1)
+        a, _, _, s_lo, s_hi = self._slices[n - 1]
+        return a, s_lo, s_hi, self.carrier_measure(n, 1)
 
     def locate(self, omega: float) -> tuple[int, int] | None:
         """(level, index) of the unique carrier containing omega, if any."""
@@ -284,15 +266,51 @@ class CarrierFamily:
     def from_sets(cls, depth: int, sets: Mapping[tuple[int, int], IntervalSet]) -> "CarrierFamily":
         if depth < 1:
             raise ConfigError(f"carrier depth must be >= 1, got {depth}")
-        missing = [
-            (n, k)
-            for n in range(1, depth + 1)
-            for k in range(1, (1 << n) + 1)
-            if (n, k) not in sets
-        ]
+        # Count the cells present and scan lazily for the first missing one:
+        # listing every missing cell of a deep, sparse archive never ends.
+        present = sum(1 <= n <= depth and 1 <= k <= (1 << n) for n, k in sets)
+        missing = (1 << (depth + 1)) - 2 - present
         if missing:
-            raise ConfigError(f"carrier sets missing {len(missing)} cells, e.g. {missing[0]}")
+            cells = ((n, k) for n in range(1, depth + 1) for k in range(1, (1 << n) + 1))
+            first = next(cell for cell in cells if cell not in sets)
+            raise ConfigError(f"carrier sets missing {missing} cells, e.g. {first}")
         return cls(depth=depth, scheme=EXPLICIT, sets=dict(sets))
+
+
+def slice_overlap(d: int, w: float, s_lo: float, s_hi: float, k: int, lo: float, hi: float) -> float:
+    """Measure of A(n, k) n [lo, hi) on a built-in level, for a part that meets I(n, k).
+
+    ``d = a - n``, ``w = 2^-a`` and the slice offsets [s_lo, s_hi) inside a
+    level-a cell are ``pattern(n)``'s; I(n, k) is level-a cells first..last,
+    first = (k - 1) * 2^d.  The part meets cells i = max(first, floor(lo/w))
+    through j = min(last, ceil(hi/w) - 1), a single cell when i == j (always
+    when d = 0, the single-slice clip).  Every term is a float the
+    materialized clip also forms:
+    - slice ends c*w + s_lo and c*w + s_hi are exact (``_endpoint_check``);
+    - the j - i - 1 slices strictly between lie wholly inside the part and
+      add (j - i - 1) * s_len, exact since s_len is a power of two in
+      both built-in schemes;
+    - each end slice, clipped to [lo, hi), adds one float difference of its
+      clipped ends when positive, the length of that materialized part.
+    The terms are added whole slices first, then the lo end, then the hi
+    end, so the result never depends on hashing.  When d = 0 or k >= 2
+    every partial sum is exact, so the result is the materialized clip's
+    ``fsum``.  At k = 1 a lo far below the cell width can carry bits the
+    sum cannot hold, and the result may then differ from it by an ulp.
+    """
+    i = j = first = (k - 1) << d
+    if d:
+        last = first + (1 << d) - 1
+        i = first if lo < (first + 1) * w else math.floor(lo / w)
+        j = last if hi > last * w else math.ceil(hi / w) - 1
+    total = (j - i - 1) * (s_hi - s_lo) if j > i else 0.0
+    for c in (i,) if i == j else (i, j):
+        sub = c * w
+        x, y = sub + s_lo, sub + s_hi
+        piece = (hi if hi < y else y) - (lo if lo > x else x)
+        if piece > 0.0:
+            total += piece
+    return total
 
 
 def _parse_sets(raw: object, depth: int) -> dict[tuple[int, int], IntervalSet]:

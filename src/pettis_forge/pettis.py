@@ -24,16 +24,16 @@ Assertions downstream always use the lower side.
 ``PettisModel.geometry`` keeps one flat tuple per realized level, built on
 first use:
 
-    (level, c, c**p, 2^level, width, a, b, measure)
+    (level, c, c**p, 2^level, d, w, s_lo, s_hi, measure)
 
-where, on a level whose carriers are single slices of their cells (every
-greedy-gap level and the deepest stratified one), ``width`` is the cell
-width 2^-level, ``a`` and ``b`` the slice's offsets inside its cell and
-``measure`` the carrier measure; all four are None on multi-slice levels
-and explicit families.  The tail bound of each truncation level is kept on
-the model too.  The model is frozen, so none of this can go stale, and each
-value is the float a fresh computation gives, so enclosures stay
-bit-identical.
+where, on a built-in family, level n takes the slice [s_lo, s_hi) of each
+of the 2^d level-a cells of width w = 2^-a inside a level-n cell (d = a - n,
+0 on every greedy-gap level and the deepest stratified one) and
+``measure`` is the carrier measure: the arguments of
+``carriers.slice_overlap``.  All five are None on explicit families.  The
+tail bound of each truncation level is kept on the model too.  The model is
+frozen, so none of this can go stale, and each value is the float a fresh
+computation gives, so enclosures stay bit-identical.
 
 The enclosure makes one pass over the realized levels <= N.  At level n a
 part [lo, hi) meets cells k1 = floor(lo * 2^n) + 1 through
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .blocks import BlockLayout, BlockVector, Functional
-from .carriers import CarrierFamily, allocate_carriers
+from .carriers import CarrierFamily, allocate_carriers, slice_overlap
 from .errors import (
     DepthMismatchError,
     LayoutMismatchError,
@@ -67,10 +67,6 @@ from .psi import CoefficientTable, PsiSpec, SequenceRule, coefficients, tail_bou
 
 #: Ratios mu(E n A)/mu(A) beyond 1 by more than this are counted as anomalies.
 CLAMP_SLACK = 1e-12
-
-#: (level, c, c**p, 2^level, cell width, slice lo offset, slice hi offset,
-#: carrier measure); the last four are None unless the level is single-slice.
-_Level = tuple[int, float, float, float, float | None, float | None, float | None, float | None]
 
 
 @dataclass(frozen=True)
@@ -88,20 +84,21 @@ class PettisModel:
     _tails: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def geometry(self) -> tuple[_Level, ...]:
-        """(level, c, c**p, 2^level, width, a, b, measure) per realized level.
+    def geometry(self) -> tuple[tuple, ...]:
+        """(level, c, c**p, 2^level, d, w, s_lo, s_hi, measure) per realized level.
 
-        Built on first use.  For a level whose carriers are single slices,
-        ``width`` is the cell width 2^-level, ``a`` and ``b`` the slice's lo
-        and hi offsets inside its cell and ``measure`` the carrier measure;
-        multi-slice levels and explicit families have None in all four.
+        Built on first use from ``CarrierFamily.pattern``'s (a, s_lo, s_hi,
+        measure), with d = a - level and w = 2^-a; explicit families have
+        None in the last five.
         """
         out = []
         for m in self.table.levels:
             c = self.table.coefficient(m)
-            a, b, measure = self.carriers.single_slice(m) or (None, None, None)
-            width = None if a is None else math.ldexp(1.0, -m)
-            out.append((m, c, c**self.p, math.ldexp(1.0, m), width, a, b, measure))
+            slices = (None,) * 5
+            if (pattern := self.carriers.pattern(m)) is not None:
+                a, s_lo, s_hi, measure = pattern
+                slices = (a - m, math.ldexp(1.0, -a), s_lo, s_hi, measure)
+            out.append((m, c, c**self.p, math.ldexp(1.0, m), *slices))
         return tuple(out)
 
     def tail(self, N: int) -> float:
@@ -263,28 +260,6 @@ def _as_interval_set(E: IntervalSet | Interval) -> IntervalSet:
     return E
 
 
-def _clip(carriers: CarrierFamily, geo: _Level, k: int, lo: float, hi: float) -> float:
-    """The ratio mu([lo, hi) n A(level, k)) / mu(A(level, k)) of end cell k,
-    before the cap at 1; ``geo`` is the level's ``geometry`` tuple.
-
-    On a single-slice level the carrier is [base + a, base + b) with
-    base = (k - 1) * width, exact because width is a power of two.  The
-    slice is clipped to [lo, hi) and the clipped length divided once by the
-    level's measure; other levels ask the carriers' ``overlap`` and
-    ``carrier_measure``.  No clamp at 0 is needed: the clipped length is
-    never negative (0.0 when the slice misses the part, a measure from
-    ``overlap``) and the carrier measure is positive.
-    """
-    level, _, _, _, width, a, b, measure = geo
-    if width is None:
-        return carriers.overlap(level, k, lo, hi) / carriers.carrier_measure(level, k)
-    base = (k - 1) * width
-    s_lo, s_hi = base + a, base + b
-    s_lo = lo if lo > s_lo else s_lo
-    s_hi = hi if hi < s_hi else s_hi
-    return (s_hi - s_lo) / measure if s_hi > s_lo else 0.0
-
-
 def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Cover, int]:
     """E's cover up to level N and its count of clamp anomalies, in one
     pass over the realized levels <= N with the parts as the inner loop.
@@ -292,8 +267,11 @@ def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Co
 
     At level n a part [lo, hi) meets cells k1 = floor(lo * 2^n) + 1 through
     k2 = ceil(hi * 2^n) (one cell when k1 == k2).  The cells strictly
-    between lie inside the part and are only counted.  Each end cell is
-    clipped by ``_clip``; a ratio beyond 1 + CLAMP_SLACK is an anomaly, and
+    between lie inside the part and are only counted.  Each end cell's
+    ratio is ``slice_overlap`` divided once by the level's carrier measure
+    on a built-in level, ``overlap`` over ``carrier_measure`` on an explicit
+    one; no clamp at 0 is needed, since neither overlap is negative and the
+    measure is positive.  A ratio beyond 1 + CLAMP_SLACK is an anomaly, and
     every ratio is capped at 1.  An end cell that several parts meet (each
     with positive length; the set is disjoint, so no part holds it whole)
     adds their capped ratios in part order, capping the sum at 1 after each
@@ -304,8 +282,7 @@ def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Co
     carriers = model.carriers
     cover: _Cover = {}
     anomalies = 0
-    for geo in model.geometry:
-        level, c, cp, scale = geo[:4]
+    for level, c, cp, scale, d, w, s_lo, s_hi, measure in model.geometry:
         if level > N:
             break
         whole, ratios = 0, {}
@@ -314,10 +291,14 @@ def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Co
             k1, k2 = floor(lo * scale) + 1, ceil(hi * scale)
             whole += k2 - k1 - 1 if k2 - k1 >= 2 else 0
             for k in (k1, k2) if k2 != k1 else (k1,):
-                r = _clip(carriers, geo, k, lo, hi)
-                anomalies += r > 1.0 + CLAMP_SLACK
+                if d is None:
+                    r = carriers.overlap(level, k, lo, hi) / carriers.carrier_measure(level, k)
+                else:
+                    r = slice_overlap(d, w, s_lo, s_hi, k, lo, hi) / measure
+                if r > 1.0:
+                    anomalies += r > 1.0 + CLAMP_SLACK
+                    r = 1.0
                 if r:
-                    r = min(r, 1.0)
                     ratios[k] = min(r + ratios[k], 1.0) if k in ratios else r
         if whole or ratios:
             cover[level] = (c, cp, whole, ratios)
@@ -329,9 +310,12 @@ def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> tuple[list[
     meets, and the count of clamp anomalies: the bounds of a one-part set at
     finite p, with the cells, caps and anomalies of ``_cover`` but no cover.
 
-    The single-slice clip is ``_clip`` inlined: this is the lower-bound
+    On a single-slice level (d == 0, tested first) the clip is
+    ``slice_overlap`` inlined: the carrier of cell k is [base + s_lo,
+    base + s_hi) with base = (k - 1) * w exact.  This is the lower-bound
     campaign's hot loop, and a call per end cell made a one-part integral on
-    the greedy-gap depth-24 model about 40% slower.
+    the greedy-gap depth-24 model about 40% slower.  Multi-slice levels call
+    ``slice_overlap``, explicit ones ``overlap`` and ``carrier_measure``.
 
     The term cp * (whole + (r1**p + r2**p)), a missing cell's r being 0.0,
     is the float cp * (whole + fsum(r**p over the cover's ratios)) that
@@ -344,28 +328,32 @@ def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> tuple[list[
     p = model.p
     terms = []
     anomalies = 0
-    for level, _, cp, scale, width, a, b, measure in model.geometry:
+    for level, _, cp, scale, d, w, s_lo, s_hi, measure in model.geometry:
         if level > N:
             break
         k1 = floor(lo * scale) + 1
         k2 = ceil(hi * scale)
         r2 = 0.0
-        if width is None:
+        if d == 0:
+            base = (k1 - 1) * w
+            x, y = base + s_lo, base + s_hi
+            x = lo if lo > x else x
+            y = hi if hi < y else y
+            r1 = (y - x) / measure if y > x else 0.0
+            if k2 != k1:
+                base = (k2 - 1) * w
+                x, y = base + s_lo, base + s_hi
+                x = lo if lo > x else x
+                y = hi if hi < y else y
+                r2 = (y - x) / measure if y > x else 0.0
+        elif d is not None:
+            r1 = slice_overlap(d, w, s_lo, s_hi, k1, lo, hi) / measure
+            if k2 != k1:
+                r2 = slice_overlap(d, w, s_lo, s_hi, k2, lo, hi) / measure
+        else:
             r1 = carriers.overlap(level, k1, lo, hi) / carriers.carrier_measure(level, k1)
             if k2 != k1:
                 r2 = carriers.overlap(level, k2, lo, hi) / carriers.carrier_measure(level, k2)
-        else:
-            base = (k1 - 1) * width
-            s_lo, s_hi = base + a, base + b
-            s_lo = lo if lo > s_lo else s_lo
-            s_hi = hi if hi < s_hi else s_hi
-            r1 = (s_hi - s_lo) / measure if s_hi > s_lo else 0.0
-            if k2 != k1:
-                base = (k2 - 1) * width
-                s_lo, s_hi = base + a, base + b
-                s_lo = lo if lo > s_lo else s_lo
-                s_hi = hi if hi < s_hi else s_hi
-                r2 = (s_hi - s_lo) / measure if s_hi > s_lo else 0.0
         if r1 > 1.0 or r2 > 1.0:
             anomalies += (r1 > 1.0 + CLAMP_SLACK) + (r2 > 1.0 + CLAMP_SLACK)
             r1, r2 = min(r1, 1.0), min(r2, 1.0)
@@ -427,9 +415,9 @@ def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval
     coordinate's share mu(E n A) / mu(A) comes from ``CarrierFamily.share``:
     a closed form over the slice pattern for built-in families, set
     intersection for explicit ones, both giving the float the materialized
-    intersection gives.  It never calls ``overlap`` or ``single_slice``, the
-    carrier geometry the enclosure path reads, so a fault there cannot hide
-    by appearing on both sides of the identity.
+    intersection gives.  It never calls ``overlap``, ``pattern`` or
+    ``slice_overlap``, the carrier geometry the enclosure path reads, so a
+    fault there cannot hide by appearing on both sides of the identity.
     """
     if x.max_level() > model.depth:
         raise SupportDepthError(

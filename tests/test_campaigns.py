@@ -453,6 +453,13 @@ def test_cli_exit_codes(tmp_path):
         assert r.returncode == 2, (name, r.stderr)
         assert "config error" in r.stderr, name
         assert "Traceback" not in r.stderr, name
+    # a deep explicit carriers block without its sets is refused at once
+    carriers = {"scheme": "explicit", "depth": 40, "sets": {}}
+    cfg = _write_cfg(tmp_path, "deep.json", {"model": {**_MODEL_CFG, "carriers": carriers},
+                                             "campaign": {"samples": 2, "dyadic_level": 3}})
+    r = _cli("verify", "lower-bound", "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert "carrier sets missing 2199023255550 cells, e.g. (1, 1)" in r.stderr
     # psi validate limits: n_max a JSON integer (12.7 used to run as 12), r_max a number
     for name, value in (("n_max", "x"), ("r_max", "abc"), ("n_max", 12.7)):
         cfg = _write_cfg(

@@ -11,7 +11,7 @@ from pettis_forge import (
     allocate_carriers,
     verify_disjointness,
 )
-from pettis_forge.carriers import GREEDY_GAP, STRATIFIED
+from pettis_forge.carriers import GREEDY_GAP, STRATIFIED, slice_overlap
 from pettis_forge.errors import CarrierIndexError, ConfigError, MaterializationLimitError
 from pettis_forge.intervals import Interval
 
@@ -60,7 +60,7 @@ def test_carrier_index_errors():
         fam = allocate_carriers(3, scheme)
         for n in (0, 4):
             with pytest.raises(CarrierIndexError):
-                fam.single_slice(n)
+                fam.pattern(n)
 
 
 def test_zero_depth_rejected():
@@ -262,23 +262,81 @@ def test_overlap_agrees_with_explicit_clip(scheme):
 
 
 @pytest.mark.parametrize("scheme", [GREEDY_GAP, STRATIFIED])
-def test_single_slice_describes_the_carriers(scheme):
-    """Every greedy-gap level and stratified's deepest one are single slices
-    at fixed offsets inside their cells; other levels and explicit copies
-    report None."""
+def test_pattern_describes_the_carriers(scheme):
+    """Every built-in level is the slice [s_lo, s_hi) of each level-a cell
+    inside its cell: a = n on greedy-gap, a = depth on stratified.
+    Explicit copies report None."""
     fam = allocate_carriers(6, scheme)
     explicit = CarrierFamily.from_sets(6, {cell: fam.carrier(*cell) for cell in fam.cells()})
     for n in range(1, 7):
-        assert explicit.single_slice(n) is None
-        piece = fam.single_slice(n)
-        if scheme == STRATIFIED and n < 6:
-            assert piece is None
-            continue
-        lo_off, hi_off, measure = piece
+        assert explicit.pattern(n) is None
+        a, s_lo, s_hi, measure = fam.pattern(n)
+        assert a == (n if scheme == GREEDY_GAP else 6)
+        w = math.ldexp(1.0, -a)
         for k in range(1, (1 << n) + 1):
-            base = math.ldexp(k - 1, -n)
-            assert fam.carrier(n, k) == IntervalSet.of(Interval(base + lo_off, base + hi_off))
+            subs = [math.ldexp(k - 1, -n) + j * w for j in range(1 << (a - n))]
+            assert fam.carrier(n, k) == IntervalSet([Interval(c + s_lo, c + s_hi) for c in subs])
             assert fam.carrier_measure(n, k) == measure
+
+
+def _slice_overlap_cases(rng, fam, n, k):
+    """Parts meeting I(n, k): inside one cell across at least two slices with
+    both ends unaligned, lo inside the cell's first level-a cell, both ends
+    on slice ends, and parts reaching past the cell on either side."""
+    a, s_lo, s_hi, _ = fam.pattern(n)
+    w, count = math.ldexp(1.0, -a), 1 << (a - n)
+    base, end = math.ldexp(k - 1, -n), math.ldexp(k, -n)
+
+    def inside(c):  # a point strictly inside slice c of the cell
+        return base + c * w + s_lo + rng.uniform(0.01, 0.99) * (s_hi - s_lo)
+
+    def slice_end(c):
+        return base + c * w + rng.choice((s_lo, s_hi))
+
+    i = rng.randrange(count - 1)
+    j = rng.randrange(i + 1, count)
+    yield inside(i), inside(j)
+    yield base + rng.random() * w, inside(rng.randrange(count))
+    yield base + rng.random() * w, end
+    yield sorted((slice_end(rng.randrange(count)), slice_end(rng.randrange(count))))
+    yield base - rng.random() * (end - base), inside(j)
+    yield inside(i), end + rng.random() * (end - base)
+
+
+@pytest.mark.parametrize("depth", [12, 16])
+def test_slice_overlap_is_the_materialized_clip(depth):
+    """Bit for bit the measure of the materialized carrier clipped to [lo, hi),
+    on levels of up to 2^10 slices per carrier and cells k >= 2 (at k = 1 a
+    lo far below the cell width can round the sum, as ``slice_overlap``
+    documents)."""
+    fam = allocate_carriers(depth, STRATIFIED)
+    rng = random.Random(depth)
+    checked = 0
+    for n in range(depth - 10, depth):
+        for k in rng.sample(range(2, (1 << n) + 1), 3):
+            carrier = fam.carrier(n, k)
+            a, s_lo, s_hi, _ = fam.pattern(n)
+            for lo, hi in _slice_overlap_cases(rng, fam, n, k):
+                lo, hi = max(lo, 0.0), min(hi, 1.0)
+                want = carrier.clip(lo, hi).measure
+                got = slice_overlap(a - n, math.ldexp(1.0, -a), s_lo, s_hi, k, lo, hi)
+                assert got == want, (n, k, lo.hex(), hi.hex())
+                assert fam.overlap(n, k, lo, hi) == want
+                checked += 1
+    assert checked == 10 * 3 * 6
+
+
+def test_explicit_archive_with_a_large_depth_fails_fast():
+    """A deep explicit archive that lacks sets is refused from a count of
+    the cells present, without listing the 2^41 - 2 missing ones."""
+    with pytest.raises(ConfigError) as info:
+        CarrierFamily.from_json({"depth": 40, "scheme": "explicit", "sets": {}})
+    assert str(info.value) == "carrier sets missing 2199023255550 cells, e.g. (1, 1)"
+    fam = allocate_carriers(3)
+    sets = {cell: fam.carrier(*cell) for cell in fam.cells() if cell != (3, 5)}
+    sets[(4, 1)] = fam.carrier(1, 1)  # a key past the depth fills no missing cell
+    with pytest.raises(ConfigError, match=r"^carrier sets missing 1 cells, e.g. \(3, 5\)$"):
+        CarrierFamily.from_sets(3, sets)
 
 
 def test_stratified_measures_and_porosity():

@@ -26,7 +26,7 @@ fixed error cases; an error is hashed by its class name.
 
 The ``carriers`` corpus runs the same families and interval sets through
 the carrier geometry itself: ``verify_disjointness`` (verdict, mode and
-violations, plus one corrupted explicit family), ``single_slice`` and
+violations, plus one corrupted explicit family), ``pattern`` and
 ``carrier_measure`` at every level, ``carrier`` at one random cell of every
 level, then per set, at a random level, ``overlap`` with each part at its
 end cells and their neighbours, ``share`` at those cells and the indices
@@ -114,7 +114,7 @@ DIGESTS = {
     "stratified": "d791143c82a489da42b28fe12bf0acedacd976561cef56897fb425d46de901ef",
     "explicit": "353160d42988f7bbde15fdbd8bedd4e95d695a2868e82bfbfd883e2418dc50e7",
     "continuous": "18a7a80b1721b1447e669adcfa1a5001881f1ddb3cc3d98b77a22beea146898e",
-    "carriers": "8d28f49135fc8938f2e1ed5bf41ee73a21e660bac93341a2860c76f09dc4785f",
+    "carriers": "1d6a21f1e550b3fb59bf0f988fbf0762c36fd490062d34e062adc3afc36fd73f",
     "one-part": "5108abf936e632f11e9580be51e06565cdef9b66a4c053f2b3bc18e46a5fcd9a",
 }
 
@@ -315,8 +315,8 @@ def _carrier_family_lines(rng, family):
     report = verify_disjointness(family)
     yield f"{report.passed} {report.mode} {report.violations}"
     for n in range(1, depth + 1):
-        piece = family.single_slice(n)
-        yield "None" if piece is None else " ".join(x.hex() for x in piece)
+        pattern = family.pattern(n)
+        yield "None" if pattern is None else " ".join([str(pattern[0])] + [x.hex() for x in pattern[1:]])
         yield family.carrier_measure(n, 1).hex()
         yield _pairs_hex(family.carrier(n, rng.randint(1, 1 << n)))
     for n, k in ((0, 1), (depth + 1, 1), (1, 0), (1, 3)):
@@ -324,8 +324,8 @@ def _carrier_family_lines(rng, family):
         yield _outcome(float.hex, family.share, n, k, IntervalSet.from_pairs([(0.0, 1.0)]))
         yield _outcome(float.hex, family.carrier_measure, n, k)
         yield _outcome(_pairs_hex, family.carrier, n, k)
-    yield _outcome(str, family.single_slice, 0)
-    yield _outcome(str, family.single_slice, depth + 1)
+    yield _outcome(str, family.pattern, 0)
+    yield _outcome(str, family.pattern, depth + 1)
     for omega in (1.0, -0.25, math.nan):
         yield _outcome(str, family.locate, omega)
     model = build_model(family, SPEC34, depth=depth)
