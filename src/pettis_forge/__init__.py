@@ -40,10 +40,12 @@ from .intervals import (
 from .pettis import (
     IntegralEnclosure,
     PettisModel,
+    TruncatedIntegral,
     build_model,
     evaluate_f,
     pettis_integral,
     scalar_integral,
+    truncated_integral,
 )
 from .psi import (
     CoefficientTable,

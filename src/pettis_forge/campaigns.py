@@ -29,7 +29,8 @@ from .blocks import Functional
 from .continuous import ContinuousModel, check_pair
 from .errors import ConfigError, DepthInsufficientError
 from .intervals import Interval, IntervalSet
-from .pettis import PettisModel, bochner_level_masses, pettis_integral, scalar_integral
+from .pettis import (PettisModel, bochner_level_masses, pettis_integral, scalar_integral,
+                     truncated_integral)
 from .psi import (
     DEFAULT_RATIO_CAP, DEFAULT_TERM_COUNT, PsiSpec, SequenceRule, eval_psi_total, validate_growth,
     validate_summable,
@@ -281,18 +282,18 @@ def run_lower_bound_sweep(model: PettisModel, cfg: CampaignConfig) -> Report:
 def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
     """Pairing identity: functional-of-integral equals integral-of-pairing.
 
-    The left side pairs the functional with the closed-form truncated
-    integral; the right side is ``scalar_integral``, which measures each
-    carrier's share of E in closed form over the slice pattern for built-in
-    families and by set intersection for explicit ones.  The oracle never
-    calls ``overlap``, ``pattern`` or ``slice_overlap``, the carrier geometry
-    the enclosure reads, so the two code paths share only the interval data
-    itself.
+    The left side pairs the functional with ``truncated_integral``, built
+    once per interval set; the right side is ``scalar_integral``, which
+    measures each carrier's share of E in closed form over the slice pattern
+    for built-in families and by set intersection for explicit ones.  The
+    oracle never calls ``overlap``, ``pattern`` or ``slice_overlap``, the
+    carrier geometry the truncation reads, so the two code paths share only
+    the interval data itself.
     """
     rng = random.Random(cfg.seed)
     functionals = [_random_functional(rng, model) for _ in range(cfg.samples)]
     interval_sets = [_random_interval_set(rng) for _ in range(cfg.sets)]
-    enclosures = [pettis_integral(model, E) for E in interval_sets]
+    truncations = [truncated_integral(model, E) for E in interval_sets]
     columns = ("idx", "functional_norm", "lhs", "rhs", "abs_err", "tol", "pass")
     rows: list[tuple] = []
     violations = 0
@@ -300,8 +301,8 @@ def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
     for x in functionals:
         qn = x.dual_norm()
         tol = PAIRING_SLACK * (1.0 + qn)
-        for E, enc in zip(interval_sets, enclosures):
-            lhs = enc.apply(x)
+        for E, trunc in zip(interval_sets, truncations):
+            lhs = trunc.apply(x)
             rhs = scalar_integral(model, x, E)
             err = abs(lhs - rhs)
             ok = err <= tol

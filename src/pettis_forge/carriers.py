@@ -266,10 +266,12 @@ class CarrierFamily:
     def from_sets(cls, depth: int, sets: Mapping[tuple[int, int], IntervalSet]) -> "CarrierFamily":
         if depth < 1:
             raise ConfigError(f"carrier depth must be >= 1, got {depth}")
+        for n, k in sets:
+            if not (1 <= n <= depth and 1 <= k <= 1 << n):
+                raise ConfigError(f"carrier set key {(n, k)} names no cell of a depth-{depth} family")
         # Count the cells present and scan lazily for the first missing one:
         # listing every missing cell of a deep, sparse archive never ends.
-        present = sum(1 <= n <= depth and 1 <= k <= (1 << n) for n, k in sets)
-        missing = (1 << (depth + 1)) - 2 - present
+        missing = (1 << (depth + 1)) - 2 - len(sets)
         if missing:
             cells = ((n, k) for n in range(1, depth + 1) for k in range(1, (1 << n) + 1))
             first = next(cell for cell in cells if cell not in sets)

@@ -35,17 +35,20 @@ tail bound of each truncation level is kept on the model too.  The model is
 frozen, so none of this can go stale, and each value is the float a fresh
 computation gives, so enclosures stay bit-identical.
 
-The enclosure makes one pass over the realized levels <= N.  At level n a
+The integral is read two ways, each a frozen value built whole by its own
+factory: ``pettis_integral`` gives the norm bounds (``IntegralEnclosure``)
+and ``truncated_integral`` the coordinates (``TruncatedIntegral``).
+
+Both kernels make one pass over the realized levels <= N.  At level n a
 part [lo, hi) meets cells k1 = floor(lo * 2^n) + 1 through
 k2 = ceil(hi * 2^n): multiplying by a power of two only moves the exponent,
 so the product is exact (as ``ldexp`` is) and the indices are those of the
 exact rationals.  A part of an ``IntervalSet`` has 0 <= lo < hi <= 1
 (``Interval`` checks the range, the set drops empty parts), so
 1 <= k1 <= k2 <= 2^n and no kernel checks an index.  ``_cover`` builds the
-cover, the per-level record of whole-cell counts and end-cell ratios, and
-no other code does.  ``_part_terms`` runs one part for its norm terms
-alone, the floats the cover gives: that is all the bounds of a one-part set
-at finite p need, so its cover waits for the first read.
+cover, the per-level record of whole-cell counts and end-cell ratios;
+``_part_terms`` runs one part for its norm terms alone, the floats the
+cover gives, which is all the bounds of a one-part set at finite p need.
 """
 
 from __future__ import annotations
@@ -179,26 +182,9 @@ _Cover = dict[int, tuple[float, float, int, dict[int, float]]]
 
 @dataclass(frozen=True)
 class IntegralEnclosure:
-    """Truncated weak integral with a certified norm enclosure.
-
-    ``lower`` is the exact norm of the truncation at level ``N``; ``upper``
-    adds the geometric tail bound through p-additivity, so
-
-        lower <= true norm <= upper.
-
-    The truncated vector is ``cover``, built by ``_cover``: per level, the
-    number of cells lying wholly inside a part (coordinate c each) and the
-    ratios of the end cells.  ``coefficient``, ``apply`` and
-    ``to_block_vector`` read the end cells from it and decide whole-cell
-    membership from ``E.parts`` when a coordinate is read.
-
-    ``pettis_integral`` hands over the cover when the bounds came from it
-    (several parts, or p = infinity).  A one-part set at finite p gets its
-    bounds from ``_part_terms`` alone and builds its cover on first read.
-    The cover is derived data: it is left out of equality and of the
-    pickled state, so an enclosure pickles the same before and after its
-    cover is read.
-    """
+    """Certified norm enclosure of the weak integral over E: ``lower`` is the
+    exact norm of the truncation at level ``N`` and ``upper`` adds the tail
+    bound through p-additivity, so lower <= true norm <= upper."""
 
     model: PettisModel
     lower: float
@@ -208,14 +194,27 @@ class IntegralEnclosure:
     E: IntervalSet = field(repr=False)
     N: int
 
-    @cached_property
-    def cover(self) -> _Cover:
-        return _cover(self.model, self.E.parts, self.N)[0]
+    def apply(self, x: Functional) -> float:
+        """``truncated_integral(model, E, N).apply(x)``, one kernel run per call;
+        the pairing span ``bench/tracer.py`` names.  No campaign calls it."""
+        return truncated_integral(self.model, self.E, self.N).apply(x)
 
-    def __getstate__(self) -> dict:
-        state = dict(vars(self))
-        state.pop("cover", None)
-        return state
+
+@dataclass(frozen=True)
+class TruncatedIntegral:
+    """The truncation at level ``N`` of the weak integral over E, by coordinate.
+
+    ``cover`` is the dict ``_cover`` builds: per level, the number of cells
+    lying wholly inside a part (coordinate c each) and the ratios of the
+    end cells.  ``coefficient``, ``apply`` and ``to_block_vector`` read the
+    end cells from it and decide whole-cell membership from ``E.parts``, so
+    no read runs the kernel again.
+    """
+
+    model: PettisModel = field(repr=False)
+    E: IntervalSet = field(repr=False)
+    N: int
+    cover: _Cover = field(repr=False)
 
     def coefficient(self, n: int, k: int) -> float:
         if n not in self.cover:
@@ -254,10 +253,14 @@ class IntegralEnclosure:
         return BlockVector(self.model.layout, out)
 
 
-def _as_interval_set(E: IntervalSet | Interval) -> IntervalSet:
-    if isinstance(E, Interval):
-        return IntervalSet.of(E)
-    return E
+def _domain(
+    model: PettisModel, E: IntervalSet | Interval, truncate_at: int | None
+) -> tuple[IntervalSet, int]:
+    """E as an ``IntervalSet`` and the truncation level N, default the model depth."""
+    N = model.depth if truncate_at is None else truncate_at
+    if not (0 <= N <= model.depth):
+        raise SupportDepthError(f"truncation level {N} outside 0..{model.depth}")
+    return (IntervalSet.of(E) if isinstance(E, Interval) else E), N
 
 
 def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Cover, int]:
@@ -372,40 +375,36 @@ def pettis_integral(
     (default: the model depth); the tail bound moves accordingly, so for
     N1 < N2 the enclosure at N1 contains the truncated norm at N2.
     """
-    N = model.depth if truncate_at is None else truncate_at
-    if not (0 <= N <= model.depth):
-        raise SupportDepthError(f"truncation level {N} outside 0..{model.depth}")
-    Eset = _as_interval_set(E)
+    Eset, N = _domain(model, E, truncate_at)
     parts = Eset.parts
     p = model.p
-    # A one-part set at finite p needs only the norm terms and leaves the
-    # cover to the first read; every other set reads its bounds from it.
-    cover = None
+    tail = model.tail(N)
+    # A one-part set at finite p needs only its norm terms; every other set reduces a cover.
     if len(parts) == 1 and not math.isinf(p):
         terms, anomalies = _part_terms(model, parts[0].lo, parts[0].hi, N)
     else:
         cover, anomalies = _cover(model, parts, N)
-    tail = model.tail(N)
-    if math.isinf(p):
-        lower = max(
-            (c * max(1.0 if whole else 0.0, max(ratios.values(), default=0.0))
-             for c, _, whole, ratios in cover.values()),
-            default=0.0,
-        )
-        upper = max(lower, tail)
-    else:
-        if cover is not None:
-            terms = [
-                cp * (whole + math.fsum([r**p for r in ratios.values()]))
-                for _, cp, whole, ratios in cover.values()
-            ]
-        total = math.fsum(terms)
-        lower = total ** (1.0 / p)
-        upper = (total + tail**p) ** (1.0 / p)
-    enc = IntegralEnclosure(model, lower, upper, tail, anomalies, E=Eset, N=N)
-    if cover is not None:
-        vars(enc)["cover"] = cover  # the cached value of the ``cover`` property
-    return enc
+        if math.isinf(p):
+            lower = max((c * max([1.0 if whole else 0.0, *ratios.values()])
+                         for c, _, whole, ratios in cover.values()), default=0.0)
+            return IntegralEnclosure(model, lower, max(lower, tail), tail, anomalies, E=Eset, N=N)
+        terms = [
+            cp * (whole + math.fsum([r**p for r in ratios.values()]))
+            for _, cp, whole, ratios in cover.values()
+        ]
+    total = math.fsum(terms)
+    lower = total ** (1.0 / p)
+    upper = (total + tail**p) ** (1.0 / p)
+    return IntegralEnclosure(model, lower, upper, tail, anomalies, E=Eset, N=N)
+
+
+def truncated_integral(
+    model: PettisModel, E: IntervalSet | Interval, truncate_at: int | None = None
+) -> TruncatedIntegral:
+    """The truncation at ``truncate_at`` (default: the model depth) of the
+    weak integral of f over E, with its cover built by one ``_cover`` run."""
+    Eset, N = _domain(model, E, truncate_at)
+    return TruncatedIntegral(model, Eset, N, _cover(model, Eset.parts, N)[0])
 
 
 def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval) -> float:
@@ -423,7 +422,7 @@ def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval
         raise SupportDepthError(
             f"functional support reaches level {x.max_level()} beyond depth {model.depth}"
         )
-    Eset = _as_interval_set(E)
+    Eset, _ = _domain(model, E, None)
     total = []
     for (n, k), w in x.coeffs.items():
         c = model.table.coefficient(n)
@@ -439,7 +438,7 @@ def bochner_level_masses(model: PettisModel, E: IntervalSet | Interval) -> dict[
     Exact because carrier disjointness makes the pointwise norm single-
     coordinate.
     """
-    cover, _ = _cover(model, _as_interval_set(E).parts, model.depth)
+    cover = truncated_integral(model, E).cover
     return {
         n: c * (whole + math.fsum(ratios.values())) for n, (c, _, whole, ratios) in cover.items()
     }

@@ -428,15 +428,14 @@ def coefficients(
     p: float = 2.0,
     rule: SequenceRule | None = None,
     depth: int = 24,
-    n_max: int | None = None,
-    r_max: float = DEFAULT_RATIO_CAP,
 ) -> CoefficientTable:
     """Coefficient schedule for the given gauge, or GrowthConditionError.
 
-    The growth validation runs first with the same (spec, p, rule); its
-    certificate (n0, ratio) is stored on the table.  Each gauge factor
-    psi(4 * 2^-p_(n-1)) is evaluated once and feeds both the growth term
-    and the coefficient.
+    The growth validation runs first with the same (spec, p, rule) over
+    min(MAX_TERM_COUNT, max(32, 2 * levels)) terms, a window that holds every
+    level up to depth 64; its certificate (n0, ratio) is stored on the table.
+    Each gauge factor psi(4 * 2^-p_(n-1)) is evaluated once and feeds both
+    the growth term and the coefficient.
     """
     if K < 1.0:
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
@@ -445,25 +444,20 @@ def coefficients(
     levels = rule.levels_within(depth)
     if not levels:
         raise ConfigError(f"no sequence level within depth {depth}")
-    if n_max is None:
-        n_max = min(MAX_TERM_COUNT, max(32, 2 * len(levels)))
+    n_max = min(MAX_TERM_COUNT, max(32, 2 * len(levels)))
     factors: dict[int, float] = {}
 
     def term(n: int) -> float:
         factors[n] = _gauge_factor(spec, rule, n)
         return _weighted(factors[n], p, rule, n)
 
-    report = _certify(term, p, rule, n_max, r_max)
+    report = _certify(term, p, rule, n_max, DEFAULT_RATIO_CAP)
     if not report.passed:
         raise GrowthConditionError(
             f"gauge {spec.family} failed growth validation for p={p} "
-            f"(no ratio <= {r_max} certificate within {report.n_max} terms)"
+            f"(no ratio <= {DEFAULT_RATIO_CAP} certificate within {report.n_max} terms)"
         )
-    # An n_max below the level count leaves the deeper factors to evaluate here.
-    coeffs = {
-        level: 2.0 * K * (factors[n] if n in factors else _gauge_factor(spec, rule, n))
-        for n, level in enumerate(levels, start=1)
-    }
+    coeffs = {level: 2.0 * K * factors[n] for n, level in enumerate(levels, start=1)}
     return CoefficientTable(
         spec=spec,
         rule=rule,

@@ -548,6 +548,28 @@ def test_cli_build_and_archive_paths(tmp_path):
     assert "disjointness violated" in r.stderr
 
 
+def test_cli_rejects_archive_keys_outside_the_family(tmp_path, capsys):
+    """An explicit archive that holds every cell of its depth-3 family plus a
+    set under the key "4,1", past the depth, exits 2 with a config error
+    naming the key; the stray set would otherwise pass the disjointness
+    sweep and be found by ``locate``, and the pairing campaign would pass."""
+    cfg = _write_cfg(tmp_path, "build.json", {"model": {**_MODEL_CFG, "depth": 3}})
+    arch = tmp_path / "arch.json"
+    assert cli.main(["build", "--config", cfg, "--out", str(arch)]) == 0
+    fam = allocate_carriers(3)
+    blob = json.loads(arch.read_text())
+    blob["carriers"] = CarrierFamily.from_sets(
+        3, {cell: fam.carrier(*cell) for cell in fam.cells()}
+    ).to_json()
+    blob["carriers"]["sets"]["4,1"] = [[0.0, 0.01]]
+    arch.write_text(json.dumps(blob))
+    verify = _write_cfg(tmp_path, "verify.json", {"model": {"archive": str(arch)},
+                                                  "campaign": {"samples": 4, "sets": 2}})
+    r = _cli("verify", "pairing", "--config", verify)
+    assert r.returncode == 2
+    assert "config error: carrier set key (4, 1) names no cell of a depth-3 family" in r.stderr
+
+
 def test_build_sweeps_carriers_once(tmp_path, monkeypatch, capsys):
     calls = []
 

@@ -334,8 +334,19 @@ def test_explicit_archive_with_a_large_depth_fails_fast():
     assert str(info.value) == "carrier sets missing 2199023255550 cells, e.g. (1, 1)"
     fam = allocate_carriers(3)
     sets = {cell: fam.carrier(*cell) for cell in fam.cells() if cell != (3, 5)}
-    sets[(4, 1)] = fam.carrier(1, 1)  # a key past the depth fills no missing cell
     with pytest.raises(ConfigError, match=r"^carrier sets missing 1 cells, e.g. \(3, 5\)$"):
+        CarrierFamily.from_sets(3, sets)
+
+
+@pytest.mark.parametrize("key", [(4, 1), (0, 1), (-1, 1), (2, 0), (2, 5), (3, -1)])
+def test_from_sets_rejects_keys_outside_the_family(key):
+    """A key with n outside 1..depth or k outside 1..2^n names no cell.  It
+    is refused even when every cell is present and the extra set is disjoint
+    from them all, where it would otherwise pass the sweep and win ``locate``."""
+    fam = allocate_carriers(3)
+    sets = {cell: fam.carrier(*cell) for cell in fam.cells()}
+    sets[key] = IntervalSet.from_pairs([(0.0, 0.01)])
+    with pytest.raises(ConfigError, match=rf"^carrier set key \({key[0]}, {key[1]}\) names no cell"):
         CarrierFamily.from_sets(3, sets)
 
 

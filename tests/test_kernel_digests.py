@@ -1,12 +1,13 @@
 """Kernel digests: the enclosure and continuous kernels keep their exact bits.
 
-A fixed seeded corpus of interval sets runs through ``pettis_integral`` and
-everything read from its enclosure: lower, upper, tail and clamp anomalies;
-``coefficient`` at the end cells of every part, their neighbours, random
-cells and the indices 0 and 2^n + 1 just outside a level; ``apply``;
-``to_block_vector`` in item order, or the materialization guard it hits;
-and ``bochner_level_masses``.  Every float is hashed by ``float.hex``, so a
-one-ulp change anywhere in the kernel changes a digest.  The golden report
+A fixed seeded corpus of interval sets runs through ``pettis_integral``
+(lower, upper, tail and clamp anomalies) and ``truncated_integral`` at the
+same truncation level, with everything read from it: ``coefficient`` at the
+end cells of every part, their neighbours, random cells and the indices 0
+and 2^n + 1 just outside a level; ``apply``; ``to_block_vector`` in item
+order, or the materialization guard it hits; and ``bochner_level_masses``.
+Every float is hashed by ``float.hex``, so a one-ulp change anywhere in the
+kernel changes a digest.  The golden report
 digests pin whole reports; these pin the kernel APIs beneath them.
 
 The corpus covers greedy-gap, stratified and explicit families at several
@@ -41,9 +42,10 @@ clips both end cells of a level itself and never builds a cover, through
 greedy-gap depth-24 model at p = 2 is the reference lower-bound model):
 dyadic cells, uniform intervals, intervals with both ends on slice ends,
 and intervals from 0 or to 1.  Per interval it hashes lower, upper, tail
-and clamp anomalies, then ``coefficient`` at the two end cells of every
-realized level.  It holds enough intervals that a one-ulp change in a
-single level's norm term reaches some lower or upper bound.
+and clamp anomalies, then the ``truncated_integral`` ``coefficient`` at
+the two end cells of every realized level.  It holds enough intervals that
+a one-ulp change in a single level's norm term reaches some lower or upper
+bound.
 """
 
 import hashlib
@@ -69,7 +71,7 @@ from pettis_forge import (
 )
 from pettis_forge.errors import MaterializationLimitError, PettisForgeError
 from pettis_forge.intervals import Interval
-from pettis_forge.pettis import bochner_level_masses, pettis_integral
+from pettis_forge.pettis import bochner_level_masses, pettis_integral, truncated_integral
 from pettis_forge.psi import PsiSpec
 
 SPEC34 = PsiSpec("power", exponent=0.75)
@@ -153,8 +155,9 @@ def _enclosure_lines(rng, model, E):
     N = rng.choice([None, rng.randint(first, depth)])
     enc = pettis_integral(model, E, truncate_at=N)
     yield f"{enc.N} {enc.lower.hex()} {enc.upper.hex()} {enc.tail.hex()} {enc.clamp_anomalies}"
+    trunc = truncated_integral(model, E, truncate_at=N)
     for n in model.table.levels:
-        yield " ".join(f"{k}:{enc.coefficient(n, k).hex()}" for k in _cells(rng, n, E))
+        yield " ".join(f"{k}:{trunc.coefficient(n, k).hex()}" for k in _cells(rng, n, E))
     coeffs = {}
     for _ in range(rng.randint(1, 8)):
         n = rng.randint(1, depth)
@@ -162,9 +165,9 @@ def _enclosure_lines(rng, model, E):
     for part in E.parts[:2]:
         n = rng.randint(1, depth)
         coeffs[(n, min(1 << n, math.floor(math.ldexp(part.lo, n)) + 1))] = 0.5
-    yield enc.apply(Functional(model.layout, coeffs)).hex()
+    yield trunc.apply(Functional(model.layout, coeffs)).hex()
     try:
-        items = enc.to_block_vector(max_coords=MAX_COORDS).coeffs.items()
+        items = trunc.to_block_vector(max_coords=MAX_COORDS).coeffs.items()
         yield " ".join(f"{n},{k}:{v.hex()}" for (n, k), v in items)
     except MaterializationLimitError:
         yield "guard"
@@ -231,8 +234,9 @@ def _one_part_lines():
                         enc = pettis_integral(model, Interval(lo, hi), truncate_at=N)
                         yield (f"{lo.hex()} {hi.hex()} {enc.N} {enc.lower.hex()} "
                                f"{enc.upper.hex()} {enc.tail.hex()} {enc.clamp_anomalies}")
+                        trunc = truncated_integral(model, Interval(lo, hi), truncate_at=N)
                         yield " ".join(
-                            f"{enc.coefficient(n, k).hex()}"
+                            f"{trunc.coefficient(n, k).hex()}"
                             for n in model.table.levels
                             for k in (math.floor(math.ldexp(lo, n)) + 1, math.ceil(math.ldexp(hi, n)))
                         )

@@ -22,7 +22,9 @@ from pettis_forge import (
     eval_psi_total,
     pettis_integral,
     scalar_integral,
+    truncated_integral,
 )
+from pettis_forge import campaigns
 from pettis_forge import pettis as pettis_module
 from pettis_forge.errors import (
     DepthMismatchError,
@@ -94,9 +96,10 @@ def test_pettis_integral_empty_and_full():
     assert abs(full.lower - oracle) < 1e-9
     assert full.lower <= full.upper
     # indices just outside a level name no cell: their coordinate is 0
+    whole = truncated_integral(model, Interval(0.0, 1.0))
     for n in model.table.levels:
-        assert full.coefficient(n, 1) == full.coefficient(n, 2**n) == model.table.coefficient(n)
-        assert full.coefficient(n, 0) == full.coefficient(n, 2**n + 1) == 0.0
+        assert whole.coefficient(n, 1) == whole.coefficient(n, 2**n) == model.table.coefficient(n)
+        assert whole.coefficient(n, 0) == whole.coefficient(n, 2**n + 1) == 0.0
 
 
 def test_pettis_integral_dyadic_floor():
@@ -113,12 +116,12 @@ def test_enclosure_coefficients_in_range():
     rng = random.Random(31)
     for _ in range(50):
         E = _random_interval_set(rng)
-        enc = pettis_integral(model, E)
-        assert enc.clamp_anomalies == 0
+        assert pettis_integral(model, E).clamp_anomalies == 0
+        trunc = truncated_integral(model, E)
         for n in model.table.levels:
             c = model.table.coefficient(n)
             for k in {1, 2, rng.randint(1, 1 << n), 1 << n}:
-                assert -1e-15 <= enc.coefficient(n, k) <= c * (1 + 1e-15)
+                assert -1e-15 <= trunc.coefficient(n, k) <= c * (1 + 1e-15)
 
 
 def _family(kind, depth):
@@ -156,9 +159,9 @@ def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
     shared_cells = 0
     wide_levels = 0
     for E in SHARED_END_CELLS + tuple(_random_interval_set(rng) for _ in range(40)):
-        enc = pettis_integral(model, E)
-        wide_levels += sum(len(ratios) >= 3 for _, _, _, ratios in enc.cover.values())
-        vec = enc.to_block_vector().coeffs
+        trunc = truncated_integral(model, E)
+        wide_levels += sum(len(ratios) >= 3 for _, _, _, ratios in trunc.cover.values())
+        vec = trunc.to_block_vector().coeffs
         masses = bochner_level_masses(model, E)
         acc = 0.0
         for n in model.table.levels:
@@ -169,7 +172,7 @@ def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
                 ratio = a.intersect(E).measure / a.measure
                 level_ratios.append(ratio)
                 want = c * ratio
-                assert abs(enc.coefficient(n, k) - want) < 1e-12 * (1 + c), (n, k)
+                assert abs(trunc.coefficient(n, k) - want) < 1e-12 * (1 + c), (n, k)
                 assert abs(vec.get((n, k), 0.0) - want) < 1e-12 * (1 + c), (n, k)
                 acc += want * want
                 met = [p for p in E.parts if a.intersect(IntervalSet.of(p)).measure > 0.0]
@@ -177,7 +180,7 @@ def test_enclosure_against_explicit_interval_arithmetic(kind, depth):
             mass = c * math.fsum(level_ratios)
             assert abs(masses.get(n, 0.0) - mass) < 1e-9 * (1 + mass), n
         assert set(vec) <= {(n, k) for n in model.table.levels for k in range(1, (1 << n) + 1)}
-        assert abs(enc.lower - math.sqrt(acc)) < 1e-9
+        assert abs(pettis_integral(model, E).lower - math.sqrt(acc)) < 1e-9
     # two of the fixed sets put several parts into one deepest-level carrier
     assert shared_cells >= 2
     # merged levels with three or more end cells, whose norm term is the fsum
@@ -191,8 +194,8 @@ def test_norm_terms_match_the_cover_sum(kind, p):
     terms of ``_part_terms``, which clips as it goes and builds no cover,
     are bit for bit cp * (whole + fsum(r**p over the level's end-cell
     ratios)) read from the cover ``_cover`` builds; on every set the bounds
-    are those of the fsum of the cover's terms, and the cover and anomaly
-    count are the enclosure's."""
+    are those of the fsum of the cover's terms, the anomaly count is the
+    enclosure's and the cover is the truncation's."""
     model = build_model(_family(kind, 8), SPEC34, p=p, depth=8)
     rng = random.Random(41)
     one_part = 0
@@ -204,7 +207,8 @@ def test_norm_terms_match_the_cover_sum(kind, p):
             cp * (whole + math.fsum(r**p for r in ratios.values()))
             for _, cp, whole, ratios in cover.values()
         ]
-        assert cover == enc.cover and anomalies == enc.clamp_anomalies, (E, N)
+        assert anomalies == enc.clamp_anomalies, (E, N)
+        assert cover == truncated_integral(model, E, truncate_at=N).cover, (E, N)
         if len(E.parts) == 1:
             one_part += 1
             terms, _ = pettis_module._part_terms(model, E.parts[0].lo, E.parts[0].hi, N)
@@ -240,12 +244,12 @@ def test_end_cells_match_overlap_bits(kind, depth):
             lo, hi = sorted(ends)
         if hi <= lo:
             continue
-        enc = pettis_integral(model, Interval(lo, hi))
+        trunc = truncated_integral(model, Interval(lo, hi))
         for n in model.table.levels:
             c = model.table.coefficient(n)
             for k in {math.floor(math.ldexp(lo, n)) + 1, math.ceil(math.ldexp(hi, n))}:
                 want = c * min(1.0, fam.overlap(n, k, lo, hi) / fam.carrier_measure(n, k))
-                assert enc.coefficient(n, k).hex() == want.hex(), (n, k, lo, hi)
+                assert trunc.coefficient(n, k).hex() == want.hex(), (n, k, lo, hi)
 
 
 def test_tail_bound_evaluated_once_per_truncation(monkeypatch):
@@ -271,71 +275,74 @@ def test_tail_bound_evaluated_once_per_truncation(monkeypatch):
 
 
 def test_interval_sets_explicit_families_and_enclosures_pickle():
-    """Families, models whose per-level geometry is built, and enclosures
-    survive a pickle round trip with the same bounds and cover."""
-    E = IntervalSet.of(Interval(0.1, 0.3), Interval(0.55, 0.8))
+    """Families, models whose per-level geometry is built, enclosures and
+    truncations survive a pickle round trip; a truncation compares equal
+    after it, cover included."""
     for kind in ("greedy-gap", "stratified", "explicit"):
         family = _family(kind, 6)
         model = build_model(family, SPEC34, depth=6)
-        enc = pettis_integral(model, E)
-        assert "geometry" in vars(model)
-        for obj in (E, family, model, enc):
-            assert pickle.loads(pickle.dumps(obj)) == obj
-        again = pettis_integral(pickle.loads(pickle.dumps(model)), E)
-        assert again.lower == enc.lower and again.cover == enc.cover
-        restored = pickle.loads(pickle.dumps(enc))
-        assert restored.lower == enc.lower and restored.cover == enc.cover
-
-
-@pytest.mark.parametrize("kind", ["greedy-gap", "stratified", "explicit"])
-def test_one_part_cover_is_built_when_first_read(kind):
-    """A one-part enclosure at finite p gets its bounds from the norm terms
-    alone; its cover is built on first read, is exactly the dict the kernel
-    fills, and does not change the pickled enclosure."""
-    model = build_model(_family(kind, 8), SPEC34, depth=8)
-    rng = random.Random(71)
-    uniform = [sorted((rng.random(), rng.random())) for _ in range(20)]
-    for lo, hi in [(0.0, 1.0), (0.25, 0.5), *uniform]:
-        N = rng.randint(1, 8)
-        enc = pettis_integral(model, Interval(lo, hi), truncate_at=N)
-        assert "cover" not in vars(enc)
-        before = pickle.dumps(enc)
-        want, _ = pettis_module._cover(model, enc.E.parts, N)
-        assert enc.cover == want and "cover" in vars(enc)
-        assert pickle.dumps(enc) == before
-        assert pickle.loads(before).cover == want
+        for E in (IntervalSet.of(Interval(0.1, 0.3), Interval(0.55, 0.8)), Interval(0.1, 0.3)):
+            enc = pettis_integral(model, E)
+            trunc = truncated_integral(model, E)
+            assert "geometry" in vars(model)
+            for obj in (enc.E, family, model, enc, trunc):
+                assert pickle.loads(pickle.dumps(obj)) == obj
+            restored = pickle.loads(pickle.dumps(trunc))
+            assert restored.cover == trunc.cover and restored.model == model
+            again = pickle.loads(pickle.dumps(model))
+            assert pettis_integral(again, E) == enc and truncated_integral(again, E) == trunc
 
 
 def test_enclosures_that_need_the_cover_run_the_kernel_once_per_part(monkeypatch):
-    """Several parts, and p = inf, read their bounds from the cover, so
-    ``_cover`` runs once and reading the cover runs nothing again.  A
-    one-part enclosure at finite p runs ``_part_terms`` for the bounds and
-    ``_cover`` on the first read."""
-    calls = []
+    """``pettis_integral`` runs exactly one kernel: ``_part_terms`` on a
+    one-part set at finite p, ``_cover`` on every other set.
+    ``truncated_integral`` runs ``_cover`` once, and reading its coordinates
+    runs no kernel again.  A whole pairing campaign runs ``_cover`` once per
+    interval set and never ``_part_terms``."""
+    calls, cover_parts = [], []
     for name in ("_part_terms", "_cover"):
         kernel = getattr(pettis_module, name)
 
         def counting(*args, name=name, kernel=kernel):
             calls.append(name)
+            if name == "_cover":
+                cover_parts.append(len(args[1]))
             return kernel(*args)
 
         monkeypatch.setattr(pettis_module, name, counting)
+
+    def runs():
+        return calls.count("_part_terms"), calls.count("_cover")
+
     finite = build_model(None, SPEC34, depth=10)
     sup = build_model(None, SPEC34, p=math.inf, depth=10)
     two = IntervalSet.of(Interval(0.1, 0.3), Interval(0.55, 0.8))
-    for model, E, runs, after_read in (
-        (finite, two, (0, 1), (0, 1)),
-        (sup, two, (0, 1), (0, 1)),
-        (sup, Interval(0.1, 0.3), (0, 1), (0, 1)),
-        (finite, Interval(0.1, 0.3), (1, 0), (1, 1)),
+    for model, E, bounds in (
+        (finite, two, (0, 1)),
+        (sup, two, (0, 1)),
+        (sup, Interval(0.1, 0.3), (0, 1)),
+        (finite, Interval(0.1, 0.3), (1, 0)),
+        (finite, IntervalSet(), (0, 1)),
     ):
         calls.clear()
-        enc = pettis_integral(model, E)
-        assert (calls.count("_part_terms"), calls.count("_cover")) == runs
-        enc.coefficient(3, 2)
-        enc.apply(Functional(model.layout, {(3, 2): 1.0, (10, 300): -0.5}))
-        enc.to_block_vector()
-        assert (calls.count("_part_terms"), calls.count("_cover")) == after_read
+        pettis_integral(model, E)
+        assert runs() == bounds, (model.p, E)
+        calls.clear()
+        trunc = truncated_integral(model, E)
+        assert runs() == (0, 1), (model.p, E)
+        trunc.coefficient(3, 2)
+        trunc.apply(Functional(model.layout, {(3, 2): 1.0, (10, 300): -0.5}))
+        trunc.to_block_vector()
+        assert runs() == (0, 1), (model.p, E)
+    for scheme, sets in (("greedy-gap", 8), ("stratified", 5)):
+        model = build_model(allocate_carriers(10, scheme), SPEC34, depth=10)
+        calls.clear()
+        cover_parts.clear()
+        report = campaigns.run_pairing_check(
+            model, campaigns.CampaignConfig(kind="pairing", samples=30, sets=sets, seed=5)
+        )
+        assert report.summary["interval_sets"] == sets and report.violations == 0
+        assert runs() == (0, sets) and 1 in cover_parts, (scheme, cover_parts)
 
 
 def test_pairing_identity_two_code_paths():
@@ -343,13 +350,14 @@ def test_pairing_identity_two_code_paths():
     rng = random.Random(23)
     for _ in range(60):
         E = _random_interval_set(rng)
-        enc = pettis_integral(model, E)
+        trunc = truncated_integral(model, E)
         coeffs = {}
         for _ in range(rng.randint(1, 8)):
             n = rng.randint(1, 12)
             coeffs[(n, rng.randint(1, 1 << n))] = rng.uniform(-1, 1)
         x = Functional(model.layout, coeffs)
-        lhs = enc.apply(x)
+        lhs = trunc.apply(x)
+        assert pettis_integral(model, E).apply(x) == lhs
         rhs = scalar_integral(model, x, E)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + x.dual_norm())
 
@@ -445,11 +453,11 @@ def test_to_block_vector_round_trip_small():
     # Both parts end inside the level-6 carrier of cell 20, [0.30078125, 0.30859375),
     # so that cell's coordinate sums the ratios of two parts.
     E = IntervalSet.from_pairs([(0.25, 0.303), (0.306, 0.8)])
-    enc = pettis_integral(model, E)
-    v = enc.to_block_vector()
+    trunc = truncated_integral(model, E)
+    v = trunc.to_block_vector()
     for (n, k), val in v.coeffs.items():
-        assert abs(val - enc.coefficient(n, k)) < 1e-15
-    assert abs(v.norm() - enc.lower) < 1e-12
+        assert abs(val - trunc.coefficient(n, k)) < 1e-15
+    assert abs(v.norm() - pettis_integral(model, E).lower) < 1e-12
     a = model.carriers.carrier(6, 20)
     shared = model.table.coefficient(6) * a.intersect(E).measure / a.measure
     assert 0.0 < shared < model.table.coefficient(6)
