@@ -32,8 +32,7 @@ from .intervals import Interval, IntervalSet
 from .pettis import (PettisModel, bochner_level_masses, pettis_integral, scalar_integral,
                      truncated_integral)
 from .psi import (
-    DEFAULT_RATIO_CAP, DEFAULT_TERM_COUNT, PsiSpec, SequenceRule, eval_psi_total, validate_growth,
-    validate_summable,
+    RATIO_CAP, PsiSpec, SequenceRule, eval_psi_total, validate_growth, validate_summable,
 )
 
 LOWER_BOUND = "lower-bound"
@@ -482,17 +481,16 @@ def run_psi_validate(
     p: float,
     rule: SequenceRule,
     cfg: CampaignConfig,
-    n_max: int = DEFAULT_TERM_COUNT,
-    r_max: float = DEFAULT_RATIO_CAP,
+    depth: int = 24,
     continuous: bool = False,
 ) -> Report:
-    """The certificate a model is built on, as a report: the growth
-    certificate at p for a pettis model, the summability certificate (the
-    p = inf series) for a continuous one.  FAIL is a finding, not an error."""
+    """The certificate a model of this depth is built on, as a report: the
+    growth certificate at p for a pettis model, the summability certificate
+    (the p = inf series) for a continuous one.  FAIL is a finding, not an error."""
     if continuous:
-        report = validate_summable(spec, rule, n_max=n_max, r_max=r_max)
+        report = validate_summable(spec, rule, depth)
     else:
-        report = validate_growth(spec, p, rule, n_max=n_max, r_max=r_max)
+        report = validate_growth(spec, p, rule, depth)
     columns = ("n", "p_n", "term", "ratio", "certified")
     rows: list[tuple] = []
     for i, term in enumerate(report.terms, start=1):
@@ -504,7 +502,7 @@ def run_psi_validate(
         "pass": report.passed,
         "n0": report.n0,
         "ratio": report.ratio,
-        "r_max": r_max,
+        "r_max": RATIO_CAP,
         "n_max": report.n_max,
         "p": "inf" if math.isinf(report.p) else report.p,
     }

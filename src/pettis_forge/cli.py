@@ -28,7 +28,6 @@ from .config import (
 )
 from .errors import ConfigError, PettisForgeError
 from .pettis import PettisModel
-from .psi import DEFAULT_RATIO_CAP, DEFAULT_TERM_COUNT, parse_number
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -92,21 +91,18 @@ def _run_psi_validate(args: argparse.Namespace) -> int:
     model = obj.get("model") or {}
     if not isinstance(model, dict):
         raise ConfigError(f"psi validate model must be an object, got {model!r}")
-    # top-level psi, rule and p override the model's; p is the one the model builds with
-    given = {key: obj[key] for key in ("psi", "rule", "p") if key in obj}
-    spec, rule, p = gauge_from_config({**model, **given})
+    for key in ("n_max", "r_max"):
+        if key in obj:
+            raise ConfigError(f"{key} is not a setting: psi validate certifies the model's depth")
+    # top-level psi, rule, p and depth override the model's; they are what the model builds with
+    merged = {**model, **{key: obj[key] for key in ("psi", "rule", "p", "depth") if key in obj}}
+    spec, rule, p, depth = gauge_from_config(merged)
     # a continuous model is built on the summability certificate, not on growth at p
     kind = str(model.get("kind", "pettis"))
     if kind not in ("pettis", "continuous"):
         raise ConfigError(f"unknown model kind {kind!r}")
-    n_max = obj.get("n_max", DEFAULT_TERM_COUNT)
-    if type(n_max) is not int:
-        raise ConfigError(f"n_max must be an integer, got {n_max!r}")
-    r_max = parse_number(obj.get("r_max", DEFAULT_RATIO_CAP), "r_max")
     cfg = _campaign_config(obj, campaigns.PSI_VALIDATE, args)
-    report = campaigns.run_psi_validate(
-        spec, p, rule, cfg, n_max=n_max, r_max=r_max, continuous=kind == "continuous"
-    )
+    report = campaigns.run_psi_validate(spec, p, rule, cfg, depth, continuous=kind == "continuous")
     return _emit(report, cfg)
 
 

@@ -71,12 +71,13 @@ def _require_sound(family: CarrierFamily) -> None:
         raise ConfigError(f"disjointness violated: {first}")
 
 
-def gauge_from_config(obj: Mapping) -> tuple[PsiSpec, SequenceRule, float]:
-    """The gauge, level rule and norm exponent p of a model object.
+def gauge_from_config(obj: Mapping) -> tuple[PsiSpec, SequenceRule, float, int]:
+    """The gauge, level rule, norm exponent p and depth of a model object:
+    what its growth certificate is built from.
 
     p is a model setting (default 2).  Older configs and archives also
     carry a gauge "p"; it is validated, and read only when the model has
-    no "p".
+    no "p".  The depth is a JSON integer, default 24.
     """
     for key in ("psi", "rule"):
         if key in obj and not isinstance(obj[key], Mapping):
@@ -87,7 +88,10 @@ def gauge_from_config(obj: Mapping) -> tuple[PsiSpec, SequenceRule, float]:
     if "p" in obj:
         p = parse_exponent(obj["p"])
     rule = SequenceRule.from_json(obj.get("rule", {"kind": "affine"}))
-    return PsiSpec.from_json(obj["psi"]), rule, p
+    depth = obj.get("depth", 24)
+    if type(depth) is not int:
+        raise ConfigError(f"model depth must be an integer, got {depth!r}")
+    return PsiSpec.from_json(obj["psi"]), rule, p, depth
 
 
 def build_model_from_config(obj: Mapping) -> PettisModel | ContinuousModel:
@@ -96,11 +100,8 @@ def build_model_from_config(obj: Mapping) -> PettisModel | ContinuousModel:
     kind = str(obj.get("kind", "pettis"))
     if "carriers" in obj and not isinstance(obj["carriers"], Mapping):
         raise ConfigError(f"model carriers must be an object, got {obj['carriers']!r}")
-    psi, rule, p = gauge_from_config(obj)
+    psi, rule, p, depth = gauge_from_config(obj)
     K = parse_number(obj.get("K", 1.0), "K")
-    depth = obj.get("depth", 24)
-    if type(depth) is not int:
-        raise ConfigError(f"model depth must be an integer, got {depth!r}")
     if kind == "continuous":
         return build_continuous_model(psi, K=K, rule=rule, depth=depth)
     if kind != "pettis":
@@ -122,7 +123,7 @@ def build_campaign_from_config(obj: Mapping, kind: str | None = None) -> Campaig
     if "t_grid" in obj:
         if not isinstance(obj["t_grid"], (list, tuple)):
             raise ConfigError(f"campaign t_grid must be a list, got {obj['t_grid']!r}")
-        obj["t_grid"] = tuple(obj["t_grid"])
+        obj["t_grid"] = tuple(parse_number(t, "campaign t_grid point") for t in obj["t_grid"])
     if "interval" in obj:
         iv = obj["interval"]
         if not (isinstance(iv, (list, tuple)) and len(iv) == 2):
@@ -168,6 +169,8 @@ def load_archive(path: str | Path) -> PettisModel | ContinuousModel:
     config = obj.get("config")
     if not isinstance(config, Mapping):
         raise ConfigError(f"archive {path} has no model config")
+    if "archive" in config:  # write_archive never writes one; it could name this file
+        raise ConfigError(f"archive {path} config names another archive")
     if kind == "continuous":
         return build_model_from_config(config)
     if kind != "pettis":

@@ -144,7 +144,7 @@ def build_continuous_model(
     # The walk and the Lipschitz bound scale by 2^p_n, which must be a float.
     if rule.term(depth) >= 1024:
         raise ConfigError(f"continuous model needs p_depth < 1024, got {rule.term(depth)}")
-    report = validate_summable(spec, rule)
+    report = validate_summable(spec, rule, depth)
     if not report.passed:
         raise GrowthConditionError(
             f"gauge {spec.family} is not certified summable along the sequence rule"

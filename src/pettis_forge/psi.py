@@ -39,8 +39,8 @@ _FAMILIES = (POWER, SQRT_LOG, SQRT_LOGLOG, CUSTOM_TABLE)
 SQRT_LOG_THRESHOLD = 1.0 / math.e
 SQRT_LOGLOG_THRESHOLD = math.exp(-math.e)
 
-DEFAULT_RATIO_CAP = 0.95
-DEFAULT_TERM_COUNT = 48
+#: The growth certificate's ratio cap and the most terms it checks.
+RATIO_CAP = 0.95
 MAX_TERM_COUNT = 64
 
 
@@ -283,13 +283,12 @@ class GrowthReport:
     """Outcome of the certified eventual-ratio test.
 
     When ``passed``, every consecutive term ratio from index n0 on is at
-    most ``ratio`` (< 1), so the tail beyond any term is bounded by the
-    first omitted term divided by (1 - ratio).
+    most ``ratio`` (<= RATIO_CAP < 1), so the tail beyond any term is bounded
+    by the first omitted term divided by (1 - ratio).
     """
 
     passed: bool
     p: float
-    r_max: float
     n_max: int
     terms: tuple[float, ...]  # term_n for n = 1..n_max
     n0: int | None = None
@@ -321,46 +320,58 @@ def _weighted(factor: float, p: float, rule: SequenceRule, n: int) -> float:
 
 
 def validate_growth(
-    spec: PsiSpec,
-    p: float = 2.0,
-    rule: SequenceRule | None = None,
-    n_max: int = DEFAULT_TERM_COUNT,
-    r_max: float = DEFAULT_RATIO_CAP,
+    spec: PsiSpec, p: float = 2.0, rule: SequenceRule | None = None, depth: int = 24
 ) -> GrowthReport:
-    """Certified eventual-ratio test of the growth series.
-
-    PASS iff some n0 <= n_max/2 has term_(n+1)/term_n <= r_max for every
-    n in [n0, n_max).  Failure is a value, not an error.
-    """
+    """The growth certificate of a pettis model of this depth, as ``coefficients``
+    runs it.  Failure is a value, not an error."""
     if rule is None:
         rule = SequenceRule("affine")
-    return _certify(lambda n: growth_term(spec, p, rule, n), p, rule, n_max, r_max)
+    # levels past MAX_TERM_COUNT // 2 do not widen the window, so none deeper is walked
+    top = rule.term(min(MAX_TERM_COUNT // 2, rule.max_index() or MAX_TERM_COUNT))
+    return _growth(spec, p, rule, len(rule.levels_within(min(depth, top))))[0]
+
+
+def _growth(
+    spec: PsiSpec, p: float, rule: SequenceRule, levels: int
+) -> tuple[GrowthReport, dict[int, float]]:
+    """The growth certificate of a ``levels``-level model, and the gauge factor
+    psi(4 * 2^-p_(n-1)) of each term_n it evaluated, keyed by n."""
+    factors: dict[int, float] = {}
+
+    def term(n: int) -> float:
+        factors[n] = _gauge_factor(spec, rule, n)
+        return _weighted(factors[n], p, rule, n)
+
+    return _certify(term, p, rule, levels), factors
+
+
+def _window(rule: SequenceRule, levels: int) -> int:
+    """Terms the certificate of a ``levels``-level model checks:
+    min(MAX_TERM_COUNT, max(48, 2 * levels)), and no more than a list rule
+    has.  It holds every level of a model with at most 64 levels."""
+    n_max = min(MAX_TERM_COUNT, max(48, 2 * levels), rule.max_index() or MAX_TERM_COUNT)
+    if n_max < 2:
+        raise ConfigError("list rule too short for a ratio certificate (needs at least 2 entries)")
+    return n_max
 
 
 def _certify(
-    term: Callable[[int], float], p: float, rule: SequenceRule, n_max: int, r_max: float
+    term: Callable[[int], float], p: float, rule: SequenceRule, levels: int
 ) -> GrowthReport:
-    """The eventual-ratio test on term(1..n_max), n_max capped by a list rule."""
-    if not (2 <= n_max <= MAX_TERM_COUNT):
-        raise ConfigError(f"n_max must be within [2, {MAX_TERM_COUNT}], got {n_max}")
-    if not (0.0 < r_max < 1.0):
-        raise ConfigError(f"r_max must be in (0, 1), got {r_max}")
-    cap = rule.max_index()
-    if cap is not None:
-        n_max = min(n_max, cap)
-        if n_max < 2:
-            raise ConfigError("list rule too short for a ratio certificate (needs at least 2 entries)")
+    """PASS iff some n0 <= n_max/2 has term_(n+1)/term_n <= RATIO_CAP for
+    every n in [n0, n_max), over the window of a ``levels``-level model."""
+    n_max = _window(rule, levels)
     terms = tuple(term(n) for n in range(1, n_max + 1))
     if not all(map(math.isfinite, terms)):
-        return GrowthReport(False, p, r_max, n_max, terms)
+        return GrowthReport(False, p, n_max, terms)
     ratios = [
         (t1 / t0 if t0 > 0.0 else (0.0 if t1 == 0.0 else math.inf))
         for t0, t1 in zip(terms, terms[1:])
     ]
     for n0 in range(1, n_max // 2 + 1):
-        if all(r <= r_max for r in ratios[n0 - 1 :]):
-            return GrowthReport(True, p, r_max, n_max, terms, n0=n0, ratio=max(ratios[n0 - 1 :]))
-    return GrowthReport(False, p, r_max, n_max, terms)
+        if all(r <= RATIO_CAP for r in ratios[n0 - 1 :]):
+            return GrowthReport(True, p, n_max, terms, n0=n0, ratio=max(ratios[n0 - 1 :]))
+    return GrowthReport(False, p, n_max, terms)
 
 
 def summability_term(spec: PsiSpec, rule: SequenceRule, n: int) -> float:
@@ -369,19 +380,16 @@ def summability_term(spec: PsiSpec, rule: SequenceRule, n: int) -> float:
 
 
 def validate_summable(
-    spec: PsiSpec,
-    rule: SequenceRule | None = None,
-    n_max: int = DEFAULT_TERM_COUNT,
-    r_max: float = DEFAULT_RATIO_CAP,
+    spec: PsiSpec, rule: SequenceRule | None = None, depth: int = 9
 ) -> GrowthReport:
     """Ratio certificate for sum of psi(2^-p_n); the p = inf regime.
 
-    Used by the continuous separation model, whose coefficients are
-    2K * u_(n-2) and whose well-definedness needs this sum finite.
+    Used by the continuous separation model of this depth (levels 2..depth),
+    whose coefficients 2K * u_(n-2) need this sum finite to be well defined.
     """
     if rule is None:
         rule = SequenceRule("affine")
-    return _certify(lambda n: summability_term(spec, rule, n), math.inf, rule, n_max, r_max)
+    return _certify(lambda n: summability_term(spec, rule, n), math.inf, rule, depth - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +439,9 @@ def coefficients(
 ) -> CoefficientTable:
     """Coefficient schedule for the given gauge, or GrowthConditionError.
 
-    The growth validation runs first with the same (spec, p, rule) over
-    min(MAX_TERM_COUNT, max(32, 2 * levels)) terms, a window that holds every
-    level up to depth 64; its certificate (n0, ratio) is stored on the table.
-    Each gauge factor psi(4 * 2^-p_(n-1)) is evaluated once and feeds both
-    the growth term and the coefficient.
+    The growth certificate runs first, as ``validate_growth`` runs it for this
+    depth, and its (n0, ratio) is stored on the table.  Each gauge factor it
+    evaluates feeds both its growth term and the coefficient.
     """
     if K < 1.0:
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
@@ -444,18 +450,11 @@ def coefficients(
     levels = rule.levels_within(depth)
     if not levels:
         raise ConfigError(f"no sequence level within depth {depth}")
-    n_max = min(MAX_TERM_COUNT, max(32, 2 * len(levels)))
-    factors: dict[int, float] = {}
-
-    def term(n: int) -> float:
-        factors[n] = _gauge_factor(spec, rule, n)
-        return _weighted(factors[n], p, rule, n)
-
-    report = _certify(term, p, rule, n_max, DEFAULT_RATIO_CAP)
+    report, factors = _growth(spec, p, rule, len(levels))
     if not report.passed:
         raise GrowthConditionError(
             f"gauge {spec.family} failed growth validation for p={p} "
-            f"(no ratio <= {DEFAULT_RATIO_CAP} certificate within {report.n_max} terms)"
+            f"(no ratio <= {RATIO_CAP} certificate within {report.n_max} terms)"
         )
     coeffs = {level: 2.0 * K * factors[n] for n, level in enumerate(levels, start=1)}
     return CoefficientTable(

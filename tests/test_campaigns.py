@@ -1,9 +1,10 @@
 """Campaigns: assertions, summaries, reproducibility, CLI exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
-import sys
 import time
 
 import pytest
@@ -35,7 +36,8 @@ from pettis_forge.config import (
     load_archive,
     write_archive,
 )
-from pettis_forge.errors import ConfigError, DepthInsufficientError
+from pettis_forge.errors import ConfigError, DepthInsufficientError, GrowthConditionError
+from pettis_forge.pettis import PettisModel
 
 
 def _small_model(depth=12):
@@ -303,11 +305,13 @@ def test_model_config_errors(tmp_path):
 
 
 def _cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "pettis_forge.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+    """``pettis-forge *args`` run in-process through ``cli.main``, with its
+    exit code and output as a ``CompletedProcess``.  The console entry point
+    itself runs as a subprocess in ``test_acceptance``'s criterion 9."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -445,6 +449,7 @@ def test_cli_exit_codes(tmp_path):
     cases = [(name, "lower-bound", model, {"samples": 2, "dyadic_level": 3})
              for name, model in _WRONG_TYPE_MODELS.items()]
     cases.append(("interval", "bochner", _MODEL_CFG, {"interval": ["a", 0.5]}))
+    cases += [("t_grid", "blowup", _MODEL_CFG, {"t_grid": grid}) for grid in ([False], ["a"])]
     cases += [(name, "lower-bound", {"archive": _bad_table_archive(tmp_path, name)},
                {"samples": 2, "dyadic_level": 3}) for name in _BAD_TABLES]
     for name, kind, model, campaign in cases:
@@ -460,14 +465,15 @@ def test_cli_exit_codes(tmp_path):
     r = _cli("verify", "lower-bound", "--config", cfg)
     assert r.returncode == 2, r.stderr
     assert "carrier sets missing 2199023255550 cells, e.g. (1, 1)" in r.stderr
-    # psi validate limits: n_max a JSON integer (12.7 used to run as 12), r_max a number
-    for name, value in (("n_max", "x"), ("r_max", "abc"), ("n_max", 12.7)):
+    # n_max and r_max are not settings: psi validate certifies the window of
+    # the model's depth, so an older config that sets either is refused
+    for name, value in (("n_max", 48), ("r_max", 0.95)):
         cfg = _write_cfg(
             tmp_path, "psi_limits.json", {"psi": {"family": "power", "exponent": 0.75}, name: value}
         )
         r = _cli("psi", "validate", "--config", cfg)
         assert r.returncode == 2, (name, value, r.stderr)
-        assert f"config error: {name} must be" in r.stderr
+        assert f"config error: {name} is not a setting" in r.stderr
         assert "Traceback" not in r.stderr
     # 2^p_n past the float range.  Growth terms: psi validate reports FAIL, and
     # building a model is a growth error.  Continuous: 2^p_depth is not a float.
@@ -487,7 +493,8 @@ def test_cli_exit_codes(tmp_path):
         assert "Traceback" not in r.stderr, args
     # psi validate inputs that are not JSON objects, and a boolean norm exponent
     power = {"family": "power", "exponent": 0.75}
-    for payload in ({"psi": 5}, {"psi": power, "rule": 5}, {"model": 5}, {"psi": power, "p": True}):
+    for payload in ({"psi": 5}, {"psi": power, "rule": 5}, {"model": 5}, {"psi": power, "p": True},
+                    {"psi": power, "depth": 12.9}, {"model": {"psi": power, "depth": "24"}}):
         cfg = _write_cfg(tmp_path, "psi_types.json", payload)
         r = _cli("psi", "validate", "--config", cfg)
         assert r.returncode == 2, (payload, r.stderr)
@@ -568,6 +575,20 @@ def test_cli_rejects_archive_keys_outside_the_family(tmp_path, capsys):
     r = _cli("verify", "pairing", "--config", verify)
     assert r.returncode == 2
     assert "config error: carrier set key (4, 1) names no cell of a depth-3 family" in r.stderr
+
+
+def test_cli_refuses_an_archive_whose_config_names_an_archive(tmp_path):
+    """write_archive never writes an "archive" key into a config; one that
+    does (here naming the archive itself) is a config error naming the path,
+    not a recursion."""
+    arch = tmp_path / "self.json"
+    arch.write_text(json.dumps({"kind": "pettis", "config": {"archive": str(arch)}}))
+    cfg = _write_cfg(tmp_path, "verify.json", {"model": {"archive": str(arch)},
+                                               "campaign": {"samples": 2, "dyadic_level": 3}})
+    r = _cli("verify", "lower-bound", "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert f"config error: archive {arch} config names another archive" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_build_sweeps_carriers_once(tmp_path, monkeypatch, capsys):
@@ -706,6 +727,59 @@ def test_psi_validate_runs_the_continuous_certificate(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "odd.json", {"model": {**ref9, "kind": "odd"}})
     assert cli.main(["psi", "validate", "--config", cfg]) == 2
     assert "unknown model kind 'odd'" in capsys.readouterr().err
+
+
+def _kinked_knots():
+    """A custom table that follows s^0.75 for s >= 2^-36 and s^0.55 below,
+    with knots at every power of two from 2^-60 to 4.  At p = 2, a = 1 its
+    term ratio is 2^-0.25 = 0.8409 up to term 39, then 2^-0.05 = 0.966, over
+    the 0.95 cap: a 32-term window misses the kink, a 48-term one sees it."""
+    knots = [[0.0, 0.0]]
+    for e in range(-60, 3):
+        s = math.ldexp(1.0, e)
+        knots.append([s, s**0.75 if e >= -36 else 2.0**-27 * math.ldexp(s, 36) ** 0.55])
+    return knots
+
+
+_POWER34 = {**_MODEL_CFG, "depth": 24}
+_CERTIFIED_MODELS = {
+    "power-d8": {**_POWER34, "depth": 8},
+    "power-d24": _POWER34,
+    "power-d40": {**_POWER34, "depth": 40},
+    "sqrt-log-p3-d24": {**_POWER34, "psi": {"family": "sqrt-log", "epsilon": 0.5}, "p": 3.0,
+                        "rule": {"kind": "affine", "a": 4, "b": 0}},
+    "kinked-d8": {**_POWER34, "psi": {"family": "custom-table", "knots": _kinked_knots()},
+                  "depth": 8},
+    "continuous-ref9": {"kind": "continuous", "psi": {"family": "power", "exponent": 0.25},
+                        "K": 1.0, "rule": {"kind": "affine", "a": 4, "b": 0}, "depth": 9},
+    "continuous-sqrt-log-d14": {"kind": "continuous", "psi": {"family": "sqrt-log", "epsilon": 0.5},
+                                "K": 2.0, "rule": {"kind": "affine", "a": 3, "b": 0}, "depth": 14},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFIED_MODELS))
+def test_psi_validate_certifies_what_build_builds_on(tmp_path, case):
+    """On a model's config, psi validate reports the certificate build
+    stores on the model: the same pass flag, n0 and ratio.  The kinked
+    table, whose kink a 32-term window misses, fails both at depth 8."""
+    model = _CERTIFIED_MODELS[case]
+    cfg = _write_cfg(tmp_path, "model.json", {"model": model})
+    r = _cli("psi", "validate", "--config", cfg, "--format", "json")
+    summary = json.loads(r.stdout)["summary"]
+    try:
+        built = build_model_from_config(model)
+    except GrowthConditionError:
+        built = None
+    assert (built is None) == (case == "kinked-d8")
+    if built is None:
+        assert (r.returncode, summary["pass"]) == (1, False)
+        assert (summary["n0"], summary["ratio"]) == (None, None)
+    else:
+        cert = built.table if isinstance(built, PettisModel) else built.certificate
+        assert (r.returncode, summary["pass"]) == (0, True)
+        assert (summary["n0"], summary["ratio"]) == (cert.n0, cert.ratio)
+    b = _cli("build", "--config", cfg, "--out", str(tmp_path / "archive.json"))
+    assert b.returncode == (2 if built is None else 0), b.stderr
 
 
 def test_continuous_archive_is_its_config(tmp_path, cmodel9):

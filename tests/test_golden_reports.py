@@ -4,8 +4,8 @@ Each case builds its model and campaign from a config mapping, the way the
 CLI does, runs the campaign and renders the JSON report (rows and summary).
 The SHA-256 of that text is pinned, so any change to an enclosure, a
 coefficient, a sampler or the float formatting shows up as a digest change.
-A psi-validate case reads its gauge, exponent and rule from the mapping
-with ``gauge_from_config``, as ``pettis-forge psi validate`` does.
+A psi-validate case reads its gauge, exponent, rule and depth from the
+mapping with ``gauge_from_config``, as ``pettis-forge psi validate`` does.
 """
 
 import hashlib
@@ -100,8 +100,8 @@ GOLDEN = {
 def _report_sha256(model_cfg, campaign_cfg):
     cfg = build_campaign_from_config(campaign_cfg)
     if cfg.kind == campaigns.PSI_VALIDATE:
-        spec, rule, p = gauge_from_config(model_cfg)
-        report = campaigns.run_psi_validate(spec, p, rule, cfg)
+        spec, rule, p, depth = gauge_from_config(model_cfg)
+        report = campaigns.run_psi_validate(spec, p, rule, cfg, depth)
     else:
         report = _RUNNERS[cfg.kind](build_model_from_config(model_cfg), cfg)
     assert report.passed

@@ -233,14 +233,13 @@ def test_sequence_rule_json_rejects_unknown_kinds():
     ids=["growth", "summable"],
 )
 def test_certificate_prologue_rejects_bad_limits(validate):
+    """The window is min(64, max(48, 2 * levels)) terms and no more than a
+    list rule has; a list rule too short for one ratio is refused."""
     spec = PsiSpec("power", exponent=0.75)
     affine = SequenceRule("affine")
-    for n_max in (1, 65):
-        with pytest.raises(ConfigError, match="n_max"):
-            validate(spec, affine, n_max=n_max)
-    for r_max in (0.0, 1.0):
-        with pytest.raises(ConfigError, match="r_max"):
-            validate(spec, affine, r_max=r_max)
+    # a depth far past any model's walks no further than the window needs
+    for depth, n_max in ((2, 48), (8, 48), (40, 64), (1 << 40, 64)):
+        assert validate(spec, affine, depth=depth).n_max == n_max
     with pytest.raises(ConfigError, match="list rule too short"):
         validate(spec, SequenceRule("list", values=(3,)))
     assert validate(spec, SequenceRule("list", values=(1, 2))).n_max == 2
@@ -248,7 +247,7 @@ def test_certificate_prologue_rejects_bad_limits(validate):
 
 def test_coefficients_evaluate_each_gauge_factor_once(monkeypatch):
     """A depth-12 stratified build (the pairing-strat12 model) evaluates psi
-    at the 32 growth-term arguments once each; the coefficients reuse them."""
+    at the 48 growth-term arguments once each; the coefficients reuse them."""
     from pettis_forge import psi as psi_module
     from pettis_forge.config import build_model_from_config
 
@@ -264,7 +263,7 @@ def test_coefficients_evaluate_each_gauge_factor_once(monkeypatch):
         "rule": {"kind": "affine", "a": 1, "b": 0}, "depth": 12,
         "carriers": {"scheme": "stratified"},
     })
-    assert len(calls) == len(set(calls)) == 32
+    assert len(calls) == len(set(calls)) == 48
     # the shared factors give the coefficients' own floats
     spec, rule = PsiSpec("power", exponent=0.75), SequenceRule("affine", a=2.0)
     table = coefficients(spec, K=1.5, p=3.0, rule=rule, depth=24)
