@@ -18,8 +18,8 @@ every coefficient lying in [0, c_m].  The truncation at the model depth is
 evaluated in closed form per level (whole cells inside E count exactly 1,
 at most two boundary cells per part need overlap arithmetic), and the tail
 beyond the depth carries the certified geometric bound from the coefficient
-table, so each integral comes with a sound [lower, upper] norm enclosure.
-Assertions downstream always use the lower side.
+table, so each integral comes with a [lower, upper] norm enclosure (see
+``IntegralEnclosure``).  Assertions downstream always use the lower side.
 
 ``PettisModel.geometry`` keeps one flat tuple per realized level, built on
 first use:
@@ -67,9 +67,6 @@ from .errors import (
 )
 from .intervals import Interval, IntervalSet
 from .psi import CoefficientTable, PsiSpec, SequenceRule, coefficients, tail_bound
-
-#: Ratios mu(E n A)/mu(A) beyond 1 by more than this are counted as anomalies.
-CLAMP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -182,15 +179,16 @@ _Cover = dict[int, tuple[float, float, int, dict[int, float]]]
 
 @dataclass(frozen=True)
 class IntegralEnclosure:
-    """Certified norm enclosure of the weak integral over E: ``lower`` is the
-    exact norm of the truncation at level ``N`` and ``upper`` adds the tail
-    bound through p-additivity, so lower <= true norm <= upper."""
+    """Certified norm enclosure of the weak integral of ``model``'s f over E:
+    ``lower`` is the norm of the truncation at level ``N``, ``tail`` the
+    certified bound on the levels past N, and ``upper`` adds it through
+    p-additivity, so lower <= true norm <= upper.  Every step rounds to
+    nearest, so ``lower`` can sit one ulp above the exact truncated norm."""
 
     model: PettisModel
     lower: float
     upper: float
     tail: float
-    clamp_anomalies: int
     E: IntervalSet = field(repr=False)
     N: int
 
@@ -263,28 +261,34 @@ def _domain(
     return (IntervalSet.of(E) if isinstance(E, Interval) else E), N
 
 
-def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Cover, int]:
-    """E's cover up to level N and its count of clamp anomalies, in one
-    pass over the realized levels <= N with the parts as the inner loop.
-    This is the only code that builds a cover.
+def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> _Cover:
+    """E's cover up to level N, in one pass over the realized levels <= N
+    with the parts as the inner loop; no other code builds a cover.
 
-    At level n a part [lo, hi) meets cells k1 = floor(lo * 2^n) + 1 through
-    k2 = ceil(hi * 2^n) (one cell when k1 == k2).  The cells strictly
-    between lie inside the part and are only counted.  Each end cell's
-    ratio is ``slice_overlap`` divided once by the level's carrier measure
-    on a built-in level, ``overlap`` over ``carrier_measure`` on an explicit
-    one; no clamp at 0 is needed, since neither overlap is negative and the
-    measure is positive.  A ratio beyond 1 + CLAMP_SLACK is an anomaly, and
-    every ratio is capped at 1.  An end cell that several parts meet (each
-    with positive length; the set is disjoint, so no part holds it whole)
-    adds their capped ratios in part order, capping the sum at 1 after each
-    addition.  A level enters the cover when it has a whole cell or a
-    positive ratio; its ratios keep part order, k1 before k2 in a part.
+    A part [lo, hi) meets cells k1 through k2 of level n (one when k1 == k2);
+    the cells strictly between lie inside it and are only counted.  Each end
+    cell's ratio is ``slice_overlap`` over the level's carrier measure on a
+    built-in level, ``overlap`` over ``carrier_measure`` on an explicit one.
+    No overlap is negative, and none exceeds the measure in floats, so with
+    rounded division monotone every part's ratio lies in [0, 1] uncapped.
+    Slice ends are exact floats and s_len = s_hi - s_lo a power of two:
+    - inline single-slice clip (``_part_terms``, d = 0): the clipped ends
+      x <= y lie inside the slice, so fl(y - x) <= fl(s_hi - s_lo), which is
+      the measure exactly;
+    - ``slice_overlap``: each end piece is at most s_len, (j - i) * s_len is
+      exact and rounded addition is monotone, so the total is at most
+      (j - i + 1) * s_len <= 2^d * s_len, the measure;
+    - explicit ``overlap``: each clipped piece is at most its part's length
+      and ``fsum`` is monotone, so clip().measure <= carrier_measure.
+    The proof does not cover a sum of parts: an end cell that several parts
+    meet (the set is disjoint, so none holds it whole) adds their ratios in
+    part order, capping the sum at 1 after each addition.  A level enters
+    the cover when it has a whole cell or a positive ratio; its ratios keep
+    part order, k1 before k2 in a part.
     """
     floor, ceil = math.floor, math.ceil
     carriers = model.carriers
     cover: _Cover = {}
-    anomalies = 0
     for level, c, cp, scale, d, w, s_lo, s_hi, measure in model.geometry:
         if level > N:
             break
@@ -298,20 +302,17 @@ def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> tuple[_Co
                     r = carriers.overlap(level, k, lo, hi) / carriers.carrier_measure(level, k)
                 else:
                     r = slice_overlap(d, w, s_lo, s_hi, k, lo, hi) / measure
-                if r > 1.0:
-                    anomalies += r > 1.0 + CLAMP_SLACK
-                    r = 1.0
                 if r:
                     ratios[k] = min(r + ratios[k], 1.0) if k in ratios else r
         if whole or ratios:
             cover[level] = (c, cp, whole, ratios)
-    return cover, anomalies
+    return cover
 
 
-def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> tuple[list[float], int]:
+def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> list[float]:
     """The norm term of each realized level <= N that the part [lo, hi)
-    meets, and the count of clamp anomalies: the bounds of a one-part set at
-    finite p, with the cells, caps and anomalies of ``_cover`` but no cover.
+    meets: the bounds of a one-part set at finite p, with the cells and
+    ratios of ``_cover`` but no cover.
 
     On a single-slice level (d == 0, tested first) the clip is
     ``slice_overlap`` inlined: the carrier of cell k is [base + s_lo,
@@ -330,7 +331,6 @@ def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> tuple[list[
     carriers = model.carriers
     p = model.p
     terms = []
-    anomalies = 0
     for level, _, cp, scale, d, w, s_lo, s_hi, measure in model.geometry:
         if level > N:
             break
@@ -357,13 +357,10 @@ def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> tuple[list[
             r1 = carriers.overlap(level, k1, lo, hi) / carriers.carrier_measure(level, k1)
             if k2 != k1:
                 r2 = carriers.overlap(level, k2, lo, hi) / carriers.carrier_measure(level, k2)
-        if r1 > 1.0 or r2 > 1.0:
-            anomalies += (r1 > 1.0 + CLAMP_SLACK) + (r2 > 1.0 + CLAMP_SLACK)
-            r1, r2 = min(r1, 1.0), min(r2, 1.0)
         whole = k2 - k1 - 1 if k2 - k1 >= 2 else 0
         if whole or r1 or r2:
             terms.append(cp * (whole + (r1**p + r2**p)))
-    return terms, anomalies
+    return terms
 
 
 def pettis_integral(
@@ -381,13 +378,13 @@ def pettis_integral(
     tail = model.tail(N)
     # A one-part set at finite p needs only its norm terms; every other set reduces a cover.
     if len(parts) == 1 and not math.isinf(p):
-        terms, anomalies = _part_terms(model, parts[0].lo, parts[0].hi, N)
+        terms = _part_terms(model, parts[0].lo, parts[0].hi, N)
     else:
-        cover, anomalies = _cover(model, parts, N)
+        cover = _cover(model, parts, N)
         if math.isinf(p):
             lower = max((c * max([1.0 if whole else 0.0, *ratios.values()])
                          for c, _, whole, ratios in cover.values()), default=0.0)
-            return IntegralEnclosure(model, lower, max(lower, tail), tail, anomalies, E=Eset, N=N)
+            return IntegralEnclosure(model, lower, max(lower, tail), tail, E=Eset, N=N)
         terms = [
             cp * (whole + math.fsum([r**p for r in ratios.values()]))
             for _, cp, whole, ratios in cover.values()
@@ -395,7 +392,7 @@ def pettis_integral(
     total = math.fsum(terms)
     lower = total ** (1.0 / p)
     upper = (total + tail**p) ** (1.0 / p)
-    return IntegralEnclosure(model, lower, upper, tail, anomalies, E=Eset, N=N)
+    return IntegralEnclosure(model, lower, upper, tail, E=Eset, N=N)
 
 
 def truncated_integral(
@@ -404,7 +401,7 @@ def truncated_integral(
     """The truncation at ``truncate_at`` (default: the model depth) of the
     weak integral of f over E, with its cover built by one ``_cover`` run."""
     Eset, N = _domain(model, E, truncate_at)
-    return TruncatedIntegral(model, Eset, N, _cover(model, Eset.parts, N)[0])
+    return TruncatedIntegral(model, Eset, N, _cover(model, Eset.parts, N))
 
 
 def scalar_integral(model: PettisModel, x: Functional, E: IntervalSet | Interval) -> float:

@@ -327,8 +327,15 @@ def validate_growth(
     if rule is None:
         rule = SequenceRule("affine")
     # levels past MAX_TERM_COUNT // 2 do not widen the window, so none deeper is walked
-    top = rule.term(min(MAX_TERM_COUNT // 2, rule.max_index() or MAX_TERM_COUNT))
-    return _growth(spec, p, rule, len(rule.levels_within(min(depth, top))))[0]
+    return _growth(spec, p, rule, len(_levels(rule, depth, MAX_TERM_COUNT // 2)))[0]
+
+
+def _levels(rule: SequenceRule, depth: int, most: int) -> tuple[int, ...]:
+    """The first ``most`` levels p_n <= depth, at least one; none deeper is walked."""
+    levels = rule.levels_within(min(depth, rule.term(min(most, rule.max_index() or most))))
+    if not levels:
+        raise ConfigError(f"no sequence level within depth {depth}")
+    return levels
 
 
 def _growth(
@@ -447,9 +454,8 @@ def coefficients(
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
     if rule is None:
         rule = SequenceRule("affine")
-    levels = rule.levels_within(depth)
-    if not levels:
-        raise ConfigError(f"no sequence level within depth {depth}")
+    if len(levels := _levels(rule, depth, MAX_TERM_COUNT + 1)) > MAX_TERM_COUNT:
+        raise ConfigError(f"depth {depth} gives more than MAX_TERM_COUNT = {MAX_TERM_COUNT} levels")
     report, factors = _growth(spec, p, rule, len(levels))
     if not report.passed:
         raise GrowthConditionError(
@@ -480,14 +486,10 @@ def tail_bound(table: CoefficientTable, N: int) -> float:
     if N < table.rule.term(table.n0):
         raise ConfigError(f"tail bound requires N >= p_n0 = {table.rule.term(table.n0)}")
     factor = 2.0 * table.K
-    m = 1
-    cap = table.rule.max_index()
-    while cap is None or m <= cap:
-        if table.rule.term(m) > N:
-            return factor * growth_term(table.spec, table.p, table.rule, m) / (1.0 - table.ratio)
-        m += 1
+    m = len(table.rule.levels_within(N)) + 1  # the first omitted index
+    if m <= (table.rule.max_index() or m):
+        return factor * growth_term(table.spec, table.p, table.rule, m) / (1.0 - table.ratio)
     # List rule exhausted below N: continue the certified decay from the
     # last available term.
-    last = cap  # type: ignore[assignment]
-    last_term = growth_term(table.spec, table.p, table.rule, last)
+    last_term = growth_term(table.spec, table.p, table.rule, m - 1)
     return factor * last_term * table.ratio / (1.0 - table.ratio)

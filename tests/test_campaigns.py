@@ -174,14 +174,15 @@ def test_reports_are_reproducible(model12):
 
 
 #: A gauge whose growth terms overflow: its psi-validate report holds inf and nan.
+#: Its first level is 40, so the depth reaches it.
 _STEEP_PSI = {"psi": {"family": "power", "exponent": 0.75}, "p": 1.0,
-              "rule": {"kind": "affine", "a": 40, "b": 0}}
+              "rule": {"kind": "affine", "a": 40, "b": 0}, "depth": 40}
 
 
 def _steep_psi_report():
     return run_psi_validate(PsiSpec.from_json(_STEEP_PSI["psi"]), 1.0,
                             SequenceRule.from_json(_STEEP_PSI["rule"]),
-                            CampaignConfig("psi-validate"))
+                            CampaignConfig("psi-validate"), depth=40)
 
 
 def _reject_constant(token):
@@ -481,7 +482,7 @@ def test_cli_exit_codes(tmp_path):
     cont = {"kind": "continuous", "psi": {"family": "power", "exponent": 0.25},
             "rule": {"kind": "affine", "a": 1200, "b": 0}, "depth": 3}
     for args, payload, code in (
-        (("psi", "validate"), {"psi": steep["psi"], "p": 1.0, "rule": steep["rule"]}, 1),
+        (("psi", "validate"), {"psi": steep["psi"], "p": 1.0, "rule": steep["rule"], "depth": 40}, 1),
         (("verify", "lower-bound"), {"model": steep, "campaign": {"samples": 2}}, 2),
         (("build",), {"model": steep}, 2),
         (("verify", "continuous"), {"model": cont, "campaign": {"samples": 2}}, 2),
@@ -500,6 +501,13 @@ def test_cli_exit_codes(tmp_path):
         assert r.returncode == 2, (payload, r.stderr)
         assert "config error" in r.stderr, payload
         assert "Traceback" not in r.stderr, payload
+    # a list rule with no level within the depth: psi validate and build refuse it alike
+    beyond = {**_MODEL_CFG, "rule": {"kind": "list", "list": [5, 6, 7]}, "depth": 3}
+    cfg = _write_cfg(tmp_path, "beyond.json", {"model": beyond})
+    for args in (("psi", "validate"), ("build",)):
+        r = _cli(*args, "--config", cfg, "--out", str(tmp_path / "beyond.out"))
+        assert r.returncode == 2, (args, r.stderr)
+        assert "config error: no sequence level within depth 3" in r.stderr, args
 
 
 def test_cli_psi_validate_exit_one(tmp_path):

@@ -1,7 +1,7 @@
 """Kernel digests: the enclosure and continuous kernels keep their exact bits.
 
 A fixed seeded corpus of interval sets runs through ``pettis_integral``
-(lower, upper, tail and clamp anomalies) and ``truncated_integral`` at the
+(lower, upper and tail) and ``truncated_integral`` at the
 same truncation level, with everything read from it: ``coefficient`` at the
 end cells of every part, their neighbours, random cells and the indices 0
 and 2^n + 1 just outside a level; ``apply``; ``to_block_vector`` in item
@@ -41,9 +41,9 @@ clips both end cells of a level itself and never builds a cover, through
 ``pettis_integral`` on every family above at p = 2, 3 and infinity (the
 greedy-gap depth-24 model at p = 2 is the reference lower-bound model):
 dyadic cells, uniform intervals, intervals with both ends on slice ends,
-and intervals from 0 or to 1.  Per interval it hashes lower, upper, tail
-and clamp anomalies, then the ``truncated_integral`` ``coefficient`` at
-the two end cells of every realized level.  It holds enough intervals that
+and intervals from 0 or to 1.  Per interval it hashes lower, upper and
+tail, then the ``truncated_integral`` ``coefficient`` at the two end
+cells of every realized level.  It holds enough intervals that
 a one-ulp change in a single level's norm term reaches some lower or upper
 bound.
 """
@@ -112,12 +112,12 @@ LAST = math.nextafter(1.0, 0.0)
 # kind -> SHA-256 of the corpus.  Running this file prints the current
 # digests; a change here changes kernel bits and belongs in CHANGES.md.
 DIGESTS = {
-    "greedy-gap": "54368eca5dcf8dc712f28bb536f2ee5560dc261250d98e30a4e85a1d39c0139e",
-    "stratified": "d791143c82a489da42b28fe12bf0acedacd976561cef56897fb425d46de901ef",
-    "explicit": "353160d42988f7bbde15fdbd8bedd4e95d695a2868e82bfbfd883e2418dc50e7",
+    "greedy-gap": "34897de78f633a2a805a396eb3db92eeceb72ed2f4219f1f87c847cf986d0c90",
+    "stratified": "9804509642e46604b75e52bc4b6779422eb9329aec6a73fb888fdc1449019d36",
+    "explicit": "d268cd35609a870e60472fe75ff6d0d9207b4495b9598439d6272660531d2da5",
     "continuous": "18a7a80b1721b1447e669adcfa1a5001881f1ddb3cc3d98b77a22beea146898e",
     "carriers": "1d6a21f1e550b3fb59bf0f988fbf0762c36fd490062d34e062adc3afc36fd73f",
-    "one-part": "5108abf936e632f11e9580be51e06565cdef9b66a4c053f2b3bc18e46a5fcd9a",
+    "one-part": "f353b347b0165c5a5e5b6d8d8688c3fe90901eccb255314ea8fa5ab19d359192",
 }
 
 
@@ -154,7 +154,7 @@ def _enclosure_lines(rng, model, E):
     first = model.table.rule.term(model.table.n0)
     N = rng.choice([None, rng.randint(first, depth)])
     enc = pettis_integral(model, E, truncate_at=N)
-    yield f"{enc.N} {enc.lower.hex()} {enc.upper.hex()} {enc.tail.hex()} {enc.clamp_anomalies}"
+    yield f"{enc.N} {enc.lower.hex()} {enc.upper.hex()} {enc.tail.hex()}"
     trunc = truncated_integral(model, E, truncate_at=N)
     for n in model.table.levels:
         yield " ".join(f"{k}:{trunc.coefficient(n, k).hex()}" for k in _cells(rng, n, E))
@@ -233,7 +233,7 @@ def _one_part_lines():
                         N = rng.choice([None, None, rng.randint(first, depth)])
                         enc = pettis_integral(model, Interval(lo, hi), truncate_at=N)
                         yield (f"{lo.hex()} {hi.hex()} {enc.N} {enc.lower.hex()} "
-                               f"{enc.upper.hex()} {enc.tail.hex()} {enc.clamp_anomalies}")
+                               f"{enc.upper.hex()} {enc.tail.hex()}")
                         trunc = truncated_integral(model, Interval(lo, hi), truncate_at=N)
                         yield " ".join(
                             f"{trunc.coefficient(n, k).hex()}"

@@ -15,6 +15,7 @@ from pettis_forge import (
     validate_summable,
 )
 from pettis_forge.errors import ConfigError, GrowthConditionError, PsiDomainError
+from pettis_forge import psi as psi_module
 from pettis_forge.psi import SQRT_LOG_THRESHOLD, SQRT_LOGLOG_THRESHOLD, growth_term
 
 
@@ -156,6 +157,29 @@ def test_coefficients_growth_failed():
         coefficients(PsiSpec("power", exponent=0.5), K=1.0, p=2.0, depth=24)
 
 
+def test_coefficients_hold_at_most_max_term_count_levels():
+    """A certificate window holds 64 terms, so a model holds at most 64
+    levels; past that the schedule is a config error naming the limit."""
+    spec = PsiSpec("power", exponent=0.75)
+    assert len(coefficients(spec, depth=64).levels) == 64
+    for depth in (65, 70, 1 << 40):
+        with pytest.raises(ConfigError, match="more than MAX_TERM_COUNT = 64 levels"):
+            coefficients(spec, depth=depth)
+    # a slope of 2 reaches 35 levels at depth 70
+    assert len(coefficients(spec, rule=SequenceRule("affine", a=2.0), depth=70).levels) == 35
+
+
+def test_no_level_within_depth_is_one_config_error():
+    """A rule with no level within the depth has nothing to certify: the
+    certificate and the schedule refuse it alike."""
+    rule = SequenceRule("list", values=(5, 6, 7))
+    spec = PsiSpec("power", exponent=0.75)
+    for run in (lambda: validate_growth(spec, 2.0, rule, 3), lambda: coefficients(spec, rule=rule, depth=3)):
+        with pytest.raises(ConfigError, match="no sequence level within depth 3"):
+            run()
+    assert validate_growth(spec, 2.0, rule, 5).passed
+
+
 def test_tail_bound_anchor():
     table = coefficients(PsiSpec("power", exponent=0.75), K=1.0, p=2.0, depth=24)
     got = tail_bound(table, 20)
@@ -185,10 +209,14 @@ def test_tail_bound_past_realized_depth():
 
 
 def test_tail_bound_list_rule_continuation():
+    spec = PsiSpec("power", exponent=0.75)
     rule = SequenceRule("list", values=tuple(range(1, 33)))
-    table = coefficients(PsiSpec("power", exponent=0.75), K=1.0, p=2.0, rule=rule, depth=24)
-    # beyond the list's reach the bound continues geometrically and stays positive
-    assert tail_bound(table, 40) > 0.0
+    table = coefficients(spec, K=1.0, p=2.0, rule=rule, depth=24)
+    # beyond the list's reach the certificate bounds term 32 + j by
+    # ratio^j * term 32, and the bound holds that continuation's sum
+    last = 2.0 * table.K * growth_term(spec, 2.0, rule, 32)
+    continuation = math.fsum(last * table.ratio**j for j in range(1, 101))
+    assert 0.0 < continuation <= tail_bound(table, 40)
 
 
 def test_summability_certificate():
@@ -245,10 +273,21 @@ def test_certificate_prologue_rejects_bad_limits(validate):
     assert validate(spec, SequenceRule("list", values=(1, 2))).n_max == 2
 
 
+@pytest.mark.parametrize("kink, passed", [(0, True), (1, False)], ids=["half", "past-half"])
+def test_certify_searches_n0_up_to_half_the_window(kink, passed):
+    """n0 may be at most n_max // 2.  Terms flat through term h and halving
+    after it certify only from n0 = h: they pass at h = n_max // 2 and fail
+    at h = n_max // 2 + 1."""
+    h = 48 // 2 + kink
+    report = psi_module._certify(lambda n: 0.5 ** max(0, n - h), 2.0, SequenceRule("affine"), 24)
+    assert report.n_max == 48
+    assert report.passed is passed
+    assert (report.n0, report.ratio) == ((24, 0.5) if passed else (None, None))
+
+
 def test_coefficients_evaluate_each_gauge_factor_once(monkeypatch):
     """A depth-12 stratified build (the pairing-strat12 model) evaluates psi
     at the 48 growth-term arguments once each; the coefficients reuse them."""
-    from pettis_forge import psi as psi_module
     from pettis_forge.config import build_model_from_config
 
     calls = []
