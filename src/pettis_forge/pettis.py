@@ -37,15 +37,23 @@ computation gives, so enclosures stay bit-identical.
 
 The integral is read two ways, each a frozen value built whole by its own
 factory: ``pettis_integral`` gives the norm bounds (``IntegralEnclosure``)
-and ``truncated_integral`` the coordinates (``TruncatedIntegral``).
+and ``truncated_integral`` the coordinates (``TruncatedIntegral``).  The
+interval sweeps need only the two bounds of one interval [lo, hi), and
+``interval_bounds`` gives them as floats, bit for bit those of
+``pettis_integral(model, Interval(lo, hi))``: at finite p with
+0 <= lo < hi <= 1 it runs the same ``_part_terms`` and the same final
+``fsum`` and roots (``_norm_bounds``) that enclosure's one-part branch
+runs, with no ``Interval``, ``IntervalSet`` or ``IntegralEnclosure`` built,
+and it hands every other input to ``pettis_integral``.
 
 Both kernels make one pass over the realized levels <= N.  At level n a
 part [lo, hi) meets cells k1 = floor(lo * 2^n) + 1 through
 k2 = ceil(hi * 2^n): multiplying by a power of two only moves the exponent,
 so the product is exact (as ``ldexp`` is) and the indices are those of the
 exact rationals.  A part of an ``IntervalSet`` has 0 <= lo < hi <= 1
-(``Interval`` checks the range, the set drops empty parts), so
-1 <= k1 <= k2 <= 2^n and no kernel checks an index.  ``_cover`` builds the
+(``Interval`` checks the range, the set drops empty parts, and
+``interval_bounds`` checks it inline), so 1 <= k1 <= k2 <= 2^n and no
+kernel checks an index.  ``_cover`` builds the
 cover, the per-level record of whole-cell counts and end-cell ratios;
 ``_part_terms`` runs one part for its norm terms alone, the floats the
 cover gives, which is all the bounds of a one-part set at finite p need.
@@ -312,7 +320,8 @@ def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> _Cover:
 def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> list[float]:
     """The norm term of each realized level <= N that the part [lo, hi)
     meets: the bounds of a one-part set at finite p, with the cells and
-    ratios of ``_cover`` but no cover.
+    ratios of ``_cover`` but no cover.  ``interval_bounds`` and the one-part
+    branch of ``pettis_integral`` both read their bounds from it.
 
     On a single-slice level (d == 0, tested first) the clip is
     ``slice_overlap`` inlined: the carrier of cell k is [base + s_lo,
@@ -320,12 +329,22 @@ def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> list[float]
     campaign's hot loop, and a call per end cell made a one-part integral on
     the greedy-gap depth-24 model about 40% slower.  Multi-slice levels call
     ``slice_overlap``, explicit ones ``overlap`` and ``carrier_measure``.
+    A part that meets two or more cells ends past k1 * w and starts before
+    (k2 - 1) * w, both exact.  Each end cell is then clipped on its inner
+    side only: 0 <= s_lo < s_hi <= w and rounded addition is monotone, so
+    base + s_hi <= k1 * w < hi in cell k1 and lo < (k2 - 1) * w <= base + s_lo
+    in cell k2, and the other clip would change nothing.
 
-    The term cp * (whole + (r1**p + r2**p)), a missing cell's r being 0.0,
-    is the float cp * (whole + fsum(r**p over the cover's ratios)) that
-    ``pettis_integral`` computes from a cover: ``fsum`` of at most two
-    floats is their correctly rounded sum, as is one float addition, and
-    adding 0.0 changes nothing.
+    The part meets span = k2 - floor(lo * 2^n) cells, span - 2 of them whole
+    when span >= 3.  The term is the float cp * (whole + fsum(r**p over the
+    cover's ratios)) that ``pettis_integral`` computes from a cover:
+    ``fsum`` of at most two floats is their correctly rounded sum, as is one
+    float addition.  The inline clip skips the ``** p`` of a ratio that is
+    exactly 0 (no overlap), which loses no bits: 0.0**p is 0.0 and adding
+    +0.0 to a nonnegative float is exact, so t = r1**p (+ r2**p) is the same
+    float either way.  The term is cp * ((span - 2) + t) when span >= 3 and
+    cp * t otherwise; a level with t == 0.0 and no whole cell has the term
+    0.0, which adds nothing to the ``fsum`` of the terms, so it is left out.
     """
     floor, ceil = math.floor, math.ceil
     carriers = model.carriers
@@ -334,33 +353,59 @@ def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> list[float]
     for level, _, cp, scale, d, w, s_lo, s_hi, measure in model.geometry:
         if level > N:
             break
-        k1 = floor(lo * scale) + 1
+        k0 = floor(lo * scale)  # the part meets cells k0 + 1 through k2
         k2 = ceil(hi * scale)
-        r2 = 0.0
+        span = k2 - k0
         if d == 0:
-            base = (k1 - 1) * w
+            base = k0 * w
             x, y = base + s_lo, base + s_hi
             x = lo if lo > x else x
-            y = hi if hi < y else y
-            r1 = (y - x) / measure if y > x else 0.0
-            if k2 != k1:
+            if span == 1:
+                y = hi if hi < y else y
+            t = ((y - x) / measure) ** p if y > x else 0.0
+            if span > 1:
                 base = (k2 - 1) * w
                 x, y = base + s_lo, base + s_hi
-                x = lo if lo > x else x
                 y = hi if hi < y else y
-                r2 = (y - x) / measure if y > x else 0.0
-        elif d is not None:
-            r1 = slice_overlap(d, w, s_lo, s_hi, k1, lo, hi) / measure
-            if k2 != k1:
-                r2 = slice_overlap(d, w, s_lo, s_hi, k2, lo, hi) / measure
+                if y > x:
+                    t += ((y - x) / measure) ** p
         else:
-            r1 = carriers.overlap(level, k1, lo, hi) / carriers.carrier_measure(level, k1)
-            if k2 != k1:
-                r2 = carriers.overlap(level, k2, lo, hi) / carriers.carrier_measure(level, k2)
-        whole = k2 - k1 - 1 if k2 - k1 >= 2 else 0
-        if whole or r1 or r2:
-            terms.append(cp * (whole + (r1**p + r2**p)))
+            t = 0.0
+            for k in (k0 + 1, k2) if span > 1 else (k2,):
+                if d is None:
+                    r = carriers.overlap(level, k, lo, hi) / carriers.carrier_measure(level, k)
+                else:
+                    r = slice_overlap(d, w, s_lo, s_hi, k, lo, hi) / measure
+                t += r**p
+        if span >= 3:
+            terms.append(cp * ((span - 2) + t))
+        elif t:
+            terms.append(cp * t)
     return terms
+
+
+def _norm_bounds(terms: list[float], tail: float, p: float) -> tuple[float, float]:
+    """(lower, upper) at finite p from the level norm terms and the tail."""
+    total = math.fsum(terms)
+    return total ** (1.0 / p), (total + tail**p) ** (1.0 / p)
+
+
+def interval_bounds(model: PettisModel, lo: float, hi: float) -> tuple[float, float]:
+    """``(enc.lower, enc.upper)`` of ``pettis_integral(model, Interval(lo, hi))``,
+    bit for bit, without building the interval, its set or the enclosure.
+
+    With 0 <= lo < hi <= 1 at finite p, ``Interval(lo, hi)`` becomes the
+    one-part set ``pettis_integral`` reads with ``_part_terms``, so the
+    bounds come from that kernel directly.  Every other input, lo == hi
+    and p = inf included, goes through ``pettis_integral``, which raises
+    the same ``ValueError`` on a bad range.
+    """
+    p = model.p
+    if 0.0 <= lo < hi <= 1.0 and not math.isinf(p):
+        N = model.depth
+        return _norm_bounds(_part_terms(model, lo, hi, N), model.tail(N), p)
+    enc = pettis_integral(model, Interval(lo, hi))
+    return enc.lower, enc.upper
 
 
 def pettis_integral(
@@ -389,9 +434,7 @@ def pettis_integral(
             cp * (whole + math.fsum([r**p for r in ratios.values()]))
             for _, cp, whole, ratios in cover.values()
         ]
-    total = math.fsum(terms)
-    lower = total ** (1.0 / p)
-    upper = (total + tail**p) ** (1.0 / p)
+    lower, upper = _norm_bounds(terms, tail, p)
     return IntegralEnclosure(model, lower, upper, tail, E=Eset, N=N)
 
 

@@ -323,18 +323,23 @@ def validate_growth(
     spec: PsiSpec, p: float = 2.0, rule: SequenceRule | None = None, depth: int = 24
 ) -> GrowthReport:
     """The growth certificate of a pettis model of this depth, as ``coefficients``
-    runs it.  Failure is a value, not an error."""
+    runs it.  Failure is a value, not an error; a depth that gives no level
+    or more than MAX_TERM_COUNT levels is a ``ConfigError`` in both."""
     if rule is None:
         rule = SequenceRule("affine")
-    # levels past MAX_TERM_COUNT // 2 do not widen the window, so none deeper is walked
-    return _growth(spec, p, rule, len(_levels(rule, depth, MAX_TERM_COUNT // 2)))[0]
+    return _growth(spec, p, rule, len(_levels(rule, depth)))[0]
 
 
-def _levels(rule: SequenceRule, depth: int, most: int) -> tuple[int, ...]:
-    """The first ``most`` levels p_n <= depth, at least one; none deeper is walked."""
+def _levels(rule: SequenceRule, depth: int) -> tuple[int, ...]:
+    """The levels p_n <= depth of a pettis model: at least one, and at most
+    MAX_TERM_COUNT, the terms one certificate window holds.  Either limit
+    broken is a config error; no level past the 65th is walked."""
+    most = MAX_TERM_COUNT + 1
     levels = rule.levels_within(min(depth, rule.term(min(most, rule.max_index() or most))))
     if not levels:
         raise ConfigError(f"no sequence level within depth {depth}")
+    if len(levels) > MAX_TERM_COUNT:
+        raise ConfigError(f"depth {depth} gives more than MAX_TERM_COUNT = {MAX_TERM_COUNT} levels")
     return levels
 
 
@@ -454,8 +459,7 @@ def coefficients(
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
     if rule is None:
         rule = SequenceRule("affine")
-    if len(levels := _levels(rule, depth, MAX_TERM_COUNT + 1)) > MAX_TERM_COUNT:
-        raise ConfigError(f"depth {depth} gives more than MAX_TERM_COUNT = {MAX_TERM_COUNT} levels")
+    levels = _levels(rule, depth)
     report, factors = _growth(spec, p, rule, len(levels))
     if not report.passed:
         raise GrowthConditionError(

@@ -508,6 +508,13 @@ def test_cli_exit_codes(tmp_path):
         r = _cli(*args, "--config", cfg, "--out", str(tmp_path / "beyond.out"))
         assert r.returncode == 2, (args, r.stderr)
         assert "config error: no sequence level within depth 3" in r.stderr, args
+    # past 64 levels one certificate window cannot hold the schedule, and
+    # psi validate refuses the depth as the coefficient schedule does
+    cfg = _write_cfg(tmp_path, "deep70.json", {"model": {"psi": power, "depth": 70}})
+    r = _cli("psi", "validate", "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert "config error: depth 70 gives more than MAX_TERM_COUNT = 64 levels" in r.stderr
+    assert "[PASS]" not in r.stderr
 
 
 def test_cli_psi_validate_exit_one(tmp_path):

@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from pettis_forge import campaigns
+from pettis_forge import CarrierFamily, allocate_carriers, campaigns
 from pettis_forge.config import (
     build_campaign_from_config,
     build_model_from_config,
@@ -30,6 +30,13 @@ _REF = {
 }
 _D16 = {**_REF, "depth": 16}
 _LOWER = {"kind": "lower-bound", "samples": 2000, "dyadic_level": 8, "seed": 11}
+
+
+def _explicit_carriers(scheme, depth):
+    """The carriers block of an explicit copy of a built-in family."""
+    family = allocate_carriers(depth, scheme)
+    return CarrierFamily.from_sets(depth, {nk: family.carrier(*nk) for nk in family.cells()}).to_json()
+
 
 _RUNNERS = {
     campaigns.LOWER_BOUND: campaigns.run_lower_bound_sweep,
@@ -62,6 +69,13 @@ GOLDEN = {
         {**_D16, "carriers": {"scheme": "stratified"}},
         _LOWER,
         "93a1dfbdeeb464e66142141e8800edb69be1d591b0ccd5d67ae7e7443b391b3c",
+    ),
+    # the sweep's explicit-family branch, which clips with overlap and
+    # carrier_measure; level 5 is the deepest above the depth-8 measure floor
+    "lower-bound-explicit-greedy-d8": (
+        {**_REF, "depth": 8, "carriers": _explicit_carriers("greedy-gap", 8)},
+        {**_LOWER, "dyadic_level": 5},
+        "b1bef103333b3024b42506f0a6facb266e545bbb40cdaf37a468f900ac315863",
     ),
     "pairing-stratified-d8": (
         {**_REF, "depth": 8, "carriers": {"scheme": "stratified"}},

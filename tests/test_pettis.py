@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,55 @@ def test_end_cells_match_overlap_bits(kind, depth):
                 assert trunc.coefficient(n, k).hex() == want.hex(), (n, k, lo, hi)
 
 
+def _slice_end(rng, family):
+    """An end of a random carrier part, or the float one ulp either side."""
+    n = rng.randint(1, family.depth)
+    part = rng.choice(family.carrier(n, rng.randint(1, 1 << n)).parts)
+    x = rng.choice((part.lo, part.hi))
+    return min(1.0, rng.choice((x, math.nextafter(x, 0.0), math.nextafter(x, 1.0))))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf], ids=["p2", "p3", "pinf"])
+@pytest.mark.parametrize("kind", ["greedy-gap", "stratified", "explicit"])
+def test_interval_bounds_match_pettis_integral_bits(kind, p):
+    """``interval_bounds(model, lo, hi)`` is ``(enc.lower, enc.upper)`` of
+    ``pettis_integral(model, Interval(lo, hi))`` bit for bit: on dyadic
+    cells, seeded random intervals, ends on or one ulp beside a slice end,
+    and lo in 2^-80..2^-30 inside cell 1.  A range that ``Interval`` refuses
+    raises the same ValueError, and lo == hi gives the empty set's bounds."""
+    depth = 10
+    model = build_model(_family(kind, depth), SPEC34, p=p, depth=depth)
+    rng = random.Random(f"bounds-{kind}-{p}")
+    cases = []
+    for _ in range(60):
+        m = rng.randint(0, depth + 2)
+        k = rng.randint(1, 1 << m)
+        cases.append((math.ldexp(k - 1, -m), math.ldexp(k, -m)))
+        cases.append(tuple(sorted((rng.random(), rng.random()))))
+        cases.append(tuple(sorted((_slice_end(rng, model.carriers), _slice_end(rng, model.carriers)))))
+        cases.append((math.ldexp(rng.random(), -rng.randint(30, 80)), _slice_end(rng, model.carriers)))
+    checked = 0
+    for lo, hi in cases:
+        if not lo < hi:
+            continue
+        enc = pettis_integral(model, Interval(lo, hi))
+        lower, upper = pettis_module.interval_bounds(model, lo, hi)
+        assert (lower.hex(), upper.hex()) == (enc.lower.hex(), enc.upper.hex()), (lo, hi)
+        checked += 1
+    assert checked >= 200
+    for lo, hi in ((0.5, 0.25), (0.25, 1.5), (-0.25, 0.5), (math.nan, 0.5)):
+        with pytest.raises(ValueError) as want:
+            Interval(lo, hi)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            pettis_integral(model, Interval(lo, hi))
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            pettis_module.interval_bounds(model, lo, hi)
+    for x in (0.0, 0.3, 1.0):
+        enc = pettis_integral(model, Interval(x, x))
+        assert enc.lower == 0.0
+        assert pettis_module.interval_bounds(model, x, x) == (enc.lower, enc.upper)
+
+
 #: (scheme, depth, p, explicit copy) of the adversarial ratio corpora.
 RATIO_CORPORA = (
     ("greedy-gap", 24, 2.0, False),
@@ -275,8 +325,9 @@ def test_part_ratio_at_most_one_uncapped(scheme, depth, p, explicit):
     ``_part_terms``, which clips single-slice levels inline, gives the
     cover's terms bit for bit."""
     built_in = allocate_carriers(depth, scheme)
-    for n in range(1, depth + 1):  # the proof's premise: the measure is 2^d * s_len
-        a, s_lo, s_hi, measure = built_in.pattern(n)
+    for n in range(1, depth + 1):  # the proofs' premises: the slice lies in its
+        a, s_lo, s_hi, measure = built_in.pattern(n)  # cell, the measure is 2^d * s_len
+        assert 0.0 <= s_lo < s_hi <= math.ldexp(1.0, -a), n
         assert measure == math.ldexp(s_hi - s_lo, a - n), n
     family = built_in
     if explicit:
@@ -353,6 +404,8 @@ def test_interval_sets_explicit_families_and_enclosures_pickle():
 def test_enclosures_that_need_the_cover_run_the_kernel_once_per_part(monkeypatch):
     """``pettis_integral`` runs exactly one kernel: ``_part_terms`` on a
     one-part set at finite p, ``_cover`` on every other set.
+    ``interval_bounds`` at finite p runs ``_part_terms`` once and never
+    ``_cover``, so a lower-bound sweep runs one kernel per row.
     ``truncated_integral`` runs ``_cover`` once, and reading its coordinates
     runs no kernel again.  A whole pairing campaign runs ``_cover`` once per
     interval set and never ``_part_terms``."""
@@ -391,6 +444,20 @@ def test_enclosures_that_need_the_cover_run_the_kernel_once_per_part(monkeypatch
         trunc.apply(Functional(model.layout, {(3, 2): 1.0, (10, 300): -0.5}))
         trunc.to_block_vector()
         assert runs() == (0, 1), (model.p, E)
+    for model, lo, hi, bounds in (
+        (finite, 0.1, 0.3, (1, 0)),
+        (finite, 0.0, 1.0, (1, 0)),
+        (finite, 0.3, 0.3, (0, 1)),  # empty: through pettis_integral
+        (sup, 0.1, 0.3, (0, 1)),
+    ):
+        calls.clear()
+        pettis_module.interval_bounds(model, lo, hi)
+        assert runs() == bounds, (model.p, lo, hi)
+    calls.clear()
+    report = campaigns.run_lower_bound_sweep(
+        finite, campaigns.CampaignConfig(kind="lower-bound", samples=40, dyadic_level=3, seed=5)
+    )
+    assert report.violations == 0 and runs() == (len(report.rows), 0)
     for scheme, sets in (("greedy-gap", 8), ("stratified", 5)):
         model = build_model(allocate_carriers(10, scheme), SPEC34, depth=10)
         calls.clear()

@@ -159,12 +159,15 @@ def test_coefficients_growth_failed():
 
 def test_coefficients_hold_at_most_max_term_count_levels():
     """A certificate window holds 64 terms, so a model holds at most 64
-    levels; past that the schedule is a config error naming the limit."""
+    levels; past that the schedule and its growth certificate are one config
+    error naming the limit."""
     spec = PsiSpec("power", exponent=0.75)
     assert len(coefficients(spec, depth=64).levels) == 64
+    assert validate_growth(spec, 2.0, depth=64).passed
     for depth in (65, 70, 1 << 40):
-        with pytest.raises(ConfigError, match="more than MAX_TERM_COUNT = 64 levels"):
-            coefficients(spec, depth=depth)
+        for run in (lambda: coefficients(spec, depth=depth), lambda: validate_growth(spec, 2.0, depth=depth)):
+            with pytest.raises(ConfigError, match="more than MAX_TERM_COUNT = 64 levels"):
+                run()
     # a slope of 2 reaches 35 levels at depth 70
     assert len(coefficients(spec, rule=SequenceRule("affine", a=2.0), depth=70).levels) == 35
 
@@ -265,8 +268,9 @@ def test_certificate_prologue_rejects_bad_limits(validate):
     list rule has; a list rule too short for one ratio is refused."""
     spec = PsiSpec("power", exponent=0.75)
     affine = SequenceRule("affine")
-    # a depth far past any model's walks no further than the window needs
-    for depth, n_max in ((2, 48), (8, 48), (40, 64), (1 << 40, 64)):
+    # 64 levels fill the window; a pettis depth past them is refused
+    # (test_coefficients_hold_at_most_max_term_count_levels)
+    for depth, n_max in ((2, 48), (8, 48), (40, 64), (64, 64)):
         assert validate(spec, affine, depth=depth).n_max == n_max
     with pytest.raises(ConfigError, match="list rule too short"):
         validate(spec, SequenceRule("list", values=(3,)))
