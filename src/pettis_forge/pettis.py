@@ -329,11 +329,6 @@ def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> list[float]
     campaign's hot loop, and a call per end cell made a one-part integral on
     the greedy-gap depth-24 model about 40% slower.  Multi-slice levels call
     ``slice_overlap``, explicit ones ``overlap`` and ``carrier_measure``.
-    A part that meets two or more cells ends past k1 * w and starts before
-    (k2 - 1) * w, both exact.  Each end cell is then clipped on its inner
-    side only: 0 <= s_lo < s_hi <= w and rounded addition is monotone, so
-    base + s_hi <= k1 * w < hi in cell k1 and lo < (k2 - 1) * w <= base + s_lo
-    in cell k2, and the other clip would change nothing.
 
     The part meets span = k2 - floor(lo * 2^n) cells, span - 2 of them whole
     when span >= 3.  The term is the float cp * (whole + fsum(r**p over the
@@ -360,12 +355,12 @@ def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> list[float]
             base = k0 * w
             x, y = base + s_lo, base + s_hi
             x = lo if lo > x else x
-            if span == 1:
-                y = hi if hi < y else y
+            y = hi if hi < y else y
             t = ((y - x) / measure) ** p if y > x else 0.0
             if span > 1:
                 base = (k2 - 1) * w
                 x, y = base + s_lo, base + s_hi
+                x = lo if lo > x else x
                 y = hi if hi < y else y
                 if y > x:
                     t += ((y - x) / measure) ** p

@@ -325,9 +325,8 @@ def test_part_ratio_at_most_one_uncapped(scheme, depth, p, explicit):
     ``_part_terms``, which clips single-slice levels inline, gives the
     cover's terms bit for bit."""
     built_in = allocate_carriers(depth, scheme)
-    for n in range(1, depth + 1):  # the proofs' premises: the slice lies in its
-        a, s_lo, s_hi, measure = built_in.pattern(n)  # cell, the measure is 2^d * s_len
-        assert 0.0 <= s_lo < s_hi <= math.ldexp(1.0, -a), n
+    for n in range(1, depth + 1):  # the proof's premise: the measure is 2^d * s_len
+        a, s_lo, s_hi, measure = built_in.pattern(n)
         assert measure == math.ldexp(s_hi - s_lo, a - n), n
     family = built_in
     if explicit:

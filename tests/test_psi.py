@@ -256,21 +256,22 @@ def test_sequence_rule_json_rejects_unknown_kinds():
 
 
 @pytest.mark.parametrize(
-    "validate",
+    "validate, deepest",
     [
-        lambda spec, rule, **kw: validate_growth(spec, rule=rule, **kw),
-        lambda spec, rule, **kw: validate_summable(spec, rule, **kw),
+        # 64 levels fill the window; a pettis depth past them is refused
+        # (test_coefficients_hold_at_most_max_term_count_levels)
+        (lambda spec, rule, **kw: validate_growth(spec, rule=rule, **kw), 64),
+        # a continuous depth far past any model's walks no further than the window needs
+        (lambda spec, rule, **kw: validate_summable(spec, rule, **kw), 1 << 40),
     ],
     ids=["growth", "summable"],
 )
-def test_certificate_prologue_rejects_bad_limits(validate):
+def test_certificate_prologue_rejects_bad_limits(validate, deepest):
     """The window is min(64, max(48, 2 * levels)) terms and no more than a
     list rule has; a list rule too short for one ratio is refused."""
     spec = PsiSpec("power", exponent=0.75)
     affine = SequenceRule("affine")
-    # 64 levels fill the window; a pettis depth past them is refused
-    # (test_coefficients_hold_at_most_max_term_count_levels)
-    for depth, n_max in ((2, 48), (8, 48), (40, 64), (64, 64)):
+    for depth, n_max in ((2, 48), (8, 48), (40, 64), (deepest, 64)):
         assert validate(spec, affine, depth=depth).n_max == n_max
     with pytest.raises(ConfigError, match="list rule too short"):
         validate(spec, SequenceRule("list", values=(3,)))
