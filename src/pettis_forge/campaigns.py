@@ -5,6 +5,8 @@ from the config seed, rows are emitted in a fixed order, and floats are
 serialized with shortest round-trip repr, so identical configs produce
 byte-identical reports.  Each row carries the inputs, the computed values,
 the target bound, and a pass flag recomputable from the row's own columns.
+Rows are recorded through ``Report.add``, which counts the failing ones, and
+``Report.close`` writes that count as the summary's ``violations`` entry.
 
 ``VERIFY_CAMPAIGNS`` maps each ``verify`` kind to its runner and the model
 class the runner needs; ``run`` dispatches through it.  ``psi-validate``
@@ -23,7 +25,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .blocks import Functional
 from .continuous import ContinuousModel, check_pair
@@ -106,9 +108,20 @@ class Report:
 
     campaign: str
     columns: tuple[str, ...]
-    rows: list[tuple]
-    summary: dict
-    violations: int
+    rows: list[tuple] = field(default_factory=list)
+    summary: dict = field(default_factory=dict)
+    violations: int = 0
+
+    def add(self, row: tuple, ok: bool) -> None:
+        """Append ``row``, counting a violation when ``ok`` is false."""
+        self.rows.append(row)
+        if not ok:
+            self.violations += 1
+
+    def close(self, **summary: object) -> Report:
+        """Set the summary, ending with the violation count, and return the report."""
+        self.summary = {**summary, "violations": self.violations}
+        return self
 
     @property
     def passed(self) -> bool:
@@ -237,26 +250,19 @@ def run_lower_bound_sweep(model: PettisModel, cfg: CampaignConfig) -> Report:
         raise DepthInsufficientError(
             f"dyadic level {cfg.dyadic_level} is below the certified measure floor {floor}"
         )
-    columns = ("idx", "lo", "hi", "measure", "psi", "lower", "upper", "pass")
-    rows: list[tuple] = []
-    violations = 0
-    idx = 0
+    report = Report(LOWER_BOUND, ("idx", "lo", "hi", "measure", "psi", "lower", "upper", "pass"))
 
     def emit(lo: float, hi: float) -> None:
-        nonlocal idx, violations
         lower, upper = interval_bounds(model, lo, hi)
         measure = hi - lo
         target = eval_psi_total(model.psi, measure)
         ok = lower >= target - BOUND_SLACK
-        if not ok:
-            violations += 1
-        rows.append((idx, lo, hi, measure, target, lower, upper, ok))
-        idx += 1
+        report.add((len(report.rows), lo, hi, measure, target, lower, upper, ok), ok)
 
     for m in range(cfg.dyadic_level + 1):
         for k in range(1, (1 << m) + 1):
             emit(math.ldexp(k - 1, -m), math.ldexp(k, -m))
-    dyadic_rows = idx
+    dyadic_rows = len(report.rows)
     rng = random.Random(cfg.seed)
     rejected = 0
     accepted = 0
@@ -270,14 +276,8 @@ def run_lower_bound_sweep(model: PettisModel, cfg: CampaignConfig) -> Report:
             continue
         emit(lo, hi)
         accepted += 1
-    summary = {
-        "dyadic_rows": dyadic_rows,
-        "random_rows": accepted,
-        "rejected_samples": rejected,
-        "measure_floor": floor,
-        "violations": violations,
-    }
-    return Report(LOWER_BOUND, columns, rows, summary, violations)
+    return report.close(dyadic_rows=dyadic_rows, random_rows=accepted,
+                        rejected_samples=rejected, measure_floor=floor)
 
 
 def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
@@ -295,10 +295,7 @@ def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
     functionals = [_random_functional(rng, model) for _ in range(cfg.samples)]
     interval_sets = [_random_interval_set(rng) for _ in range(cfg.sets)]
     truncations = [truncated_integral(model, E) for E in interval_sets]
-    columns = ("idx", "functional_norm", "lhs", "rhs", "abs_err", "tol", "pass")
-    rows: list[tuple] = []
-    violations = 0
-    idx = 0
+    report = Report(PAIRING, ("idx", "functional_norm", "lhs", "rhs", "abs_err", "tol", "pass"))
     for x in functionals:
         qn = x.dual_norm()
         tol = PAIRING_SLACK * (1.0 + qn)
@@ -307,28 +304,24 @@ def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
             rhs = scalar_integral(model, x, E)
             err = abs(lhs - rhs)
             ok = err <= tol
-            if not ok:
-                violations += 1
-            rows.append((idx, qn, lhs, rhs, err, tol, ok))
-            idx += 1
-    summary = {
-        "functionals": len(functionals),
-        "interval_sets": len(interval_sets),
-        "violations": violations,
-    }
-    return Report(PAIRING, columns, rows, summary, violations)
+            report.add((len(report.rows), qn, lhs, rhs, err, tol, ok), ok)
+    return report.close(functionals=len(functionals), interval_sets=len(interval_sets))
 
 
-def run_blowup(model: PettisModel, cfg: CampaignConfig) -> Report:
-    """Averaged-integral blow-up: (1/h) * lower >= psi(h)/h on a (t, j) grid."""
+def _check_j_max(model: PettisModel, cfg: CampaignConfig) -> None:
+    """Refuse a (t, j) grid whose finest intervals, of measure 2^-j_max, lie
+    below the certified floor, where the truncated model proves nothing."""
     floor = _certified_floor(model)
     if math.ldexp(1.0, -cfg.j_max) < floor:
         raise DepthInsufficientError(
             f"j_max {cfg.j_max} gives intervals below the certified floor {floor}"
         )
-    columns = ("t", "j", "h", "lower_over_h", "floor", "pass")
-    rows: list[tuple] = []
-    violations = 0
+
+
+def run_blowup(model: PettisModel, cfg: CampaignConfig) -> Report:
+    """Averaged-integral blow-up: (1/h) * lower >= psi(h)/h on a (t, j) grid."""
+    _check_j_max(model, cfg)
+    report = Report(BLOWUP, ("t", "j", "h", "lower_over_h", "floor", "pass"))
     skipped = 0
     for t in cfg.t_grid:
         for j in range(cfg.j_min, cfg.j_max + 1):
@@ -339,20 +332,13 @@ def run_blowup(model: PettisModel, cfg: CampaignConfig) -> Report:
             lower, _ = interval_bounds(model, t, t + h)
             target = eval_psi_total(model.psi, h)
             ok = lower >= target - BOUND_SLACK
-            if not ok:
-                violations += 1
-            rows.append((t, j, h, lower / h, target / h, ok))
-    if not rows:
+            report.add((t, j, h, lower / h, target / h, ok), ok)
+    if not report.rows:
         raise ConfigError(
             f"every blowup grid point has t + 2^-j > 1: t_grid {list(cfg.t_grid)}, "
             f"j {cfg.j_min}..{cfg.j_max}"
         )
-    summary = {
-        "grid_points": len(rows),
-        "skipped_out_of_domain": skipped,
-        "violations": violations,
-    }
-    return Report(BLOWUP, columns, rows, summary, violations)
+    return report.close(grid_points=len(report.rows), skipped_out_of_domain=skipped)
 
 
 def run_halfpower_statistic(model: PettisModel, cfg: CampaignConfig) -> Report:
@@ -361,16 +347,16 @@ def run_halfpower_statistic(model: PettisModel, cfg: CampaignConfig) -> Report:
     Asserts only the floor h^(-1/2) * lower >= psi(h) / sqrt(h) on the
     certified lower bound, the sound side; the almost-everywhere
     vanishing-rate statement is flagged as not decidable and reported as a
-    per-j median of the normalized rates.
+    per-j median of the normalized rates.  Like blowup, it refuses a j_max
+    below the certified floor.
     """
     if model.p != 2.0:
         raise ConfigError("halfpower campaign requires the p = 2 backend")
+    _check_j_max(model, cfg)
     rng = random.Random(cfg.seed)
     h_max = math.ldexp(1.0, -cfg.j_min)
     ts = [rng.random() * (1.0 - h_max) for _ in range(cfg.samples)]
-    columns = ("t", "j", "h", "ratio", "floor", "pass")
-    rows: list[tuple] = []
-    violations = 0
+    report = Report(HALFPOWER, ("t", "j", "h", "ratio", "floor", "pass"))
     per_j: dict[int, list[float]] = {j: [] for j in range(cfg.j_min, cfg.j_max + 1)}
     for t in ts:
         for j in range(cfg.j_min, cfg.j_max + 1):
@@ -379,25 +365,17 @@ def run_halfpower_statistic(model: PettisModel, cfg: CampaignConfig) -> Report:
             ratio = lower / math.sqrt(h)
             bound = eval_psi_total(model.psi, h) / math.sqrt(h)
             ok = ratio >= bound - BOUND_SLACK
-            if not ok:
-                violations += 1
             per_j[j].append(ratio)
-            rows.append((t, j, h, ratio, bound, ok))
-    summary = {
-        "note": _RATE_LIMIT_NOTE,
-        "median_trend": {str(j): statistics.median(v) for j, v in per_j.items() if v},
-        "violations": violations,
-    }
-    return Report(HALFPOWER, columns, rows, summary, violations)
+            report.add((t, j, h, ratio, bound, ok), ok)
+    trend = {str(j): statistics.median(v) for j, v in per_j.items() if v}
+    return report.close(note=_RATE_LIMIT_NOTE, median_trend=trend)
 
 
 def run_continuous_campaign(model: ContinuousModel, cfg: CampaignConfig) -> Report:
     """Everywhere separation plus the uniform-continuity modulus witness."""
     rng = random.Random(cfg.seed)
     floor = model.separation_floor()
-    columns = ("s", "t", "dist", "lhs", "rhs", "pass", "modulus", "modulus_pass")
-    rows: list[tuple] = []
-    violations = 0
+    report = Report(CONTINUOUS, ("s", "t", "dist", "lhs", "rhs", "pass", "modulus", "modulus_pass"))
     rejected = 0
     lipschitz = model.lipschitz_constant()
     tail2 = 2.0 * model.tail()
@@ -414,10 +392,8 @@ def run_continuous_campaign(model: ContinuousModel, cfg: CampaignConfig) -> Repo
         pc = check_pair(model, s, t)
         mod = lipschitz * d + tail2
         mod_ok = pc.lhs <= mod * (1.0 + 1e-9)
-        if not pc.holds or not mod_ok:
-            violations += 1
         observed.append((d, pc.lhs))
-        rows.append((s, t, d, pc.lhs, pc.rhs, pc.holds, mod, mod_ok))
+        report.add((s, t, d, pc.lhs, pc.rhs, pc.holds, mod, mod_ok), pc.holds and mod_ok)
         accepted += 1
     delta_table = {}
     for g in DELTA_LEVELS:
@@ -429,14 +405,8 @@ def run_continuous_campaign(model: ContinuousModel, cfg: CampaignConfig) -> Repo
             "bound": lipschitz * delta + tail2,
             "pairs": len(close),
         }
-    summary = {
-        "pairs": accepted,
-        "rejected_too_close": rejected,
-        "distance_floor": floor,
-        "modulus_table": delta_table,
-        "violations": violations,
-    }
-    return Report(CONTINUOUS, columns, rows, summary, violations)
+    return report.close(pairs=accepted, rejected_too_close=rejected, distance_floor=floor,
+                        modulus_table=delta_table)
 
 
 def run_bochner_divergence(model: PettisModel, cfg: CampaignConfig) -> Report:
@@ -455,9 +425,7 @@ def run_bochner_divergence(model: PettisModel, cfg: CampaignConfig) -> Report:
     for n in range(1, model.depth + 1):
         acc += masses.get(n, 0.0)
         partial.append(acc)
-    columns = ("N", "s", "s_prev", "s_prev4", "ratio4", "pass")
-    rows: list[tuple] = []
-    violations = 0
+    report = Report(BOCHNER, ("N", "s", "s_prev", "s_prev4", "ratio4", "pass"))
     for n in range(1, model.depth + 1):
         s = partial[n - 1]
         s_prev = partial[n - 2] if n >= 2 else 0.0
@@ -466,16 +434,9 @@ def run_bochner_divergence(model: PettisModel, cfg: CampaignConfig) -> Report:
         ok = s >= s_prev
         if n >= 12 and ratio4 is not None:
             ok = ok and ratio4 >= 1.5
-        if not ok:
-            violations += 1
-        rows.append((n, s, s_prev, s_prev4, ratio4, ok))
-    summary = {
-        "interval": [lo, hi],
-        "final_partial_sum": partial[-1],
-        "certified_window": [12, model.depth],
-        "violations": violations,
-    }
-    return Report(BOCHNER, columns, rows, summary, violations)
+        report.add((n, s, s_prev, s_prev4, ratio4, ok), ok)
+    return report.close(interval=[lo, hi], final_partial_sum=partial[-1],
+                        certified_window=[12, model.depth])
 
 
 def run_psi_validate(

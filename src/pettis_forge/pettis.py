@@ -37,16 +37,18 @@ computation gives, so enclosures stay bit-identical.
 
 The integral is read two ways, each a frozen value built whole by its own
 factory: ``pettis_integral`` gives the norm bounds (``IntegralEnclosure``)
-and ``truncated_integral`` the coordinates (``TruncatedIntegral``).  The
-interval sweeps need only the two bounds of one interval [lo, hi), and
-``interval_bounds`` gives them as floats, bit for bit those of
-``pettis_integral(model, Interval(lo, hi))``: at finite p with
-0 <= lo < hi <= 1 it runs the same ``_part_terms`` and the same final
-``fsum`` and roots (``_norm_bounds``) that enclosure's one-part branch
-runs, with no ``Interval``, ``IntervalSet`` or ``IntegralEnclosure`` built,
-and it hands every other input to ``pettis_integral``.
+and ``truncated_integral`` the coordinates (``TruncatedIntegral``); both
+reduce the cover ``_cover`` builds.  The interval sweeps need only the two
+bounds of one interval [lo, hi), and ``interval_bounds`` gives them as
+floats, bit for bit those of ``pettis_integral(model, Interval(lo, hi))``:
+at finite p with 0 <= lo < hi <= 1 it runs ``_part_terms``, whose norm
+terms are the cover's, and the same final ``fsum`` and roots
+(``_norm_bounds``), with no ``Interval``, ``IntervalSet``,
+``IntegralEnclosure`` or cover built, and it hands every other input to
+``pettis_integral``.
 
-Both kernels make one pass over the realized levels <= N.  At level n a
+Both kernels make one pass over the realized levels, ``_cover`` up to the
+truncation level N and ``_part_terms`` up to the model depth.  At level n a
 part [lo, hi) meets cells k1 = floor(lo * 2^n) + 1 through
 k2 = ceil(hi * 2^n): multiplying by a power of two only moves the exponent,
 so the product is exact (as ``ldexp`` is) and the indices are those of the
@@ -55,8 +57,8 @@ exact rationals.  A part of an ``IntervalSet`` has 0 <= lo < hi <= 1
 ``interval_bounds`` checks it inline), so 1 <= k1 <= k2 <= 2^n and no
 kernel checks an index.  ``_cover`` builds the
 cover, the per-level record of whole-cell counts and end-cell ratios;
-``_part_terms`` runs one part for its norm terms alone, the floats the
-cover gives, which is all the bounds of a one-part set at finite p need.
+``_part_terms`` runs one part at the model depth for its norm terms alone,
+the floats the cover gives, which is all ``interval_bounds`` needs.
 """
 
 from __future__ import annotations
@@ -317,11 +319,10 @@ def _cover(model: PettisModel, parts: tuple[Interval, ...], N: int) -> _Cover:
     return cover
 
 
-def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> list[float]:
-    """The norm term of each realized level <= N that the part [lo, hi)
-    meets: the bounds of a one-part set at finite p, with the cells and
-    ratios of ``_cover`` but no cover.  ``interval_bounds`` and the one-part
-    branch of ``pettis_integral`` both read their bounds from it.
+def _part_terms(model: PettisModel, lo: float, hi: float) -> list[float]:
+    """The norm term of each realized level that the part [lo, hi) meets,
+    with the cells and ratios of ``_cover`` but no cover: the bounds of a
+    one-part set at finite p, which ``interval_bounds`` reads from it.
 
     On a single-slice level (d == 0, tested first) the clip is
     ``slice_overlap`` inlined: the carrier of cell k is [base + s_lo,
@@ -346,8 +347,6 @@ def _part_terms(model: PettisModel, lo: float, hi: float, N: int) -> list[float]
     p = model.p
     terms = []
     for level, _, cp, scale, d, w, s_lo, s_hi, measure in model.geometry:
-        if level > N:
-            break
         k0 = floor(lo * scale)  # the part meets cells k0 + 1 through k2
         k2 = ceil(hi * scale)
         span = k2 - k0
@@ -390,15 +389,14 @@ def interval_bounds(model: PettisModel, lo: float, hi: float) -> tuple[float, fl
     bit for bit, without building the interval, its set or the enclosure.
 
     With 0 <= lo < hi <= 1 at finite p, ``Interval(lo, hi)`` becomes the
-    one-part set ``pettis_integral`` reads with ``_part_terms``, so the
+    one-part set whose cover's norm terms ``_part_terms`` gives, so the
     bounds come from that kernel directly.  Every other input, lo == hi
     and p = inf included, goes through ``pettis_integral``, which raises
     the same ``ValueError`` on a bad range.
     """
     p = model.p
     if 0.0 <= lo < hi <= 1.0 and not math.isinf(p):
-        N = model.depth
-        return _norm_bounds(_part_terms(model, lo, hi, N), model.tail(N), p)
+        return _norm_bounds(_part_terms(model, lo, hi), model.tail(model.depth), p)
     enc = pettis_integral(model, Interval(lo, hi))
     return enc.lower, enc.upper
 
@@ -413,22 +411,17 @@ def pettis_integral(
     N1 < N2 the enclosure at N1 contains the truncated norm at N2.
     """
     Eset, N = _domain(model, E, truncate_at)
-    parts = Eset.parts
     p = model.p
     tail = model.tail(N)
-    # A one-part set at finite p needs only its norm terms; every other set reduces a cover.
-    if len(parts) == 1 and not math.isinf(p):
-        terms = _part_terms(model, parts[0].lo, parts[0].hi, N)
-    else:
-        cover = _cover(model, parts, N)
-        if math.isinf(p):
-            lower = max((c * max([1.0 if whole else 0.0, *ratios.values()])
-                         for c, _, whole, ratios in cover.values()), default=0.0)
-            return IntegralEnclosure(model, lower, max(lower, tail), tail, E=Eset, N=N)
-        terms = [
-            cp * (whole + math.fsum([r**p for r in ratios.values()]))
-            for _, cp, whole, ratios in cover.values()
-        ]
+    cover = _cover(model, Eset.parts, N)
+    if math.isinf(p):
+        lower = max((c * max([1.0 if whole else 0.0, *ratios.values()])
+                     for c, _, whole, ratios in cover.values()), default=0.0)
+        return IntegralEnclosure(model, lower, max(lower, tail), tail, E=Eset, N=N)
+    terms = [
+        cp * (whole + math.fsum([r**p for r in ratios.values()]))
+        for _, cp, whole, ratios in cover.values()
+    ]
     lower, upper = _norm_bounds(terms, tail, p)
     return IntegralEnclosure(model, lower, upper, tail, E=Eset, N=N)
 

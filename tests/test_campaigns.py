@@ -1,6 +1,7 @@
 """Campaigns: assertions, summaries, reproducibility, CLI exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -102,8 +103,15 @@ def test_blowup_campaign(model12):
 
 
 def test_blowup_depth_guard(model12):
+    """Blowup and halfpower refuse a j_max below the certified floor (2^-9 at
+    depth 12) on the same (t, j) grid, rather than report rows the truncated
+    model cannot certify."""
     with pytest.raises(DepthInsufficientError):
         run_blowup(model12, CampaignConfig("blowup", j_min=4, j_max=12))
+    for kind in (campaigns.BLOWUP, campaigns.HALFPOWER):
+        cfg = CampaignConfig(kind, samples=20, j_min=4, j_max=30)
+        with pytest.raises(DepthInsufficientError, match="j_max 30 gives intervals below"):
+            campaigns.run(model12, cfg)
 
 
 def test_halfpower_campaign(model12):
@@ -150,6 +158,40 @@ def test_continuous_campaign(cmodel9):
     table = rep.summary["modulus_table"]
     for entry in table.values():
         assert entry["observed_sup"] <= entry["bound"] + 1e-9
+
+
+def _failing_rows(report):
+    """Rows with a false pass flag; a continuous row also fails on modulus_pass."""
+    flags = [i for i, name in enumerate(report.columns) if name in ("pass", "modulus_pass")]
+    return sum(not all(row[i] for i in flags) for row in report.rows)
+
+
+def test_reports_count_their_failing_rows(model12, cmodel9, monkeypatch):
+    """Each verify kind's violation count, on the report and in its summary,
+    is the number of rows with a false pass flag.  A gauge that jumps to 1000
+    past measure 1/4 fails the lower-bound, blowup, halfpower and continuous
+    rows it reaches, the power-0.9 gauge at depth 24 fails bochner's ratio
+    rows, and a scalar oracle off by 1 on two-part sets fails pairing rows."""
+    jump = PsiSpec("custom-table", knots=((0, 0), (0.25, 0), (0.5, 1000), (4, 1000)))
+    jump12 = dataclasses.replace(model12, psi=jump)
+    oracle = campaigns.scalar_integral
+    monkeypatch.setattr(campaigns, "scalar_integral",
+                        lambda model, x, E: oracle(model, x, E) + (len(E.parts) == 2))
+    cases = (
+        (jump12, CampaignConfig("lower-bound", samples=100, dyadic_level=6, seed=3)),
+        (jump12, CampaignConfig("blowup", j_min=0, j_max=9)),
+        (jump12, CampaignConfig("halfpower", samples=10, j_min=1, j_max=9)),
+        (dataclasses.replace(cmodel9, psi=jump), CampaignConfig("continuous", samples=200, seed=3)),
+        (build_model(None, PsiSpec("power", exponent=0.9), depth=24), CampaignConfig("bochner")),
+        (model12, CampaignConfig("pairing", samples=20, sets=6, seed=3)),
+    )
+    assert {cfg.kind for _, cfg in cases} == set(campaigns.VERIFY_CAMPAIGNS)
+    for model, cfg in cases:
+        report = campaigns.run(model, cfg)
+        failing = _failing_rows(report)
+        assert 0 < failing < len(report.rows), (cfg.kind, failing)
+        assert report.violations == report.summary["violations"] == failing, cfg.kind
+        assert not report.passed
 
 
 def test_psi_validate_report():
@@ -515,6 +557,14 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2, r.stderr
     assert "config error: depth 70 gives more than MAX_TERM_COUNT = 64 levels" in r.stderr
     assert "[PASS]" not in r.stderr
+    # halfpower refuses a j_max below the certified floor, as blowup does
+    campaign = {"samples": 20, "j_min": 4, "j_max": 30}
+    cfg = _write_cfg(tmp_path, "fine.json", {"model": {**_MODEL_CFG, "depth": 12}, "campaign": campaign})
+    for kind in ("blowup", "halfpower"):
+        r = _cli("verify", kind, "--config", cfg)
+        assert r.returncode == 2, (kind, r.stderr)
+        assert "j_max 30 gives intervals below the certified floor 0.001953125" in r.stderr, kind
+        assert "[FAIL]" not in r.stderr, kind
 
 
 def test_cli_psi_validate_exit_one(tmp_path):

@@ -36,8 +36,8 @@ end cells and their neighbours, ``share`` at those cells and the indices
 index errors of every accessor, ``locate`` outside [0, 1) and the
 materialization guard.
 
-The ``one-part`` corpus runs one-part intervals only, where the kernel
-clips both end cells of a level itself and never builds a cover, through
+The ``one-part`` corpus runs one-part intervals only, where each level
+has at most two end cells and at most one run of whole cells, through
 ``pettis_integral`` on every family above at p = 2, 3 and infinity (the
 greedy-gap depth-24 model at p = 2 is the reference lower-bound model):
 dyadic cells, uniform intervals, intervals with both ends on slice ends,

@@ -193,25 +193,30 @@ def test_norm_terms_match_the_cover_sum(kind, p):
     """Two independent implementations agree.  On one-part sets the norm
     terms of ``_part_terms``, which clips as it goes and builds no cover,
     are bit for bit cp * (whole + fsum(r**p over the level's end-cell
-    ratios)) read from the cover ``_cover`` builds; on every set the bounds
-    are those of the fsum of the cover's terms and the cover is the
-    truncation's."""
+    ratios)) read from the cover ``_cover`` builds at the model depth; on
+    every set the bounds are those of the fsum of the cover's terms and the
+    cover is the truncation's."""
     model = build_model(_family(kind, 8), SPEC34, p=p, depth=8)
     rng = random.Random(41)
+
+    def terms_of(cover):
+        return [
+            cp * (whole + math.fsum(r**p for r in ratios.values()))
+            for _, cp, whole, ratios in cover.values()
+        ]
+
     one_part = 0
     for E in SHARED_END_CELLS + tuple(_random_interval_set(rng, 4) for _ in range(300)):
         N = rng.choice([8, rng.randint(1, 8)])
         enc = pettis_integral(model, E, truncate_at=N)
         cover = pettis_module._cover(model, E.parts, N)
-        want = [
-            cp * (whole + math.fsum(r**p for r in ratios.values()))
-            for _, cp, whole, ratios in cover.values()
-        ]
+        want = terms_of(cover)
         assert cover == truncated_integral(model, E, truncate_at=N).cover, (E, N)
         if len(E.parts) == 1:
             one_part += 1
-            terms = pettis_module._part_terms(model, E.parts[0].lo, E.parts[0].hi, N)
-            assert [t.hex() for t in terms] == [t.hex() for t in want], (E, N)
+            full = terms_of(pettis_module._cover(model, E.parts, model.depth))
+            terms = pettis_module._part_terms(model, E.parts[0].lo, E.parts[0].hi)
+            assert [t.hex() for t in terms] == [t.hex() for t in full], E
         total = math.fsum(want)
         assert enc.lower.hex() == (total ** (1.0 / p)).hex(), (E, N)
         assert enc.upper.hex() == ((total + enc.tail**p) ** (1.0 / p)).hex(), (E, N)
@@ -265,8 +270,10 @@ def test_interval_bounds_match_pettis_integral_bits(kind, p):
     """``interval_bounds(model, lo, hi)`` is ``(enc.lower, enc.upper)`` of
     ``pettis_integral(model, Interval(lo, hi))`` bit for bit: on dyadic
     cells, seeded random intervals, ends on or one ulp beside a slice end,
-    and lo in 2^-80..2^-30 inside cell 1.  A range that ``Interval`` refuses
-    raises the same ValueError, and lo == hi gives the empty set's bounds."""
+    and lo in 2^-80..2^-30 inside cell 1.  At finite p the two sides run
+    different kernels, ``_part_terms`` and ``_cover``.  A range that
+    ``Interval`` refuses raises the same ValueError, and lo == hi gives the
+    empty set's bounds."""
     depth = 10
     model = build_model(_family(kind, depth), SPEC34, p=p, depth=depth)
     rng = random.Random(f"bounds-{kind}-{p}")
@@ -354,7 +361,7 @@ def test_part_ratio_at_most_one_uncapped(scheme, depth, p, explicit):
         ones += ratios.count(1.0)
         want = [cp * (whole + math.fsum(r**p for r in level.values()))
                 for _, cp, whole, level in cover.values()]
-        assert pettis_module._part_terms(model, lo, hi, depth) == want, (lo, hi)
+        assert pettis_module._part_terms(model, lo, hi) == want, (lo, hi)
     # the corpus reaches ratio 1 exactly, where any excess would show
     assert checks >= 1000 and ones >= 10, (checks, ones)
 
@@ -401,10 +408,9 @@ def test_interval_sets_explicit_families_and_enclosures_pickle():
 
 
 def test_enclosures_that_need_the_cover_run_the_kernel_once_per_part(monkeypatch):
-    """``pettis_integral`` runs exactly one kernel: ``_part_terms`` on a
-    one-part set at finite p, ``_cover`` on every other set.
-    ``interval_bounds`` at finite p runs ``_part_terms`` once and never
-    ``_cover``, so a lower-bound sweep runs one kernel per row.
+    """``pettis_integral`` runs ``_cover`` once on every set, and never
+    ``_part_terms``.  ``interval_bounds`` at finite p runs ``_part_terms``
+    once and never ``_cover``, so a lower-bound sweep runs one kernel per row.
     ``truncated_integral`` runs ``_cover`` once, and reading its coordinates
     runs no kernel again.  A whole pairing campaign runs ``_cover`` once per
     interval set and never ``_part_terms``."""
@@ -430,7 +436,7 @@ def test_enclosures_that_need_the_cover_run_the_kernel_once_per_part(monkeypatch
         (finite, two, (0, 1)),
         (sup, two, (0, 1)),
         (sup, Interval(0.1, 0.3), (0, 1)),
-        (finite, Interval(0.1, 0.3), (1, 0)),
+        (finite, Interval(0.1, 0.3), (0, 1)),
         (finite, IntervalSet(), (0, 1)),
     ):
         calls.clear()
