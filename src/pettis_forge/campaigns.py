@@ -13,10 +13,14 @@ class the runner needs; ``run`` dispatches through it.  ``psi-validate``
 takes a gauge rather than a model and is called directly.
 
 Hard assertions always use the sound side of an enclosure (the lower bound
-against gauge targets).  The averaged-rate campaign additionally reports a
-median trend without asserting any limit: a vanishing-rate statement over
-all points is not decidable from finitely many samples, and the summary
-says so explicitly.
+against gauge targets).  Each pass flag is a plain float comparison of two of
+its row's own columns, with no slack: a row whose value falls short of its
+target by any amount fails.  ``PAIRING_SLACK`` is the one tolerance, because
+the pairing row compares two float computations of one number.
+
+The averaged-rate campaign additionally reports a median trend without
+asserting any limit: a vanishing-rate statement over all points is not
+decidable from finitely many samples, and the summary says so explicitly.
 """
 
 from __future__ import annotations
@@ -45,10 +49,7 @@ CONTINUOUS = "continuous"
 BOCHNER = "bochner"
 PSI_VALIDATE = "psi-validate"
 
-#: Absolute slack on interval lower-bound assertions (exact dyadic regime).
-BOUND_SLACK = 1e-12
-
-#: Relative slack on the two-code-path pairing identity.
+#: Relative slack on the two-code-path pairing identity, the one tolerance.
 PAIRING_SLACK = 1e-9
 
 #: Pairing samples: at most this many parts per interval set, and this many
@@ -98,6 +99,9 @@ class CampaignConfig:
             raise ConfigError(f"t_grid values must lie in [0, 1), got {list(self.t_grid)}")
         if not (0 <= self.j_min < self.j_max <= 40):
             raise ConfigError(f"need 0 <= j_min < j_max <= 40, got [{self.j_min}, {self.j_max}]")
+        if self.kind == HALFPOWER and self.j_min < 1:
+            # t is drawn from [0, 1 - 2^-j_min), which is {0} at j_min 0
+            raise ConfigError(f"halfpower needs j_min >= 1, got {self.j_min}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
 
@@ -225,12 +229,19 @@ def _random_functional(rng: random.Random, model: PettisModel) -> Functional:
     return Functional(model.layout, coeffs)
 
 
-def _certified_floor(model: PettisModel) -> float:
-    """Smallest interval measure for which the truncated chain is provable."""
+def _certified_floor(model: PettisModel, name: str, j: int) -> float:
+    """Smallest interval measure for which the truncated chain is provable.
+
+    Refuses a campaign whose intervals of measure 2^-j, ``j`` being its
+    setting ``name``, lie below that floor, where the model proves nothing.
+    """
     levels = model.table.levels
     if len(levels) < 2:
         raise DepthInsufficientError("model realizes fewer than two levels")
-    return math.ldexp(4.0, -levels[-2])
+    floor = math.ldexp(4.0, -levels[-2])
+    if math.ldexp(1.0, -j) < floor:
+        raise DepthInsufficientError(f"{name} {j} gives intervals below the certified floor {floor}")
+    return floor
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +256,14 @@ def run_lower_bound_sweep(model: PettisModel, cfg: CampaignConfig) -> Report:
     random intervals above the certified measure floor.  Each row's bounds
     are ``interval_bounds``, the floats ``pettis_integral`` gives.
     """
-    floor = _certified_floor(model)
-    if math.ldexp(1.0, -cfg.dyadic_level) < floor:
-        raise DepthInsufficientError(
-            f"dyadic level {cfg.dyadic_level} is below the certified measure floor {floor}"
-        )
+    floor = _certified_floor(model, "dyadic_level", cfg.dyadic_level)
     report = Report(LOWER_BOUND, ("idx", "lo", "hi", "measure", "psi", "lower", "upper", "pass"))
 
     def emit(lo: float, hi: float) -> None:
         lower, upper = interval_bounds(model, lo, hi)
         measure = hi - lo
         target = eval_psi_total(model.psi, measure)
-        ok = lower >= target - BOUND_SLACK
+        ok = lower >= target
         report.add((len(report.rows), lo, hi, measure, target, lower, upper, ok), ok)
 
     for m in range(cfg.dyadic_level + 1):
@@ -308,19 +315,9 @@ def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
     return report.close(functionals=len(functionals), interval_sets=len(interval_sets))
 
 
-def _check_j_max(model: PettisModel, cfg: CampaignConfig) -> None:
-    """Refuse a (t, j) grid whose finest intervals, of measure 2^-j_max, lie
-    below the certified floor, where the truncated model proves nothing."""
-    floor = _certified_floor(model)
-    if math.ldexp(1.0, -cfg.j_max) < floor:
-        raise DepthInsufficientError(
-            f"j_max {cfg.j_max} gives intervals below the certified floor {floor}"
-        )
-
-
 def run_blowup(model: PettisModel, cfg: CampaignConfig) -> Report:
     """Averaged-integral blow-up: (1/h) * lower >= psi(h)/h on a (t, j) grid."""
-    _check_j_max(model, cfg)
+    _certified_floor(model, "j_max", cfg.j_max)
     report = Report(BLOWUP, ("t", "j", "h", "lower_over_h", "floor", "pass"))
     skipped = 0
     for t in cfg.t_grid:
@@ -331,7 +328,7 @@ def run_blowup(model: PettisModel, cfg: CampaignConfig) -> Report:
                 continue
             lower, _ = interval_bounds(model, t, t + h)
             target = eval_psi_total(model.psi, h)
-            ok = lower >= target - BOUND_SLACK
+            ok = lower >= target
             report.add((t, j, h, lower / h, target / h, ok), ok)
     if not report.rows:
         raise ConfigError(
@@ -352,7 +349,7 @@ def run_halfpower_statistic(model: PettisModel, cfg: CampaignConfig) -> Report:
     """
     if model.p != 2.0:
         raise ConfigError("halfpower campaign requires the p = 2 backend")
-    _check_j_max(model, cfg)
+    _certified_floor(model, "j_max", cfg.j_max)
     rng = random.Random(cfg.seed)
     h_max = math.ldexp(1.0, -cfg.j_min)
     ts = [rng.random() * (1.0 - h_max) for _ in range(cfg.samples)]
@@ -364,7 +361,7 @@ def run_halfpower_statistic(model: PettisModel, cfg: CampaignConfig) -> Report:
             lower, _ = interval_bounds(model, t, t + h)
             ratio = lower / math.sqrt(h)
             bound = eval_psi_total(model.psi, h) / math.sqrt(h)
-            ok = ratio >= bound - BOUND_SLACK
+            ok = ratio >= bound
             per_j[j].append(ratio)
             report.add((t, j, h, ratio, bound, ok), ok)
     trend = {str(j): statistics.median(v) for j, v in per_j.items() if v}
@@ -391,7 +388,7 @@ def run_continuous_campaign(model: ContinuousModel, cfg: CampaignConfig) -> Repo
             continue
         pc = check_pair(model, s, t)
         mod = lipschitz * d + tail2
-        mod_ok = pc.lhs <= mod * (1.0 + 1e-9)
+        mod_ok = pc.lhs <= mod
         observed.append((d, pc.lhs))
         report.add((s, t, d, pc.lhs, pc.rhs, pc.holds, mod, mod_ok), pc.holds and mod_ok)
         accepted += 1
@@ -443,7 +440,6 @@ def run_psi_validate(
     spec: PsiSpec,
     p: float,
     rule: SequenceRule,
-    cfg: CampaignConfig,
     depth: int = 24,
     continuous: bool = False,
 ) -> Report:

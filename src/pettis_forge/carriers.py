@@ -259,7 +259,7 @@ class CarrierFamily:
             # hand-edited archives, are untrusted input: they make an
             # explicit family, which gets the full sweep, so tampering
             # surfaces as a disjointness failure rather than silent reuse.
-            return cls.from_sets(depth, _parse_sets(obj.get("sets"), depth))
+            return cls.from_sets(depth, _parse_sets(obj.get("sets")))
         return allocate_carriers(depth, scheme)
 
     @classmethod
@@ -315,7 +315,7 @@ def slice_overlap(d: int, w: float, s_lo: float, s_hi: float, k: int, lo: float,
     return total
 
 
-def _parse_sets(raw: object, depth: int) -> dict[tuple[int, int], IntervalSet]:
+def _parse_sets(raw: object) -> dict[tuple[int, int], IntervalSet]:
     if not isinstance(raw, Mapping):
         raise ConfigError("carrier archive has no usable 'sets' mapping")
     out: dict[tuple[int, int], IntervalSet] = {}

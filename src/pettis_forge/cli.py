@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     pettis-forge psi validate --config cfg.json [--out r.csv] [--format csv|json]
-    pettis-forge build --config cfg.json --out archive.json
+    pettis-forge build --config cfg.json [--out archive.json]
     pettis-forge verify <kind> --config cfg.json [--out r.csv] [--seed N]
                         [--samples N] [--format csv|json]
 
@@ -37,37 +37,35 @@ def _parser() -> argparse.ArgumentParser:
     psi = sub.add_parser("psi", help="gauge-function tools")
     psi_sub = psi.add_subparsers(dest="psi_command", required=True)
     psi_validate = psi_sub.add_parser("validate", help="run the growth certificate")
-    _common_flags(psi_validate)
+    _flags(psi_validate, "format")
 
     build = sub.add_parser("build", help="build a model archive")
-    _common_flags(build)
+    _flags(build)
 
     verify = sub.add_parser("verify", help="run a verification campaign")
     verify_sub = verify.add_subparsers(dest="campaign", required=True)
     for kind in campaigns.VERIFY_CAMPAIGNS:
-        _common_flags(verify_sub.add_parser(kind, help=f"{kind} campaign"))
+        _flags(verify_sub.add_parser(kind, help=f"{kind} campaign"), "seed", "samples", "format")
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _flags(p: argparse.ArgumentParser, *overrides: str) -> None:
+    """``--config`` and ``--out``, plus the campaign overrides the subcommand reads."""
     p.add_argument("--config", required=True, help="path to the JSON config")
     p.add_argument("--out", default=None, help="report/archive output path")
-    p.add_argument("--seed", type=int, default=None, help="override the campaign seed")
-    p.add_argument("--samples", type=int, default=None, help="override the sample count")
-    p.add_argument("--format", choices=("csv", "json"), default=None, help="report format")
+    if "seed" in overrides:
+        p.add_argument("--seed", type=int, default=None, help="override the campaign seed")
+    if "samples" in overrides:
+        p.add_argument("--samples", type=int, default=None, help="override the sample count")
+    if "format" in overrides:
+        p.add_argument("--format", choices=("csv", "json"), default=None, help="report format")
 
 
 def _campaign_config(obj: dict, kind: str, args: argparse.Namespace):
     cfg = build_campaign_from_config(obj.get("campaign") or {}, kind=kind)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.samples is not None:
-        cfg = replace(cfg, samples=args.samples)
-    if args.format is not None:
-        cfg = replace(cfg, format=args.format)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    return cfg
+    # a flag the subcommand does not take is absent from args, as if unset
+    given = {key: getattr(args, key, None) for key in ("seed", "samples", "format", "out")}
+    return replace(cfg, **{key: v for key, v in given.items() if v is not None})
 
 
 def _emit(report: Report, cfg) -> int:
@@ -102,7 +100,7 @@ def _run_psi_validate(args: argparse.Namespace) -> int:
     if kind not in ("pettis", "continuous"):
         raise ConfigError(f"unknown model kind {kind!r}")
     cfg = _campaign_config(obj, campaigns.PSI_VALIDATE, args)
-    report = campaigns.run_psi_validate(spec, p, rule, cfg, depth, continuous=kind == "continuous")
+    report = campaigns.run_psi_validate(spec, p, rule, depth, continuous=kind == "continuous")
     return _emit(report, cfg)
 
 

@@ -266,4 +266,4 @@ def check_pair(model: ContinuousModel, s: float, t: float) -> PairCheck:
             squares += [x * x for x in diff.values()]
     lhs = math.sqrt(math.fsum(squares))
     rhs = eval_psi_total(model.psi, d)
-    return PairCheck(holds=lhs >= rhs - 1e-12, lhs=lhs, rhs=rhs)
+    return PairCheck(holds=lhs >= rhs, lhs=lhs, rhs=rhs)

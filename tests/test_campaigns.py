@@ -17,6 +17,7 @@ from pettis_forge import (
     PsiSpec,
     SequenceRule,
     allocate_carriers,
+    build_continuous_model,
     build_model,
     pettis_integral,
     run_blowup,
@@ -54,7 +55,7 @@ def test_lower_bound_rows_and_recomputability(model12):
     for row in rep.rows[:50]:
         idx, lo, hi, mes, psi, lower, upper, ok = row
         assert mes == hi - lo
-        assert ok == (lower >= psi - 1e-12)
+        assert ok == (lower >= psi)
         assert lower <= upper
 
 
@@ -122,7 +123,7 @@ def test_halfpower_campaign(model12):
     trend = rep.summary["median_trend"]
     assert set(trend) == {str(j) for j in range(4, 10)}
     for t, j, h, ratio, floor, ok in rep.rows[:40]:
-        assert ok == (ratio >= floor - 1e-12)
+        assert ok == (ratio >= floor)
         assert ratio == pettis_integral(model12, Interval(t, t + h)).lower / math.sqrt(h)
 
 
@@ -194,13 +195,34 @@ def test_reports_count_their_failing_rows(model12, cmodel9, monkeypatch):
         assert not report.passed
 
 
+def test_steep_gauge_rows_fail_on_a_zero_kernel(monkeypatch):
+    """A power-3 or power-6 gauge reaches targets below 1e-12 above the
+    certified floor.  With the norms forced to 0, every row must fail: no
+    flag may pass a row whose target is tiny but positive."""
+    model = build_model(None, PsiSpec("power", exponent=3.0), depth=24)
+    monkeypatch.setattr(campaigns, "interval_bounds", lambda model, lo, hi: (0.0, 0.0))
+    zero = build_continuous_model(PsiSpec("power", exponent=6.0),
+                                  rule=SequenceRule("affine", a=4.0), depth=9)
+    zero = dataclasses.replace(zero, coeffs=tuple(0.0 for _ in zero.coeffs))
+    cases = (
+        (model, CampaignConfig("blowup", j_min=4, j_max=21), 72),
+        (model, CampaignConfig("halfpower", samples=50, j_min=4, j_max=21), 900),
+        (model, CampaignConfig("lower-bound", dyadic_level=12, samples=20_000), 28_191),
+        (zero, CampaignConfig("continuous", samples=10_000), 10_000),
+    )
+    for model, cfg, rows in cases:
+        report = campaigns.run(model, cfg)
+        assert len(report.rows) == rows, cfg.kind
+        assert _failing_rows(report) == report.violations == rows, cfg.kind
+
+
 def test_psi_validate_report():
     ok = run_psi_validate(
-        PsiSpec("power", exponent=0.75), 2.0, SequenceRule("affine"), CampaignConfig("psi-validate")
+        PsiSpec("power", exponent=0.75), 2.0, SequenceRule("affine")
     )
     assert ok.passed and ok.summary["pass"]
     bad = run_psi_validate(
-        PsiSpec("power", exponent=0.5), 2.0, SequenceRule("affine"), CampaignConfig("psi-validate")
+        PsiSpec("power", exponent=0.5), 2.0, SequenceRule("affine")
     )
     assert not bad.passed and bad.violations == 1
 
@@ -223,8 +245,7 @@ _STEEP_PSI = {"psi": {"family": "power", "exponent": 0.75}, "p": 1.0,
 
 def _steep_psi_report():
     return run_psi_validate(PsiSpec.from_json(_STEEP_PSI["psi"]), 1.0,
-                            SequenceRule.from_json(_STEEP_PSI["rule"]),
-                            CampaignConfig("psi-validate"), depth=40)
+                            SequenceRule.from_json(_STEEP_PSI["rule"]), depth=40)
 
 
 def _reject_constant(token):
@@ -304,6 +325,8 @@ def test_campaign_config_validation():
         {"kind": "blowup", "j_max": "20"},
         # a negative level would sweep no dyadic cell at all
         {"kind": "lower-bound", "dyadic_level": -2},
+        # halfpower draws t from [0, 1 - 2^-j_min), which is {0} at j_min 0
+        {"kind": "halfpower", "j_min": 0, "j_max": 9},
     ]
     for fields in bad:
         with pytest.raises(ConfigError):
@@ -320,6 +343,9 @@ def test_campaign_config_validation():
             build_campaign_from_config({"kind": "pairing", key: 4})
     cfg = build_campaign_from_config({"samples": 3}, kind="pairing")
     assert cfg.kind == "pairing" and cfg.samples == 3
+    with pytest.raises(ConfigError, match="halfpower needs j_min >= 1, got 0"):
+        CampaignConfig("halfpower", j_min=0)
+    assert CampaignConfig("blowup", j_min=0).j_min == 0
 
 
 def test_model_config_errors(tmp_path):
@@ -565,6 +591,13 @@ def test_cli_exit_codes(tmp_path):
         assert r.returncode == 2, (kind, r.stderr)
         assert "j_max 30 gives intervals below the certified floor 0.001953125" in r.stderr, kind
         assert "[FAIL]" not in r.stderr, kind
+    # halfpower at j_min 0 would draw every t as 0.0
+    campaign = {"samples": 5, "j_min": 0, "j_max": 9}
+    cfg = _write_cfg(tmp_path, "flat.json", {"model": {**_MODEL_CFG, "depth": 12}, "campaign": campaign})
+    r = _cli("verify", "halfpower", "--config", cfg)
+    assert r.returncode == 2, r.stderr
+    assert "config error: halfpower needs j_min >= 1, got 0" in r.stderr
+    assert "[PASS]" not in r.stderr
 
 
 def test_cli_psi_validate_exit_one(tmp_path):
@@ -894,3 +927,23 @@ def test_cli_seed_and_samples_overrides(tmp_path):
     b1, b2, b3 = ((tmp_path / f"r{i}.csv").read_bytes() for i in (1, 2, 3))
     assert b1 == b2 and b1 != b3
     assert len(b1.decode().splitlines()) == 1 + (2**4 - 1) + 7
+
+
+def test_cli_subcommands_take_only_the_flags_they_read(tmp_path):
+    """``build`` takes no campaign override and ``psi validate`` only
+    ``--format``; argparse refuses the others with a usage error."""
+    cfg = _write_cfg(tmp_path, "build.json", {"model": {**_MODEL_CFG, "depth": 6}})
+    out = str(tmp_path / "a.json")
+    refused = (
+        ("build", "--seed", "3"),
+        ("build", "--samples", "9"),
+        ("build", "--format", "json"),
+        ("psi", "validate", "--seed", "3"),
+        ("psi", "validate", "--samples", "9"),
+    )
+    for args in refused:
+        r = _cli(*args, "--config", cfg, "--out", out)
+        assert r.returncode == 2, args
+        assert "unrecognized arguments" in r.stderr, args
+    assert _cli("build", "--config", cfg, "--out", out).returncode == 0
+    assert _cli("psi", "validate", "--config", cfg, "--format", "json", "--out", out).returncode == 0

@@ -277,11 +277,11 @@ def test_check_pair_error_order(cmodel9):
 
 
 def test_check_pair_slack(cmodel9):
-    # holds lets lhs fall short of rhs by 1e-12: scale the coefficients so
-    # that lhs lands just inside and just outside that slack
+    # holds is lhs >= rhs with no slack: scale the coefficients so that lhs
+    # lands just above rhs, and just below it by less than 1e-12
     s, t = 0.1, 0.6
     pc = check_pair(cmodel9, s, t)
-    for short, holds in ((0.5e-12, True), (2e-12, False)):
+    for short, holds in ((-0.5e-12, True), (0.5e-12, False), (2e-12, False)):
         scale = (pc.rhs - short) / pc.lhs
         model = dataclasses.replace(cmodel9, coeffs=tuple(c * scale for c in cmodel9.coeffs))
         got = check_pair(model, s, t)

@@ -115,7 +115,7 @@ def _report_sha256(model_cfg, campaign_cfg):
     cfg = build_campaign_from_config(campaign_cfg)
     if cfg.kind == campaigns.PSI_VALIDATE:
         spec, rule, p, depth = gauge_from_config(model_cfg)
-        report = campaigns.run_psi_validate(spec, p, rule, cfg, depth)
+        report = campaigns.run_psi_validate(spec, p, rule, depth)
     else:
         report = _RUNNERS[cfg.kind](build_model_from_config(model_cfg), cfg)
     assert report.passed
