@@ -31,11 +31,12 @@ top of that pattern.
     keeps every cell's free region positive.  Endpoints are dyadic of level
     N + n, so this scheme is capped at depth 26 to stay float-exact.
 
-Built-in families are verified at every depth in exact rational
-arithmetic: a structural check of every level pair on the family's own
-pattern floats, plus a check that every endpoint ``carrier()`` realizes is
-the rational that check reasons about.  Explicit families (deserialized or
-hand-built) store their sets verbatim and get a full endpoint sweep.
+Built-in families are verified at every depth in integer arithmetic on the
+floats' exact dyadic values: a structural check of every level pair on the
+family's own pattern floats, plus a check that every endpoint ``carrier()``
+realizes is the dyadic value that check reasons about.  Explicit families
+(deserialized or hand-built) store their sets verbatim and get a full
+endpoint sweep.
 
 Serialized, a built-in family is its generator ``{depth, scheme}`` at every
 depth; only an explicit family writes its sets.
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping
 
@@ -371,9 +371,10 @@ def verify_disjointness(family: CarrierFamily) -> DisjointnessReport:
     """Check pairwise disjointness, containment and positivity of a family.
 
     Explicit families get a complete endpoint sweep over every carrier part.
-    Built-in families are checked at every depth in exact arithmetic on
-    their slice pattern: endpoint exactness, then every pair of levels at
-    every relative cell position.  That covers all 2^(N+1) - 2 cells.
+    Built-in families are checked at every depth on their slice pattern, in
+    integer arithmetic on the floats' exact dyadic values: endpoint
+    exactness, then every pair of levels at every relative cell position.
+    That covers all 2^(N+1) - 2 cells.
     """
     violations: list[tuple] = []
     if family.sets is not None:
@@ -429,7 +430,7 @@ def _sweep_all(family: CarrierFamily, violations: list[tuple]) -> tuple[int, int
 
 
 def _endpoint_check(family: CarrierFamily, violations: list[tuple]) -> None:
-    """Exact check that every endpoint ``carrier()`` realizes is the pattern's rational.
+    """Exact check that every endpoint ``carrier()`` realizes is the pattern's dyadic value.
 
     ``carrier(n, k)`` builds its parts as [sub + s_lo, sub + s_hi) with
     sub = base + j*w, base = (k-1)/2^n, w = 2^-a and 0 <= j < 2^(a-n).  If
@@ -444,7 +445,10 @@ def _endpoint_check(family: CarrierFamily, violations: list[tuple]) -> None:
     level-a cell inside I(n, k), the geometry the structural check reasons
     about; a nondecreasing in n is what lets that check place each deeper
     level's level-a cell inside one cell of a shallower level's, and a <= N
-    keeps the pattern inside the family.
+    keeps the pattern inside the family.  Both conditions are decided in
+    integer arithmetic on the floats' exact dyadic values:
+    ``as_integer_ratio`` gives each float as num/den with den a power of
+    two, and s == r/2^a is decided by cross-multiplication.
     """
     limit = 1 << 53
     prev = 0
@@ -453,15 +457,16 @@ def _endpoint_check(family: CarrierFamily, violations: list[tuple]) -> None:
             violations.append(("level", n, a))
             continue
         prev = a
-        scale = 1 << a
         for r, s in ((rl, s_lo), (rh, s_hi)):
-            exact = Fraction(s)
-            if exact != Fraction(r) / scale or max(exact.denominator, scale) > limit:
+            num, den = s.as_integer_ratio()
+            r_num, r_den = r.as_integer_ratio()
+            # s == r / 2^a, cross-multiplied
+            if num * r_den << a != r_num * den or max(den, 1 << a) > limit:
                 violations.append(("endpoint", n, s))
 
 
 def _structural_check(family: CarrierFamily, violations: list[tuple]) -> int:
-    """Exact pairwise check of the slice pattern in rational arithmetic.
+    """Exact pairwise check of the slice pattern in integer arithmetic.
 
     The pattern is read from the family's own floats, so the check sees the
     geometry the family actually produces.  A level-a_m cell sits at
@@ -472,18 +477,26 @@ def _structural_check(family: CarrierFamily, violations: list[tuple]) -> int:
     Checking every level pair covers every carrier pair of the family:
     carriers in non-nested cells cannot meet.  Each level must also satisfy
     0 < cl < cu <= 1; cu <= 1 is exact containment for a half-open slice.
+    Every bound is taken in integer arithmetic on the floats' exact dyadic
+    values, scaled to one common denominator 2^B, so the floors and
+    ceilings are shifts by B.
     """
-    levels = [(a, Fraction(rl), Fraction(rh)) for a, rl, rh, _, _ in family._slices]
+    exact = [(a, rl.as_integer_ratio(), rh.as_integer_ratio()) for a, rl, rh, _, _ in family._slices]
+    # every denominator is a power of two, so the largest, D = 2^B, is a common one
+    D = max((den for _, *bounds in exact for _, den in bounds), default=1)
+    B = D.bit_length() - 1
+    levels = [(a, lo * (D // lo_den), hi * (D // hi_den)) for a, (lo, lo_den), (hi, hi_den) in exact]
     pairs = 0
     for n, (a_n, cl_n, cu_n) in enumerate(levels, 1):
-        if not (0 < cl_n < cu_n <= 1):
+        if not (0 < cl_n < cu_n <= D):
             violations.append(("containment", n, 1))
         for m in range(n + 1, family.depth + 1):
             pairs += 1
             a_m, cl_m, cu_m = levels[m - 1]
-            S = 1 << (a_m - a_n)
-            j_min = max(math.floor(cl_n * S - cu_m) + 1, 0)
-            j_max = min(math.ceil(cu_n * S - cl_m) - 1, S - 1)
+            d = a_m - a_n
+            # x >> B is floor(x / 2^B), and -(-x >> B) its ceiling
+            j_min = max(((cl_n << d) - cu_m >> B) + 1, 0)
+            j_max = min(-(cl_m - (cu_n << d) >> B) - 1, (1 << d) - 1)
             if j_min <= j_max:
                 violations.append(("overlap", (n, "*"), (m, f"offset {j_min}")))
     return pairs

@@ -197,6 +197,7 @@ def _check_table(model: PettisModel, table_obj: Mapping, path: str | Path) -> No
                 raise ConfigError(f"archive {path} table level {m_str!r} is not an integer")
             mine = model.table.coefficient(int(m_str))
             theirs = parse_number(c, f"archive {path} coefficient at level {m_str}")
+            # 1e-12 admits libm drift: coefficients are 2K*psi(s), and psi calls pow (ROADMAP item 17)
             if not math.isclose(mine, theirs, rel_tol=1e-12, abs_tol=1e-300):
                 raise ConfigError(
                     f"archive {path} coefficient at level {m_str} disagrees with its config"

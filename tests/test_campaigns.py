@@ -424,11 +424,13 @@ _WRONG_TYPE_MODELS = {
 }
 
 # edits to a depth-6 archive's coefficient table: a level that is not an
-# integer, a coefficient that is not a number, levels that are not a list
+# integer, a coefficient that is not a number, levels that are not a list,
+# a coefficient off by a relative 1e-9
 _BAD_TABLES = {
     "coeffs key": lambda table: table["coeffs"].update({"x": 0.5}),
     "coeffs value": lambda table: table["coeffs"].update({"1": "abc"}),
     "levels": lambda table: table.update({"levels": 5}),
+    "coeffs scaled": lambda table: table["coeffs"].update({"2": table["coeffs"]["2"] * (1 + 1e-9)}),
 }
 
 
@@ -436,6 +438,29 @@ def _bad_table_archive(tmp_path, name):
     obj = archive_model(build_model_from_config({**_MODEL_CFG, "depth": 6}))
     _BAD_TABLES[name](obj["table"])
     return _write_cfg(tmp_path, f"archive-{name}.json", obj)
+
+
+def test_archive_table_tolerance(tmp_path):
+    """A coefficient off by a relative 1e-9 is refused.  One off by an ulp,
+    as a different libm pow could write it, loads and reports the same
+    bytes, since the model is rebuilt from its config."""
+    campaign = {"samples": 20, "dyadic_level": 3, "seed": 3}
+    scaled = _bad_table_archive(tmp_path, "coeffs scaled")
+    cfg = _write_cfg(tmp_path, "scaled.json", {"model": {"archive": scaled}, "campaign": campaign})
+    r = _cli("verify", "lower-bound", "--config", cfg)
+    assert r.returncode == 2
+    assert "coefficient at level 2 disagrees with its config" in r.stderr
+    reports = []
+    for name, edit in (("plain", lambda c: c), ("ulp", lambda c: math.nextafter(c, math.inf))):
+        obj = archive_model(build_model_from_config({**_MODEL_CFG, "depth": 6}))
+        obj["table"]["coeffs"]["2"] = edit(obj["table"]["coeffs"]["2"])
+        arch = _write_cfg(tmp_path, f"archive-{name}.json", obj)
+        out = tmp_path / f"report-{name}.csv"
+        cfg = _write_cfg(tmp_path, f"{name}.json", {"model": {"archive": arch}, "campaign": campaign})
+        r = _cli("verify", "lower-bound", "--config", cfg, "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cli_verify_roundtrip_and_bytes(tmp_path):

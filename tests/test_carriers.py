@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,15 @@ from pettis_forge import (
     allocate_carriers,
     verify_disjointness,
 )
-from pettis_forge.carriers import GREEDY_GAP, STRATIFIED, slice_overlap
+from pettis_forge.carriers import (
+    GREEDY_GAP,
+    MAX_DEPTH,
+    MAX_STRATIFIED_DEPTH,
+    STRATIFIED,
+    _endpoint_check,
+    _structural_check,
+    slice_overlap,
+)
 from pettis_forge.errors import CarrierIndexError, ConfigError, MaterializationLimitError
 from pettis_forge.intervals import Interval
 
@@ -140,8 +149,6 @@ def test_structural_check_agrees_with_full_sweep():
 @pytest.mark.parametrize("scheme", [GREEDY_GAP, STRATIFIED])
 def test_structural_check_catches_moved_pattern(scheme):
     # level 1 takes level 2's slice pattern, so the two levels overlap
-    from pettis_forge.carriers import _structural_check
-
     class Moved(CarrierFamily):
         def _pattern(self, n):
             return super()._pattern(2 if n == 1 else n)
@@ -191,6 +198,148 @@ def test_endpoint_check_catches_perturbed_slices(scheme):
     report = verify_disjointness(too_deep)
     assert not report.passed
     assert report.violations == (("level", depth, depth + 1),)
+
+
+def test_containment_needs_each_slice_inside_its_cell():
+    depth = 6
+    # stratified level 1 is [1/2, 1) of every level-6 cell; reaching past 1
+    # leaves the cell, with both endpoints still the pattern's exact values
+    past_one = _edited_slices(
+        1, lambda a, rl, rh, s_lo, s_hi: (a, rl, 1.25, s_lo, math.ldexp(1.25, -a))
+    )(depth=depth, scheme=STRATIFIED)
+    report = verify_disjointness(past_one)
+    assert report.violations == (("containment", 1, 1),)
+    assert report.pairs_checked == 15
+    # the deepest level [2^-6, 2^-5) grown down into the free slice [0, 2^-6)
+    from_zero = _edited_slices(
+        depth, lambda a, rl, rh, s_lo, s_hi: (a, 0.0, rh, 0.0, s_hi)
+    )(depth=depth, scheme=STRATIFIED)
+    assert verify_disjointness(from_zero).violations == (("containment", depth, 1),)
+
+
+def test_endpoint_check_enforces_the_denominator_limit():
+    # greedy-gap level 4 (a = 4) with rl = 15/32 + 2^-50: s_lo = rl / 2^4 is
+    # its exact value, but a denominator of 2^54 is past what the float sum
+    # in carrier() can hold, so only the 2^53 limit refuses it
+    n = 4
+    nudged = _edited_slices(
+        n,
+        lambda a, rl, rh, s_lo, s_hi: (
+            a, rl + 2**-50, rh, math.ldexp(rl + 2**-50, -a), s_hi
+        ),
+    )(depth=6, scheme=GREEDY_GAP)
+    a, rl, _, s_lo, _ = nudged._slices[n - 1]
+    assert a == 4 and rl.as_integer_ratio()[1] == 2**50 and s_lo * 16 == rl
+    assert verify_disjointness(nudged).violations == (("endpoint", n, s_lo),)
+
+
+# ``_endpoint_check`` and ``_structural_check`` in rational arithmetic: an
+# independent oracle for their integer arithmetic.
+
+
+def _fraction_endpoint_check(family, violations):
+    limit = 1 << 53
+    prev = 0
+    for n, (a, rl, rh, s_lo, s_hi) in enumerate(family._slices, 1):
+        if not max(n, prev) <= a <= family.depth:
+            violations.append(("level", n, a))
+            continue
+        prev = a
+        scale = 1 << a
+        for r, s in ((rl, s_lo), (rh, s_hi)):
+            exact = Fraction(s)
+            if exact != Fraction(r) / scale or max(exact.denominator, scale) > limit:
+                violations.append(("endpoint", n, s))
+
+
+def _fraction_structural_check(family, violations):
+    levels = [(a, Fraction(rl), Fraction(rh)) for a, rl, rh, _, _ in family._slices]
+    pairs = 0
+    for n, (a_n, cl_n, cu_n) in enumerate(levels, 1):
+        if not (0 < cl_n < cu_n <= 1):
+            violations.append(("containment", n, 1))
+        for m in range(n + 1, family.depth + 1):
+            pairs += 1
+            a_m, cl_m, cu_m = levels[m - 1]
+            S = 1 << (a_m - a_n)
+            j_min = max(math.floor(cl_n * S - cu_m) + 1, 0)
+            j_max = min(math.ceil(cu_n * S - cl_m) - 1, S - 1)
+            if j_min <= j_max:
+                violations.append(("overlap", (n, "*"), (m, f"offset {j_min}")))
+    return pairs
+
+
+def _oracle_verdict(family):
+    """(violations, pairs_checked) of a built-in family, in rational arithmetic."""
+    violations = []
+    _fraction_endpoint_check(family, violations)
+    pairs = 0 if violations else _fraction_structural_check(family, violations)
+    return tuple(violations), pairs
+
+
+@pytest.mark.parametrize("scheme,cap", [(GREEDY_GAP, MAX_DEPTH), (STRATIFIED, MAX_STRATIFIED_DEPTH)])
+def test_integer_checks_match_the_fraction_oracle_on_builtins(scheme, cap):
+    for depth in range(1, cap + 1):
+        fam = allocate_carriers(depth, scheme)
+        report = verify_disjointness(fam)
+        got = report.violations, report.pairs_checked
+        assert got == _oracle_verdict(fam) == ((), depth * (depth - 1) // 2), depth
+
+
+def _perturbed_family(rng):
+    """A built-in family whose ``_slices`` carry up to three seeded edits:
+    a one-ulp nudge, a zeroed or a doubled bound (rl, rh, s_lo or s_hi, or a
+    pattern bound together with its offset), or one level's pattern copied
+    onto another."""
+    scheme = rng.choice((GREEDY_GAP, STRATIFIED))
+    depth = rng.randint(1, MAX_DEPTH if scheme == GREEDY_GAP else MAX_STRATIFIED_DEPTH)
+    slices = [list(row) for row in CarrierFamily._slices.func(CarrierFamily(depth, scheme))]
+    for _ in range(rng.randint(0, 3)):
+        row = rng.choice(slices)
+        edit = rng.choice(("down", "up", "zero", "double", "copy"))
+        if edit == "copy":
+            row[:] = rng.choice(slices)
+            continue
+        op = {
+            "down": lambda x: math.nextafter(x, -math.inf),
+            "up": lambda x: math.nextafter(x, math.inf),
+            "zero": lambda x: 0.0,
+            "double": lambda x: 2.0 * x,
+        }[edit]
+        side = rng.choice((1, 2))  # (rl, s_lo) or (rh, s_hi)
+        for i in rng.choice(((side,), (side + 2,), (side, side + 2))):
+            row[i] = op(row[i])
+
+    class Perturbed(CarrierFamily):
+        _slices = tuple(map(tuple, slices))
+
+    return Perturbed(depth=depth, scheme=scheme)
+
+
+def test_integer_checks_match_the_fraction_oracle_on_perturbed_slices():
+    rng = random.Random(1997)
+    trials = 600
+    failed = structural_runs = structural_failed = 0
+    for _ in range(trials):
+        fam = _perturbed_family(rng)
+        report = verify_disjointness(fam)
+        want = _oracle_verdict(fam)
+        assert (report.violations, report.pairs_checked) == want, fam._slices
+        failed += bool(want[0])
+        # the structural check on its own, wherever the levels let it run
+        # (a decreasing a has no ancestor cell to place a level in)
+        endpoint = []
+        _fraction_endpoint_check(fam, endpoint)
+        if any(v[0] == "level" for v in endpoint):
+            continue
+        new, old = [], []
+        assert _structural_check(fam, new) == _fraction_structural_check(fam, old)
+        assert new == old, fam._slices
+        structural_runs += 1
+        structural_failed += bool(old)
+    # the edits reach clean families, refused families and structural failures
+    assert 0 < failed < trials
+    assert 0 < structural_failed < structural_runs
 
 
 def test_archive_depth_must_be_integer():
