@@ -18,8 +18,9 @@ from dataclasses import replace
 
 from . import campaigns
 from .campaigns import Report
-from .carriers import FULL_SWEEP, verify_disjointness
+from .carriers import FULL_SWEEP
 from .config import (
+    _require_sound,
     build_campaign_from_config,
     build_model_from_config,
     gauge_from_config,
@@ -112,10 +113,7 @@ def _run_build(args: argparse.Namespace) -> int:
     model = build_model_from_config(model_cfg)
     if isinstance(model, PettisModel):
         if model.carriers.sets is None:
-            report = verify_disjointness(model.carriers)
-            if not report.passed:
-                raise ConfigError(f"disjointness violated: {report.violations[0]}")
-            mode = report.mode
+            mode = _require_sound(model.carriers).mode
         else:  # build_model_from_config swept the explicit sets before building on them
             mode = FULL_SWEEP
         print(f"carriers ok: depth {model.depth}, scheme {model.carriers.scheme}, mode {mode}")

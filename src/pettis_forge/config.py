@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .campaigns import CampaignConfig
-from .carriers import CarrierFamily, allocate_carriers, verify_disjointness
+from .carriers import CarrierFamily, DisjointnessReport, allocate_carriers, verify_disjointness
 from .continuous import ContinuousModel, build_continuous_model
 from .errors import ConfigError, PettisForgeError
 from .pettis import PettisModel, build_model
@@ -64,11 +64,13 @@ def build_carriers_from_config(obj: Mapping | None, depth: int) -> CarrierFamily
     return allocate_carriers(depth, str(obj.get("scheme", "greedy-gap")))
 
 
-def _require_sound(family: CarrierFamily) -> None:
+def _require_sound(family: CarrierFamily) -> DisjointnessReport:
+    """The family's disjointness report, or a ConfigError naming its first violation."""
     report = verify_disjointness(family)
     if not report.passed:
         first = report.violations[0]
         raise ConfigError(f"disjointness violated: {first}")
+    return report
 
 
 def gauge_from_config(obj: Mapping) -> tuple[PsiSpec, SequenceRule, float, int]:

@@ -9,9 +9,10 @@ k-th cell of the level-p_n dyadic partition:
 
 Block n therefore needs dimension 2^p_n + 1 (the walk ends one coordinate
 past the cell count), and ||f_n(omega)|| lies in [sqrt(2)/2, 1] for the
-l_2 blocks used here.  The schedule is c_n = 2K * psi(2^-p_(n-2)), and a
-ratio certificate for sum psi(2^-p_n) makes the series and its tail bounds
-computable.
+l_2 blocks used here.  The schedule is c_n = 2K * psi(2^-p_(n-2)); a ratio
+certificate for sum psi(2^-p_n) (``validate_summable``, which holds the
+model's limits too) makes the series converge, and its ``GrowthReport.tail``
+bounds the omitted levels, as it does a pettis model's.
 
 One walk primitive, ``_walk``, gives the cell index k and the weight alpha
 from omega * 2^p_n for ``eval_fn`` and ``eval_f``; the per-level constants
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .blocks import BlockLayout, BlockVector
 from .errors import ConfigError, GrowthConditionError, PairTooCloseError
@@ -100,15 +101,9 @@ class ContinuousModel:
         return self.coeffs[n - 2]
 
     def tail(self) -> float:
-        """Bound on sum of c_n = 2K * u_(n-2) over n > depth.
-
-        The ratio certificate bounds u_m geometrically from m = n0 on; the
-        terms u_(depth-1) .. u_(n0-1) before it are added as they are.
-        """
-        cert = self.certificate
-        head = math.fsum(cert.terms[self.depth - 2 : cert.n0 - 1])
-        first = summability_term(self.psi, self.rule, max(self.depth - 1, cert.n0))
-        return 2.0 * self.K * head + cert.geometric_tail(2.0 * self.K * first)
+        """Bound on sum of c_n = 2K * u_(n-2) over n > depth: the certificate's tail from u_(depth-1)."""
+        term = partial(summability_term, self.psi, self.rule)
+        return self.certificate.tail(self.depth - 1, term, 2.0 * self.K, self.rule.max_index())
 
     def lipschitz_constant(self) -> float:
         """Lipschitz bound of the truncation: sqrt(2) * sum c_n * 2^p_n."""
@@ -139,12 +134,7 @@ def build_continuous_model(
         rule = SequenceRule("affine", a=4.0)
     if K < 1.0:
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
-    if depth < 2:
-        raise ConfigError(f"continuous model needs depth >= 2, got {depth}")
-    # The walk and the Lipschitz bound scale by 2^p_n, which must be a float.
-    if rule.term(depth) >= 1024:
-        raise ConfigError(f"continuous model needs p_depth < 1024, got {rule.term(depth)}")
-    report = validate_summable(spec, rule, depth)
+    report = validate_summable(spec, rule, depth)  # also refuses a depth the model cannot hold
     if not report.passed:
         raise GrowthConditionError(
             f"gauge {spec.family} is not certified summable along the sequence rule"

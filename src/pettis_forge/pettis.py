@@ -17,8 +17,8 @@ The weak integral over a finite interval union E is coordinatewise:
 every coefficient lying in [0, c_m].  The truncation at the model depth is
 evaluated in closed form per level (whole cells inside E count exactly 1,
 at most two boundary cells per part need overlap arithmetic), and the tail
-beyond the depth carries the certified geometric bound from the coefficient
-table, so each integral comes with a [lower, upper] norm enclosure (see
+beyond the depth carries the certified bound ``psi.tail_bound``, so each
+integral comes with a [lower, upper] norm enclosure (see
 ``IntegralEnclosure``).  Assertions downstream always use the lower side.
 
 ``PettisModel.geometry`` keeps one flat tuple per realized level, built on
@@ -406,9 +406,9 @@ def pettis_integral(
 ) -> IntegralEnclosure:
     """Certified enclosure of the weak integral of f over E.
 
-    ``truncate_at`` restricts the explicit part to levels <= that value
-    (default: the model depth); the tail bound moves accordingly, so for
-    N1 < N2 the enclosure at N1 contains the truncated norm at N2.
+    ``truncate_at``, any level from 0 to the model depth (the default),
+    restricts the explicit part to levels <= that value; the tail bound moves
+    accordingly, so for N1 < N2 the enclosure at N1 contains the truncated norm at N2.
     """
     Eset, N = _domain(model, E, truncate_at)
     p = model.p

@@ -9,8 +9,9 @@ increasing integer sequence {p_n} with p_0 = 0, the series
 converges (exponent 1/inf reads as 0, so the factor is 1 for p = inf).
 Validation here is a certified eventual-ratio test rather than symbolic
 convergence: a PASS pins an index n0 and a ratio r < 1 with
-term_(n+1) <= r * term_n for all n >= n0, which yields the computable
-geometric tail bounds reused by the integral enclosures.
+term_(n+1) <= r * term_n for all n >= n0.  That ``GrowthReport`` is the one
+certificate record of both model kinds, and ``GrowthReport.tail`` their one
+tail bound.
 
 Logarithmic families are defined by their formulas only below a threshold
 (1/e, resp. e^-e); above it the formulas stop being monotone.  Because the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, GrowthConditionError, PsiDomainError
@@ -283,8 +285,8 @@ class GrowthReport:
     """Outcome of the certified eventual-ratio test.
 
     When ``passed``, every consecutive term ratio from index n0 on is at
-    most ``ratio`` (<= RATIO_CAP < 1), so the tail beyond any term is bounded
-    by the first omitted term divided by (1 - ratio).
+    most ``ratio`` (<= RATIO_CAP < 1); ``tail`` turns that into the tail
+    bound of both model kinds.
     """
 
     passed: bool
@@ -294,10 +296,18 @@ class GrowthReport:
     n0: int | None = None
     ratio: float | None = None
 
-    def geometric_tail(self, first_omitted: float) -> float:
-        if not self.passed or self.ratio is None:
+    def tail(self, m: int, term: Callable[[int], float], scale: float, last: int | None) -> float:
+        """Bound on scale * (term_m + term_(m+1) + ...), m >= 1: the terms
+        before n0 as they are, then term_k / (1 - ratio) at k = max(m, n0).
+        Past ``last``, the end of a list rule, the decay goes on from
+        term_last.  ``term(n)`` gives term_n, also past the window."""
+        if not self.passed or self.ratio is None or self.n0 is None:
             raise GrowthConditionError("no ratio certificate available")
-        return first_omitted / (1.0 - self.ratio)
+        r, k = self.ratio, max(m, self.n0)
+        head = scale * math.fsum(self.terms[m - 1 : self.n0 - 1])
+        if last is not None and k > last:
+            return head + scale * term(last) * r / (1.0 - r)
+        return head + scale * term(k) / (1.0 - r)
 
 
 def growth_term(spec: PsiSpec, p: float, rule: SequenceRule, n: int) -> float:
@@ -396,11 +406,20 @@ def validate_summable(
 ) -> GrowthReport:
     """Ratio certificate for sum of psi(2^-p_n); the p = inf regime.
 
-    Used by the continuous separation model of this depth (levels 2..depth),
-    whose coefficients 2K * u_(n-2) need this sum finite to be well defined.
+    The certificate of the continuous separation model of this depth (levels
+    2..depth), whose coefficients 2K * u_(n-2) need this sum finite, as
+    ``build_continuous_model`` runs it: a depth below 2, past MAX_TERM_COUNT
+    levels (the tail starts at u_(depth-1)) or with p_depth >= 1024 (the walk
+    scales by 2^p_n, which must be a float) is a ``ConfigError`` in both.
     """
     if rule is None:
         rule = SequenceRule("affine")
+    if depth < 2:
+        raise ConfigError(f"continuous model needs depth >= 2, got {depth}")
+    if depth - 1 > MAX_TERM_COUNT:
+        raise ConfigError(f"depth {depth} gives more than MAX_TERM_COUNT = {MAX_TERM_COUNT} levels")
+    if rule.term(depth) >= 1024:
+        raise ConfigError(f"continuous model needs p_depth < 1024, got {rule.term(depth)}")
     return _certify(lambda n: summability_term(spec, rule, n), math.inf, rule, depth - 1)
 
 
@@ -413,8 +432,8 @@ def validate_summable(
 class CoefficientTable:
     """Sparse coefficient schedule c_m = 2K * psi(4 * 2^-p_(n-1)) at m = p_n.
 
-    Carries the ratio certificate of its growth validation so that tail
-    bounds stay computable past the realized depth.
+    Carries the growth certificate it was built on, so that tail bounds stay
+    computable past the realized depth.
     """
 
     spec: PsiSpec
@@ -424,8 +443,7 @@ class CoefficientTable:
     depth: int
     levels: tuple[int, ...]  # realized p_n <= depth, n = 1..len(levels)
     coeffs: Mapping[int, float] = field(repr=False)  # level -> c
-    ratio: float = 0.0
-    n0: int = 1
+    certificate: GrowthReport = field(repr=False)
 
     def coefficient(self, m: int) -> float:
         return self.coeffs.get(m, 0.0)
@@ -437,8 +455,8 @@ class CoefficientTable:
             "depth": self.depth,
             "levels": list(self.levels),
             "coeffs": {str(m): c for m, c in sorted(self.coeffs.items())},
-            "ratio": self.ratio,
-            "n0": self.n0,
+            "ratio": self.certificate.ratio,
+            "n0": self.certificate.n0,
         }
 
 
@@ -452,8 +470,8 @@ def coefficients(
     """Coefficient schedule for the given gauge, or GrowthConditionError.
 
     The growth certificate runs first, as ``validate_growth`` runs it for this
-    depth, and its (n0, ratio) is stored on the table.  Each gauge factor it
-    evaluates feeds both its growth term and the coefficient.
+    depth, and is stored on the table.  Each gauge factor it evaluates feeds
+    both its growth term and the coefficient.
     """
     if K < 1.0:
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
@@ -475,25 +493,13 @@ def coefficients(
         depth=depth,
         levels=levels,
         coeffs=coeffs,
-        ratio=report.ratio or 0.0,
-        n0=report.n0 or 1,
+        certificate=report,
     )
 
 
 def tail_bound(table: CoefficientTable, N: int) -> float:
-    """Certified bound on sum of c_(p_m) * (2^p_m)^(1/p) over all p_m > N.
-
-    Computed as the first omitted term divided by (1 - ratio); for list
-    rules exhausted before the first omitted index, the last computable
-    term is continued geometrically.
-    """
-    if N < table.rule.term(table.n0):
-        raise ConfigError(f"tail bound requires N >= p_n0 = {table.rule.term(table.n0)}")
-    factor = 2.0 * table.K
+    """Certified bound on sum of c_(p_m) * (2^p_m)^(1/p) over all p_m > N >= 0:
+    2K times the growth series from the first omitted index on."""
+    term = partial(growth_term, table.spec, table.p, table.rule)
     m = len(table.rule.levels_within(N)) + 1  # the first omitted index
-    if m <= (table.rule.max_index() or m):
-        return factor * growth_term(table.spec, table.p, table.rule, m) / (1.0 - table.ratio)
-    # List rule exhausted below N: continue the certified decay from the
-    # last available term.
-    last_term = growth_term(table.spec, table.p, table.rule, m - 1)
-    return factor * last_term * table.ratio / (1.0 - table.ratio)
+    return table.certificate.tail(m, term, 2.0 * table.K, table.rule.max_index())

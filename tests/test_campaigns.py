@@ -721,9 +721,8 @@ def test_build_sweeps_carriers_once(tmp_path, monkeypatch, capsys):
         calls.append(family.scheme)
         return verify_disjointness(family)
 
-    # config and cli each import the function by name
+    # config holds the one call site, for built-in and explicit families alike
     monkeypatch.setattr(config_module, "verify_disjointness", counting)
-    monkeypatch.setattr(cli, "verify_disjointness", counting)
     fam = allocate_carriers(6)
     explicit = CarrierFamily.from_sets(6, {cell: fam.carrier(*cell) for cell in fam.cells()})
     for carriers, mode in (({"scheme": "greedy-gap"}, "structural"),
@@ -846,6 +845,22 @@ def test_psi_validate_runs_the_continuous_certificate(tmp_path, capsys):
     assert "[FAIL] psi-validate" in capsys.readouterr().err
     assert cli.main(["build", "--config", cfg, "--out", str(tmp_path / "flat-archive.json")]) == 2
     assert "not certified summable" in capsys.readouterr().err
+    # the limits of a continuous model are in the certificate both run: a
+    # depth build refuses, psi validate refuses with the same message
+    for a, depth, message in ((4, 1, "continuous model needs depth >= 2, got 1"),
+                              (40, 30, "continuous model needs p_depth < 1024, got 1200"),
+                              (4, 100, "depth 100 gives more than MAX_TERM_COUNT = 64 levels")):
+        limit = {**ref9, "rule": {"kind": "affine", "a": a, "b": 0}, "depth": depth}
+        cfg = _write_cfg(tmp_path, "limit.json", {"model": limit})
+        for args in (["psi", "validate"], ["build", "--out", str(tmp_path / "limit-archive.json")]):
+            assert cli.main([*args, "--config", cfg]) == 2, (a, depth, args)
+            err = capsys.readouterr().err
+            assert f"config error: {message}" in err and "[PASS]" not in err, (a, depth, args)
+    # 64 levels, 2..65, is the deepest model one window holds
+    cfg = _write_cfg(tmp_path, "d65.json", {"model": {**ref9, "depth": 65}})
+    assert cli.main(["psi", "validate", "--config", cfg]) == 0
+    assert cli.main(["build", "--config", cfg, "--out", str(tmp_path / "d65-archive.json")]) == 0
+    capsys.readouterr()
     # a model kind that build rejects is a config error here too
     cfg = _write_cfg(tmp_path, "odd.json", {"model": {**ref9, "kind": "odd"}})
     assert cli.main(["psi", "validate", "--config", cfg]) == 2
@@ -898,7 +913,7 @@ def test_psi_validate_certifies_what_build_builds_on(tmp_path, case):
         assert (r.returncode, summary["pass"]) == (1, False)
         assert (summary["n0"], summary["ratio"]) == (None, None)
     else:
-        cert = built.table if isinstance(built, PettisModel) else built.certificate
+        cert = (built.table if isinstance(built, PettisModel) else built).certificate
         assert (r.returncode, summary["pass"]) == (0, True)
         assert (summary["n0"], summary["ratio"]) == (cert.n0, cert.ratio)
     b = _cli("build", "--config", cfg, "--out", str(tmp_path / "archive.json"))

@@ -151,7 +151,7 @@ def _cells(rng, n, E):
 
 def _enclosure_lines(rng, model, E):
     depth = model.depth
-    first = model.table.rule.term(model.table.n0)
+    first = model.table.rule.term(model.table.certificate.n0)
     N = rng.choice([None, rng.randint(first, depth)])
     enc = pettis_integral(model, E, truncate_at=N)
     yield f"{enc.N} {enc.lower.hex()} {enc.upper.hex()} {enc.tail.hex()}"
@@ -224,7 +224,7 @@ def _one_part_lines():
             for p in (2.0, 3.0, math.inf):
                 rng = random.Random(f"one-part-{kind}-{scheme}-{depth}-{p}")
                 model = build_model(family, SPEC34, p=p, depth=depth)
-                first = model.table.rule.term(model.table.n0)
+                first = model.table.rule.term(model.table.certificate.n0)
                 for style, count in ONE_PART_STYLES:
                     for _ in range(count):
                         lo, hi = _one_part(rng, family, style)

@@ -577,6 +577,29 @@ def test_enclosure_nesting_across_truncations():
         assert enc_16.upper <= enc_12.upper + 1e-12
 
 
+#: psi is nearly flat on [2^-8, 4] and 4s below: the growth terms grow
+#: through term 10 and fall by 2^(1/p - 1) from term 11 on, so n0 = 11.
+FLAT_HEAD = PsiSpec("custom-table", knots=((0.0, 0.0), (2.0**-8, 2.0**-6), (4.0, 2.0**-5)))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("kind", ["greedy-gap", "stratified", "explicit"])
+def test_every_truncation_level_encloses_the_full_depth_norm(kind, p):
+    """A truncation below p_n0 adds the growth terms before n0 to its tail
+    as they are, so its enclosure still holds the norm at full depth."""
+    family = allocate_carriers(16, "stratified" if kind == "stratified" else "greedy-gap")
+    if kind == "explicit":  # a greedy-gap copy: a stratified one this deep takes minutes
+        family = CarrierFamily.from_sets(16, {nk: family.carrier(*nk) for nk in family.cells()})
+    model = build_model(family, FLAT_HEAD, p=p, depth=16)
+    assert model.table.certificate.n0 == 11
+    rng = random.Random(29)
+    for _ in range(200):
+        E = _random_interval_set(rng)
+        lower = pettis_integral(model, E).lower
+        for N in range(17):
+            assert pettis_integral(model, E, truncate_at=N).upper >= lower, (E, N)
+
+
 def test_to_block_vector_round_trip_small():
     model = build_model(None, SPEC34, depth=6)
     # Both parts end inside the level-6 carrier of cell 20, [0.30078125, 0.30859375),

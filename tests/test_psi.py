@@ -1,5 +1,6 @@
 """Gauge families, growth certificates, coefficient schedules, tail bounds."""
 
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from pettis_forge import (
     PsiSpec,
     SequenceRule,
+    build_continuous_model,
     coefficients,
     eval_psi_total,
     tail_bound,
@@ -16,7 +18,7 @@ from pettis_forge import (
 )
 from pettis_forge.errors import ConfigError, GrowthConditionError, PsiDomainError
 from pettis_forge import psi as psi_module
-from pettis_forge.psi import SQRT_LOG_THRESHOLD, SQRT_LOGLOG_THRESHOLD, growth_term
+from pettis_forge.psi import SQRT_LOG_THRESHOLD, SQRT_LOGLOG_THRESHOLD, growth_term, summability_term
 
 
 def test_power_eval_examples():
@@ -218,8 +220,74 @@ def test_tail_bound_list_rule_continuation():
     # beyond the list's reach the certificate bounds term 32 + j by
     # ratio^j * term 32, and the bound holds that continuation's sum
     last = 2.0 * table.K * growth_term(spec, 2.0, rule, 32)
-    continuation = math.fsum(last * table.ratio**j for j in range(1, 101))
+    continuation = math.fsum(last * table.certificate.ratio**j for j in range(1, 101))
     assert 0.0 < continuation <= tail_bound(table, 40)
+
+
+def _pettis_tail_formula(table, N):
+    """The pettis tail as a formula of its own: 2K * term_m / (1 - r) from
+    the first omitted index m, continued from the last term of a list rule
+    past its end.  Defined for N >= p_n0 only."""
+    rule, r = table.rule, table.certificate.ratio
+    factor = 2.0 * table.K
+    m = len(rule.levels_within(N)) + 1
+    if m <= (rule.max_index() or m):
+        return factor * growth_term(table.spec, table.p, rule, m) / (1.0 - r)
+    return factor * growth_term(table.spec, table.p, rule, m - 1) * r / (1.0 - r)
+
+
+def _head_tail_formula(table, N):
+    """The pettis tail below p_n0, as the continuous formula adds it: the
+    terms m..n0-1 as they are, then 2K * term_n0 / (1 - r)."""
+    cert = table.certificate
+    factor = 2.0 * table.K
+    m = len(table.rule.levels_within(N)) + 1
+    first = growth_term(table.spec, table.p, table.rule, cert.n0)
+    return factor * math.fsum(cert.terms[m - 1 : cert.n0 - 1]) + factor * first / (1.0 - cert.ratio)
+
+
+def _continuous_tail_formula(model):
+    """The continuous tail as a formula of its own: 2K * head + 2K * u / (1 - r)."""
+    cert = model.certificate
+    head = math.fsum(cert.terms[model.depth - 2 : cert.n0 - 1])
+    first = summability_term(model.psi, model.rule, max(model.depth - 1, cert.n0))
+    return 2.0 * model.K * head + (2.0 * model.K * first) / (1.0 - cert.ratio)
+
+
+#: psi is nearly flat on [2^-8, 4] and 4s below, so the certificates start late.
+_FLAT_HEAD = PsiSpec("custom-table", knots=((0.0, 0.0), (2.0**-8, 2.0**-6), (4.0, 2.0**-5)))
+
+
+def test_tail_bound_bits_match_the_separate_formulas():
+    """Both tails come from ``GrowthReport.tail``, scaled by 2K; each keeps
+    the float of the formula it replaced, and a pettis truncation below
+    p_n0, once refused, adds its head terms as the continuous tail does.
+    K = 1.5 and 2.5 make the scaling inexact, so an order of operations
+    slip shows here and in no digest."""
+    # the list rule runs out at p_24, so N > 24 takes the continuation
+    rules = (SequenceRule("affine"), SequenceRule("affine", a=2.0),
+             SequenceRule("list", values=tuple(range(1, 25))))
+    head = 0
+    for spec, K, p, rule in itertools.product(
+        (PsiSpec("power", exponent=0.75), _FLAT_HEAD), (1.0, 1.5, 2.5), (2.0, 3.0, math.inf), rules
+    ):
+        for depth in range(8, 25):
+            table = coefficients(spec, K=K, p=p, rule=rule, depth=depth)
+            for N in range(depth + 8):
+                got = tail_bound(table, N)
+                if N >= rule.term(table.certificate.n0):
+                    assert got.hex() == _pettis_tail_formula(table, N).hex(), (spec, K, p, rule, depth, N)
+                else:
+                    head += 1
+                    assert got.hex() == _head_tail_formula(table, N).hex(), (spec, K, p, rule, depth, N)
+    assert head > 0
+    list_rule = SequenceRule("list", values=tuple(range(3, 200, 3)))
+    for spec, rule in ((PsiSpec("power", exponent=0.25), SequenceRule("affine", a=4.0)),
+                       (_FLAT_HEAD, SequenceRule("affine")), (PsiSpec("power", exponent=0.25), list_rule)):
+        for K in (1.0, 1.5, 2.5):
+            for depth in range(2, 66):
+                model = build_continuous_model(spec, K=K, rule=rule, depth=depth)
+                assert model.tail().hex() == _continuous_tail_formula(model).hex(), (spec, rule, K, depth)
 
 
 def test_summability_certificate():
@@ -256,26 +324,30 @@ def test_sequence_rule_json_rejects_unknown_kinds():
 
 
 @pytest.mark.parametrize(
-    "validate, deepest",
+    "validate, deepest, too_short",
     [
-        # 64 levels fill the window; a pettis depth past them is refused
+        # levels 1..depth of a pettis model; 64 of them fill the window
         # (test_coefficients_hold_at_most_max_term_count_levels)
-        (lambda spec, rule, **kw: validate_growth(spec, rule=rule, **kw), 64),
-        # a continuous depth far past any model's walks no further than the window needs
-        (lambda spec, rule, **kw: validate_summable(spec, rule, **kw), 1 << 40),
+        (lambda spec, rule, **kw: validate_growth(spec, rule=rule, **kw), 64, "list rule too short"),
+        # levels 2..depth of a continuous model, which also needs p_depth
+        (lambda spec, rule, **kw: validate_summable(spec, rule, **kw), 65, "list rule has only 1 entries"),
     ],
     ids=["growth", "summable"],
 )
-def test_certificate_prologue_rejects_bad_limits(validate, deepest):
+def test_certificate_prologue_rejects_bad_limits(validate, deepest, too_short):
     """The window is min(64, max(48, 2 * levels)) terms and no more than a
-    list rule has; a list rule too short for one ratio is refused."""
+    list rule has; a depth past 64 levels and a list rule too short for one
+    ratio are refused."""
     spec = PsiSpec("power", exponent=0.75)
     affine = SequenceRule("affine")
     for depth, n_max in ((2, 48), (8, 48), (40, 64), (deepest, 64)):
         assert validate(spec, affine, depth=depth).n_max == n_max
-    with pytest.raises(ConfigError, match="list rule too short"):
-        validate(spec, SequenceRule("list", values=(3,)))
-    assert validate(spec, SequenceRule("list", values=(1, 2))).n_max == 2
+    for depth in (deepest + 1, 1 << 40):
+        with pytest.raises(ConfigError, match="more than MAX_TERM_COUNT = 64 levels"):
+            validate(spec, affine, depth=depth)
+    with pytest.raises(ConfigError, match=too_short):
+        validate(spec, SequenceRule("list", values=(3,)), depth=3)
+    assert validate(spec, SequenceRule("list", values=(1, 2)), depth=2).n_max == 2
 
 
 @pytest.mark.parametrize("kink, passed", [(0, True), (1, False)], ids=["half", "past-half"])
