@@ -55,6 +55,7 @@ from .psi import (
     GrowthReport,
     PsiSpec,
     SequenceRule,
+    _require_in_range,
     eval_psi_total,
     summability_term,
     validate_summable,
@@ -129,7 +130,11 @@ def build_continuous_model(
     rule: SequenceRule | None = None,
     depth: int = 9,
 ) -> ContinuousModel:
-    """Validated continuous model over l_2 blocks of dimension 2^p_n + 1."""
+    """Validated continuous model over l_2 blocks of dimension 2^p_n + 1.
+
+    c_n = 2K * u_(n-2) reads u_1..u_(depth-2) from the certificate's terms.
+    A coefficient, its square (the blocks are l_2), the tail or the
+    Lipschitz constant past the float range is a ``ConfigError``."""
     if rule is None:
         rule = SequenceRule("affine", a=4.0)
     if K < 1.0:
@@ -139,13 +144,14 @@ def build_continuous_model(
         raise GrowthConditionError(
             f"gauge {spec.family} is not certified summable along the sequence rule"
         )
-    coeffs = tuple(
-        2.0 * K * summability_term(spec, rule, n - 2) for n in range(2, depth + 1)
-    )
+    u = (summability_term(spec, rule, 0), *report.terms[: depth - 2])
+    coeffs = tuple(2.0 * K * un for un in u)
+    # psi is nondecreasing, so c_2 = 2K * psi(1) is the largest coefficient
+    _require_in_range("coefficient at level 2", coeffs[0], 2.0)
     layout = BlockLayout(
         2.0, tuple((n, (1 << rule.term(n)) + 1) for n in range(2, depth + 1))
     )
-    return ContinuousModel(
+    model = ContinuousModel(
         psi=spec,
         rule=rule,
         K=K,
@@ -154,6 +160,9 @@ def build_continuous_model(
         coeffs=coeffs,
         certificate=report,
     )
+    _require_in_range(f"tail bound past depth {depth}", model.tail(), math.inf)
+    _require_in_range("Lipschitz constant", model.lipschitz_constant(), math.inf)
+    return model
 
 
 def _walk(scaled: float) -> tuple[int, float]:
@@ -197,15 +206,13 @@ def eval_f(model: ContinuousModel, omega: float) -> tuple[BlockVector, float]:
     return _point(model, omega), model.tail()
 
 
-def _bracket_level(model: ContinuousModel, distance: float) -> int:
-    """Smallest n >= 1 with 2^-p_n < distance (then distance <= 2^-p_(n-1))."""
-    for m, _, _, floor in model.geometry:  # floor = 2^-p_(m-1)
-        if floor < distance:
-            return m - 1
-    raise PairTooCloseError(
-        f"pair distance {distance} at or below the resolved scale "
-        f"{model.separation_floor()}"
-    )
+def _require_resolved(model: ContinuousModel, distance: float) -> None:
+    """PairTooCloseError unless distance > the separation floor (NaN included)."""
+    if not distance > model.separation_floor():
+        raise PairTooCloseError(
+            f"pair distance {distance} at or below the resolved scale "
+            f"{model.separation_floor()}"
+        )
 
 
 def separation_lower_bound(model: ContinuousModel, s: float, t: float) -> float:
@@ -217,10 +224,10 @@ def separation_lower_bound(model: ContinuousModel, s: float, t: float) -> float:
     if s == t:
         raise ValueError("pair must be two distinct points")
     d = abs(s - t)
-    n = _bracket_level(model, d)
-    va = eval_fn(model, n + 1, s)
-    vb = eval_fn(model, n + 1, t)
-    return model.coefficient(n + 1) * va.sub(vb).norm()
+    _require_resolved(model, d)
+    # the first level m = n + 1 with floor 2^-p_(m-1) < d, so 2^-p_n < d <= 2^-p_(n-1)
+    m = next(m for m, _, _, floor in model.geometry if floor < d)
+    return model.coefficient(m) * eval_fn(model, m, s).sub(eval_fn(model, m, t)).norm()
 
 
 def check_pair(model: ContinuousModel, s: float, t: float) -> PairCheck:
@@ -234,7 +241,7 @@ def check_pair(model: ContinuousModel, s: float, t: float) -> PairCheck:
     if s == t:
         raise ValueError("pair must be two distinct points")
     d = abs(s - t)
-    _bracket_level(model, d)  # propagate pair-too-close before evaluating
+    _require_resolved(model, d)  # pair-too-close before either point is evaluated
     _check_point(s)
     _check_point(t)
     squares: list[float] = []

@@ -9,9 +9,12 @@ increasing integer sequence {p_n} with p_0 = 0, the series
 converges (exponent 1/inf reads as 0, so the factor is 1 for p = inf).
 Validation here is a certified eventual-ratio test rather than symbolic
 convergence: a PASS pins an index n0 and a ratio r < 1 with
-term_(n+1) <= r * term_n for all n >= n0.  That ``GrowthReport`` is the one
-certificate record of both model kinds, and ``GrowthReport.tail`` their one
-tail bound.
+term_(n+1) <= r * term_n for all n >= n0.  Each certificate is a decision
+(``_certify``) on the list term_1..term_n_max that one pass evaluates: n0 is
+one past the last ratio above RATIO_CAP, and the list passes iff
+n0 <= n_max // 2.  The same pass gives a model its coefficients, so each
+gauge value is evaluated once.  That ``GrowthReport`` is the one certificate
+record of both model kinds, and ``GrowthReport.tail`` their one tail bound.
 
 Logarithmic families are defined by their formulas only below a threshold
 (1/e, resp. e^-e); above it the formulas stop being monotone.  Because the
@@ -218,6 +221,8 @@ class SequenceRule:
         if self.kind == "affine":
             if self.a < 1.0:
                 raise ConfigError(f"affine slope must be >= 1, got {self.a}")
+            if not math.isfinite(self.a * (MAX_TERM_COUNT + 1)):
+                raise ConfigError(f"affine slope {self.a} puts p_{MAX_TERM_COUNT + 1} past the float range")
             if math.ceil(self.a) + self.b < 1:
                 raise ConfigError("affine rule must give p_1 >= 1")
         elif self.kind == "list":
@@ -300,31 +305,38 @@ class GrowthReport:
         """Bound on scale * (term_m + term_(m+1) + ...), m >= 1: the terms
         before n0 as they are, then term_k / (1 - ratio) at k = max(m, n0).
         Past ``last``, the end of a list rule, the decay goes on from
-        term_last.  ``term(n)`` gives term_n, also past the window."""
+        term_last.  Terms in the window are the report's own; ``term(n)``
+        gives term_n past it."""
         if not self.passed or self.ratio is None or self.n0 is None:
             raise GrowthConditionError("no ratio certificate available")
         r, k = self.ratio, max(m, self.n0)
         head = scale * math.fsum(self.terms[m - 1 : self.n0 - 1])
-        if last is not None and k > last:
-            return head + scale * term(last) * r / (1.0 - r)
-        return head + scale * term(k) / (1.0 - r)
+        at = min(k, last or k)
+        first = self.terms[at - 1] if at <= self.n_max else term(at)
+        if at < k:
+            return head + scale * first * r / (1.0 - r)
+        return head + scale * first / (1.0 - r)
 
 
 def growth_term(spec: PsiSpec, p: float, rule: SequenceRule, n: int) -> float:
     """term_n = psi(4 * 2^-p_(n-1)) * (2^p_n)^(1/p), via the total gauge."""
-    return _weighted(_gauge_factor(spec, rule, n), p, rule, n)
+    return _weighted(_gauge_factor(spec, rule.term(n - 1)), p, rule.term(n))
 
 
-def _gauge_factor(spec: PsiSpec, rule: SequenceRule, n: int) -> float:
-    """psi(4 * 2^-p_(n-1)): the gauge factor of term_n and of the coefficient at p_n."""
-    return eval_psi_total(spec, math.ldexp(4.0, -rule.term(n - 1)))
+def _gauge_factor(spec: PsiSpec, level: int) -> float:
+    """psi(4 * 2^-level): the gauge factor of term_n and of the coefficient at
+    p_n, with level = p_(n-1)."""
+    try:
+        return eval_psi_total(spec, math.ldexp(4.0, -level))
+    except OverflowError:  # past the float range: a non-finite term fails the certificate
+        return math.inf
 
 
-def _weighted(factor: float, p: float, rule: SequenceRule, n: int) -> float:
+def _weighted(factor: float, p: float, level: int) -> float:
     if math.isinf(p):
         return factor
     try:
-        return factor * 2.0 ** (rule.term(n) / p)
+        return factor * 2.0 ** (level / p)
     except OverflowError:  # past the float range: a non-finite term fails the certificate
         return math.inf
 
@@ -337,63 +349,55 @@ def validate_growth(
     or more than MAX_TERM_COUNT levels is a ``ConfigError`` in both."""
     if rule is None:
         rule = SequenceRule("affine")
-    return _growth(spec, p, rule, len(_levels(rule, depth)))[0]
+    return _growth(spec, p, rule, depth)[0]
 
 
-def _levels(rule: SequenceRule, depth: int) -> tuple[int, ...]:
-    """The levels p_n <= depth of a pettis model: at least one, and at most
-    MAX_TERM_COUNT, the terms one certificate window holds.  Either limit
-    broken is a config error; no level past the 65th is walked."""
+def _growth(
+    spec: PsiSpec, p: float, rule: SequenceRule, depth: int
+) -> tuple[GrowthReport, tuple[int, ...], list[float]]:
+    """The growth certificate of a pettis model of this depth, its levels
+    p_n <= depth, and the gauge factor psi(4 * 2^-p_(n-1)) of each term_n in
+    the window, n = 1..n_max.  One list p_0..p_65 (or to a list rule's end)
+    gives both the levels and the window.  No level, or more than
+    MAX_TERM_COUNT, the terms one window holds, is a config error."""
     most = MAX_TERM_COUNT + 1
-    levels = rule.levels_within(min(depth, rule.term(min(most, rule.max_index() or most))))
+    ladder = [rule.term(n) for n in range(min(most, rule.max_index() or most) + 1)]
+    levels = tuple(level for level in ladder[1:] if level <= depth)
     if not levels:
         raise ConfigError(f"no sequence level within depth {depth}")
     if len(levels) > MAX_TERM_COUNT:
         raise ConfigError(f"depth {depth} gives more than MAX_TERM_COUNT = {MAX_TERM_COUNT} levels")
-    return levels
+    factors = [_gauge_factor(spec, level) for level in ladder[: _window(len(levels), len(ladder) - 1)]]
+    terms = tuple(_weighted(f, p, level) for f, level in zip(factors, ladder[1:]))
+    return _certify(terms, p), levels, factors
 
 
-def _growth(
-    spec: PsiSpec, p: float, rule: SequenceRule, levels: int
-) -> tuple[GrowthReport, dict[int, float]]:
-    """The growth certificate of a ``levels``-level model, and the gauge factor
-    psi(4 * 2^-p_(n-1)) of each term_n it evaluated, keyed by n."""
-    factors: dict[int, float] = {}
-
-    def term(n: int) -> float:
-        factors[n] = _gauge_factor(spec, rule, n)
-        return _weighted(factors[n], p, rule, n)
-
-    return _certify(term, p, rule, levels), factors
-
-
-def _window(rule: SequenceRule, levels: int) -> int:
+def _window(levels: int, entries: int) -> int:
     """Terms the certificate of a ``levels``-level model checks:
-    min(MAX_TERM_COUNT, max(48, 2 * levels)), and no more than a list rule
-    has.  It holds every level of a model with at most 64 levels."""
-    n_max = min(MAX_TERM_COUNT, max(48, 2 * levels), rule.max_index() or MAX_TERM_COUNT)
+    min(MAX_TERM_COUNT, max(48, 2 * levels)), and no more than the rule's
+    ``entries``.  It holds every level of a model with at most 64 levels."""
+    n_max = min(MAX_TERM_COUNT, max(48, 2 * levels), entries)
     if n_max < 2:
         raise ConfigError("list rule too short for a ratio certificate (needs at least 2 entries)")
     return n_max
 
 
-def _certify(
-    term: Callable[[int], float], p: float, rule: SequenceRule, levels: int
-) -> GrowthReport:
-    """PASS iff some n0 <= n_max/2 has term_(n+1)/term_n <= RATIO_CAP for
-    every n in [n0, n_max), over the window of a ``levels``-level model."""
-    n_max = _window(rule, levels)
-    terms = tuple(term(n) for n in range(1, n_max + 1))
+def _certify(terms: tuple[float, ...], p: float) -> GrowthReport:
+    """The decision on the window's terms term_1..term_n_max.  A non-finite
+    term fails.  n0 is one past the last ratio term_(n+1)/term_n above
+    RATIO_CAP (1 when there is none): the least n0 from which every ratio
+    is at most the cap.  PASS iff n0 <= n_max // 2."""
+    n_max = len(terms)
     if not all(map(math.isfinite, terms)):
         return GrowthReport(False, p, n_max, terms)
     ratios = [
         (t1 / t0 if t0 > 0.0 else (0.0 if t1 == 0.0 else math.inf))
         for t0, t1 in zip(terms, terms[1:])
     ]
-    for n0 in range(1, n_max // 2 + 1):
-        if all(r <= RATIO_CAP for r in ratios[n0 - 1 :]):
-            return GrowthReport(True, p, n_max, terms, n0=n0, ratio=max(ratios[n0 - 1 :]))
-    return GrowthReport(False, p, n_max, terms)
+    n0 = 1 + max((n for n, r in enumerate(ratios, start=1) if not r <= RATIO_CAP), default=0)
+    if n0 > n_max // 2:
+        return GrowthReport(False, p, n_max, terms)
+    return GrowthReport(True, p, n_max, terms, n0=n0, ratio=max(ratios[n0 - 1 :]))
 
 
 def summability_term(spec: PsiSpec, rule: SequenceRule, n: int) -> float:
@@ -420,7 +424,19 @@ def validate_summable(
         raise ConfigError(f"depth {depth} gives more than MAX_TERM_COUNT = {MAX_TERM_COUNT} levels")
     if rule.term(depth) >= 1024:
         raise ConfigError(f"continuous model needs p_depth < 1024, got {rule.term(depth)}")
-    return _certify(lambda n: summability_term(spec, rule, n), math.inf, rule, depth - 1)
+    n_max = _window(depth - 1, rule.max_index() or MAX_TERM_COUNT)
+    return _certify(tuple(summability_term(spec, rule, n) for n in range(1, n_max + 1)), math.inf)
+
+
+def _require_in_range(name: str, x: float, p: float) -> None:
+    """ConfigError unless x and, at finite p, x**p are finite floats."""
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} is {x}, past the float range")
+    if not math.isinf(p):
+        try:
+            x**p  # float ** raises OverflowError where its result would be inf
+        except OverflowError:
+            raise ConfigError(f"{name} is {x}, whose power p = {p} is past the float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +487,26 @@ def coefficients(
 
     The growth certificate runs first, as ``validate_growth`` runs it for this
     depth, and is stored on the table.  Each gauge factor it evaluates feeds
-    both its growth term and the coefficient.
+    both its growth term and the coefficient.  A coefficient, its p-th power
+    or the tail past the depth and its p-th power past the float range is a
+    ``ConfigError``.
     """
     if K < 1.0:
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
     if rule is None:
         rule = SequenceRule("affine")
-    levels = _levels(rule, depth)
-    report, factors = _growth(spec, p, rule, len(levels))
+    report, levels, factors = _growth(spec, p, rule, depth)
     if not report.passed:
         raise GrowthConditionError(
             f"gauge {spec.family} failed growth validation for p={p} "
             f"(no ratio <= {RATIO_CAP} certificate within {report.n_max} terms)"
         )
-    coeffs = {level: 2.0 * K * factors[n] for n, level in enumerate(levels, start=1)}
+    coeffs = dict(zip(levels, (2.0 * K * f for f in factors)))
+    # psi is nondecreasing and its arguments fall, so c at p_1 is the largest
+    _require_in_range(f"coefficient at level {levels[0]}", coeffs[levels[0]], p)
+    # tail_bound(table, depth): the first omitted index is len(levels) + 1
+    tail = report.tail(len(levels) + 1, partial(growth_term, spec, p, rule), 2.0 * K, rule.max_index())
+    _require_in_range(f"tail bound past depth {depth}", tail, p)
     return CoefficientTable(
         spec=spec,
         rule=rule,

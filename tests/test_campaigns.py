@@ -867,6 +867,58 @@ def test_psi_validate_runs_the_continuous_certificate(tmp_path, capsys):
     assert "unknown model kind 'odd'" in capsys.readouterr().err
 
 
+_REF9 = {"kind": "continuous", "psi": {"family": "power", "exponent": 0.25},
+         "K": 1.0, "rule": {"kind": "affine", "a": 4, "b": 0}, "depth": 9}
+
+
+@pytest.mark.parametrize(
+    "model, kind, message",
+    [
+        # 2K = inf: an archive would hold bare Infinity and every row lower = inf
+        ({"K": 1e308}, "lower-bound", "coefficient at level 1 is inf, past the float range"),
+        # c finite, c**2 not: the pettis geometry's c**p would overflow
+        ({"K": 1e300}, "lower-bound",
+         "coefficient at level 1 is 5.656854249492381e+300, whose power p = 2.0 is past the float range"),
+        # a * 65 = inf, whose ceil is no integer
+        ({"rule": {"kind": "affine", "a": 1e307, "b": 0}}, "lower-bound",
+         "affine slope 1e+307 puts p_65 past the float range"),
+        # 2K = inf: every pair's lhs would be inf
+        ({**_REF9, "K": 1e308}, "continuous", "coefficient at level 2 is inf, past the float range"),
+        # c_10 * 2^p_10 = 1e68 * 2^801 overflows: an inf modulus bound holds for every pair
+        ({**_REF9, "K": 1e68, "rule": {"kind": "affine", "a": 100, "b": 0}, "depth": 10}, "continuous",
+         "Lipschitz constant is inf, past the float range"),
+    ],
+    ids=["K-1e308", "K-1e300", "slope-1e307", "continuous-K-1e308", "continuous-lipschitz"],
+)
+def test_model_numbers_past_the_float_range_are_config_errors(tmp_path, capsys, model, kind, message):
+    """A model whose coefficients, their p-th powers or its levels leave the
+    float range is refused by build and verify alike: exit 2, no PASS."""
+    cfg = _write_cfg(tmp_path, "huge.json", {"model": {**_MODEL_CFG, "depth": 24, **model},
+                                             "campaign": {"samples": 5, "dyadic_level": 4}})
+    archive = tmp_path / "huge-archive.json"
+    for args in (["build", "--out", str(archive)], ["verify", kind, "--out", str(tmp_path / "r.csv")]):
+        assert cli.main([*args, "--config", cfg]) == 2, args
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "[PASS]" not in err, args
+    assert not archive.exists()
+
+
+def test_gauge_past_the_float_range_fails_its_certificate(tmp_path, capsys):
+    """psi(4) = 4^600 overflows: the term is non-finite, so psi validate
+    reports FAIL and build and verify refuse the growth certificate."""
+    model = {**_MODEL_CFG, "psi": {"family": "power", "exponent": 600}}
+    cfg = _write_cfg(tmp_path, "exp600.json", {"model": model, "campaign": {"samples": 5, "dyadic_level": 4}})
+    assert cli.main(["psi", "validate", "--config", cfg, "--out", str(tmp_path / "psi.csv")]) == 1
+    assert "[FAIL] psi-validate" in capsys.readouterr().out
+    report = campaigns.validate_growth(PsiSpec("power", exponent=600), 2.0, SequenceRule("affine"), 10)
+    assert not report.passed and report.terms[0] == math.inf
+    for args in (["build", "--out", str(tmp_path / "a.json")],
+                 ["verify", "lower-bound", "--out", str(tmp_path / "r.csv")]):
+        assert cli.main([*args, "--config", cfg]) == 2, args
+        err = capsys.readouterr().err
+        assert "failed growth validation for p=2.0" in err and "[PASS]" not in err, args
+
+
 def _kinked_knots():
     """A custom table that follows s^0.75 for s >= 2^-36 and s^0.55 below,
     with knots at every power of two from 2^-60 to 4.  At p = 2, a = 1 its

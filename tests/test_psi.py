@@ -185,6 +185,21 @@ def test_no_level_within_depth_is_one_config_error():
     assert validate_growth(spec, 2.0, rule, 5).passed
 
 
+def test_tail_past_the_float_range_is_a_config_error():
+    """The tail past the depth and, at finite p, its p-th power must be
+    finite floats, as each coefficient and its p-th power must: at depth 1
+    the tail is about 7.5 times c_1, so some K passes the coefficient and
+    fails the tail."""
+    spec = PsiSpec("power", exponent=0.75)
+    assert coefficients(spec, K=3e152, p=2.0, depth=1).coefficient(1) ** 2.0 < math.inf
+    with pytest.raises(ConfigError, match=r"tail bound past depth 1 is 4\.2\d*e\+154, whose power p = 2\.0"):
+        coefficients(spec, K=1e153, p=2.0, depth=1)
+    # at p = inf only the tail itself must be finite
+    assert coefficients(spec, K=1e153, p=math.inf, depth=1).coefficient(1) < math.inf
+    with pytest.raises(ConfigError, match="tail bound past depth 1 is inf, past the float range"):
+        coefficients(spec, K=3e307, p=math.inf, depth=1)
+
+
 def test_tail_bound_anchor():
     table = coefficients(PsiSpec("power", exponent=0.75), K=1.0, p=2.0, depth=24)
     got = tail_bound(table, 20)
@@ -356,10 +371,50 @@ def test_certify_searches_n0_up_to_half_the_window(kink, passed):
     after it certify only from n0 = h: they pass at h = n_max // 2 and fail
     at h = n_max // 2 + 1."""
     h = 48 // 2 + kink
-    report = psi_module._certify(lambda n: 0.5 ** max(0, n - h), 2.0, SequenceRule("affine"), 24)
+    report = psi_module._certify(tuple(0.5 ** max(0, n - h) for n in range(1, 49)), 2.0)
     assert report.n_max == 48
     assert report.passed is passed
     assert (report.n0, report.ratio) == ((24, 0.5) if passed else (None, None))
+
+
+def _decide(terms):
+    report = psi_module._certify(tuple(terms), 2.0)
+    return report.passed, report.n0, report.ratio
+
+
+def test_certify_n0_follows_the_last_ratio_above_the_cap():
+    """n0 is one past the last ratio above RATIO_CAP, however many come
+    before it, and the certified ratio is the largest from n0 on."""
+    # 16 terms: ratios 0.5 except 2.0 at n = 2, 0.96 at n = 4 and 1.0 at n = 6
+    terms = [1.0, 0.5, 1.0, 0.5, 0.48, 0.24, 0.24] + [0.24 * 0.5**j for j in range(1, 10)]
+    assert _decide(terms) == (True, 7, 0.5)
+    # one more ratio above the cap at n = 9 puts n0 = 10 past n_max // 2 = 8
+    terms[9:] = [terms[8] * 0.96 * 0.5**j for j in range(7)]
+    assert _decide(terms) == (False, None, None)
+    # all ratios under the cap: n0 = 1, the ratio the largest of them
+    assert _decide([1.0, 0.9, 0.45, 0.2]) == (True, 1, 0.9)
+
+
+def test_certify_ratios_of_zero_terms():
+    """A zero term followed by zero has ratio 0.0; followed by a positive
+    term, ratio inf, which no n0 before it can certify."""
+    assert _decide([1.0, 0.5, 0.0, 0.0, 0.0, 0.0]) == (True, 1, 0.5)
+    assert _decide([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]) == (True, 1, 0.0)
+    # 8 terms, n_max // 2 = 4: the ratio inf at n = 3 gives n0 = 4, at n = 4 n0 = 5
+    assert _decide([0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125, 0.0625]) == (True, 4, 0.5)
+    assert _decide([0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.25, 0.125]) == (False, None, None)
+
+
+def test_certify_a_two_term_list_rule():
+    """A list rule of 2 terms gives a window of 2 and one ratio: n0 = 1
+    when that ratio is under the cap, FAIL otherwise."""
+    assert _decide([1.0, 0.5]) == (True, 1, 0.5)
+    assert _decide([1.0, 0.96]) == (False, None, None)
+    spec, rule = PsiSpec("power", exponent=0.75), SequenceRule("list", values=(1, 2))
+    report = validate_growth(spec, 2.0, rule, 2)
+    assert (report.n_max, report.passed, report.n0) == (2, True, 1)
+    assert report.ratio == report.terms[1] / report.terms[0]
+    assert abs(report.ratio - 2.0**-0.25) < 1e-15
 
 
 def test_coefficients_evaluate_each_gauge_factor_once(monkeypatch):
@@ -386,3 +441,22 @@ def test_coefficients_evaluate_each_gauge_factor_once(monkeypatch):
     for n, m in enumerate(table.levels, start=1):
         want = 2.0 * 1.5 * eval_psi_total(spec, math.ldexp(4.0, -rule.term(n - 1)))
         assert table.coefficient(m).hex() == want.hex()
+
+
+def test_continuous_build_evaluates_each_gauge_value_once(monkeypatch):
+    """The ref9 continuous build evaluates psi at u_0 and at the certificate's
+    48 arguments u_1..u_48 once each; its coefficients reuse u_0..u_7."""
+    calls = []
+
+    def counting(spec, s):
+        calls.append(s)
+        return eval_psi_total(spec, s)
+
+    monkeypatch.setattr(psi_module, "eval_psi_total", counting)
+    spec, rule = PsiSpec("power", exponent=0.25), SequenceRule("affine", a=4.0)
+    model = build_continuous_model(spec, K=1.5, rule=rule, depth=9)
+    assert len(calls) == len(set(calls)) == 49
+    # the shared terms give the coefficients' own floats
+    for n in range(2, 10):
+        want = 2.0 * 1.5 * eval_psi_total(spec, math.ldexp(1.0, -rule.term(n - 2)))
+        assert model.coefficient(n).hex() == want.hex()
