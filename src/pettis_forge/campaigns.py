@@ -7,6 +7,9 @@ byte-identical reports.  Each row carries the inputs, the computed values,
 the target bound, and a pass flag recomputable from the row's own columns.
 Rows are recorded through ``Report.add``, which counts the failing ones, and
 ``Report.close`` writes that count as the summary's ``violations`` entry.
+A report keeps its rows as typed columns, about 8 bytes a number, and
+renders its text chunk by chunk; a config asking for more than
+``MAX_REPORT_ROWS`` rows is refused before the first row.
 
 ``VERIFY_CAMPAIGNS`` maps each ``verify`` kind to its runner and the model
 class the runner needs; ``run`` dispatches through it.  ``psi-validate``
@@ -27,9 +30,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import statistics
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import chain, count, islice
 
 from .blocks import Functional
 from .continuous import ContinuousModel, check_pair
@@ -60,6 +67,10 @@ SUPPORT_MAX = 8
 #: Continuous campaign: the modulus table's scales delta = 2^-g.
 DELTA_LEVELS = (2, 3, 4, 5, 6, 7, 8)
 
+#: Most rows a campaign config may ask for.  The headline lower-bound sweep
+#: (8,191 dyadic rows) stays legal at 10^6 samples.
+MAX_REPORT_ROWS = 1 << 21
+
 _RATE_LIMIT_NOTE = (
     "vanishing-rate limit not decidable from finite samples; median trend is informative only"
 )
@@ -67,7 +78,8 @@ _RATE_LIMIT_NOTE = (
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Knobs shared by all campaigns; unused fields are ignored per kind."""
+    """Knobs shared by all campaigns; unused fields are ignored per kind.
+    A config whose ``report_rows`` pass ``MAX_REPORT_ROWS`` is refused."""
 
     kind: str
     samples: int = 10_000
@@ -91,8 +103,8 @@ class CampaignConfig:
         for name in ("samples", "sets"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.dyadic_level < 0:
-            raise ConfigError(f"dyadic_level must be >= 0, got {self.dyadic_level}")
+        if not 0 <= self.dyadic_level <= 63:  # 2^64 rows are past any ceiling
+            raise ConfigError(f"need 0 <= dyadic_level <= 63, got {self.dyadic_level}")
         if not self.t_grid:
             raise ConfigError("t_grid must hold at least one value")
         if not all(0.0 <= t < 1.0 for t in self.t_grid):
@@ -104,26 +116,84 @@ class CampaignConfig:
             raise ConfigError(f"halfpower needs j_min >= 1, got {self.j_min}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        rows = self.report_rows()
+        if rows > MAX_REPORT_ROWS:
+            raise ConfigError(
+                f"{self.kind} config asks for {rows} report rows, "
+                f"past MAX_REPORT_ROWS = {MAX_REPORT_ROWS}"
+            )
+
+    def report_rows(self) -> int:
+        """Rows the campaign asks for; blowup's count includes the grid
+        points it skips.  Bochner and psi-validate rows follow the model's
+        depth, so they count 0 here."""
+        levels = self.j_max - self.j_min + 1
+        if self.kind == LOWER_BOUND:
+            return (2 << self.dyadic_level) - 1 + self.samples
+        if self.kind == PAIRING:
+            return self.samples * self.sets
+        if self.kind == BLOWUP:
+            return len(self.t_grid) * levels
+        if self.kind == HALFPOWER:
+            return self.samples * levels
+        if self.kind == CONTINUOUS:
+            return self.samples
+        return 0
 
 
-@dataclass
 class Report:
-    """Ordered rows plus a summary; serializes deterministically."""
+    """Ordered rows plus a summary; serializes deterministically.
 
-    campaign: str
-    columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    violations: int = 0
+    Rows are kept as typed columns.  Rows from ``add`` or the constructor
+    collect in a batch of ``_BATCH``; a full batch moves column by column
+    into ``array('d')``, ``array('q')`` or ``array('b')`` buffers of 8, 8 and
+    1 bytes a value.  A column whose values stop fitting its array (None, a
+    str, an int past int64, a changed type) becomes a plain list.  ``rows``
+    reads the columns back as tuples of the original types, and
+    ``render_chunks`` writes the text chunk by chunk, so neither holds every
+    row as a boxed tuple.
+    """
+
+    def __init__(
+        self,
+        campaign: str,
+        columns: tuple[str, ...],
+        rows: Iterable[tuple] = (),
+        summary: dict | None = None,
+        violations: int = 0,
+    ) -> None:
+        if not columns:
+            raise ValueError("a report needs at least one column")
+        self.campaign = campaign
+        self.columns = columns
+        self.summary = {} if summary is None else summary
+        self.violations = violations
+        self._columns: list[array | list] = [[] for _ in columns]
+        self._count = 0  # rows in the columns
+        self._batch: list[tuple] = []  # rows not yet in the columns
+        self._rows = _Rows(self)
+        rows = iter(rows)
+        while batch := list(islice(rows, _BATCH)):
+            self._batch = batch
+            self._flush()
+
+    @property
+    def rows(self) -> Sequence[tuple]:
+        """The rows, a read-only sequence of tuples."""
+        return self._rows
 
     def add(self, row: tuple, ok: bool) -> None:
         """Append ``row``, counting a violation when ``ok`` is false."""
-        self.rows.append(row)
+        batch = self._batch
+        batch.append(row)
         if not ok:
             self.violations += 1
+        if len(batch) >= _BATCH:
+            self._flush()
 
     def close(self, **summary: object) -> Report:
         """Set the summary, ending with the violation count, and return the report."""
+        self._flush()
         self.summary = {**summary, "violations": self.violations}
         return self
 
@@ -131,48 +201,116 @@ class Report:
     def passed(self) -> bool:
         return self.violations == 0
 
-    def to_csv_text(self) -> str:
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Report):
+            return NotImplemented
+        return (
+            (self.campaign, self.columns, self.summary, self.violations)
+            == (other.campaign, other.columns, other.summary, other.violations)
+            and self.rows == other.rows
+        )
+
+    def __repr__(self) -> str:
+        return f"Report({self.campaign!r}, {len(self.rows)} rows, {self.violations} violations)"
+
+    def _flush(self) -> None:
+        """Move the batch into the columns.  Every column's new values are
+        packed before any column grows, so a refused batch leaves the
+        columns as they were."""
+        batch = self._batch
+        if not batch:
+            return
+        try:
+            values = list(zip(*batch, strict=True))
+        except ValueError:
+            raise ValueError("report rows of unequal width") from None
+        if len(values) != len(self._columns):
+            raise ValueError(f"report rows of {len(values)} values for {len(self._columns)} columns")
+        packed = [_pack(column, vals) for column, vals in zip(self._columns, values)]
+        for j, (column, vals, new) in enumerate(zip(self._columns, values, packed)):
+            if not column:
+                self._columns[j] = list(vals) if new is None else new
+            elif new is not None:
+                column.extend(new)
+            else:
+                if isinstance(column, array):
+                    column = self._columns[j] = list(_values(column))
+                column.extend(vals)
+        self._count += len(batch)
+        self._batch = []
+
+    def _slices(self) -> Iterator[list[array | list]]:
+        """The columns in aligned slices of at most ``_BATCH`` rows."""
+        self._flush()
+        for i in range(0, self._count, _BATCH):
+            yield [column[i : i + _BATCH] for column in self._columns]
+
+    def render(self, fmt: str) -> str:
+        """The report as one CSV or JSON text: ``render_chunks`` joined."""
+        return "".join(self.render_chunks(fmt))
+
+    def render_chunks(self, fmt: str) -> Iterator[str]:
+        """The report text in pieces of at most ``_BATCH`` rows each.  An
+        unknown format raises here, before any piece is made."""
+        if fmt == "csv":
+            return self._csv_chunks()
+        if fmt == "json":
+            return self._json_chunks()
+        raise ConfigError(f"unknown report format {fmt!r}")
+
+    def _csv_chunks(self) -> Iterator[str]:
         """CSV with one line per row, each value as ``_fmt`` writes it.
 
-        A row of floats, ints and bools is formatted by one ``%`` operation
-        with a format string built once per row-type signature (``%r`` of a
-        float is its repr, ``%d`` of a bool is 1 or 0); a row holding any
-        other type, None included, falls back to ``_fmt`` per value.
+        A chunk whose every column slice holds one type of float, int or
+        bool is formatted by one ``%`` operation, with the format string
+        built once per column-type signature (``%r`` of a float is its repr,
+        ``%d`` of a bool is 1 or 0); any other chunk falls back to ``_fmt``
+        per value.
         """
-        lines = [",".join(self.columns)]
-        formats: dict[tuple[type, ...], str | None] = {}
-        for row in self.rows:
-            # an exact-size key: tuple(map(...)) over-allocates, shrinks, and
-            # leaves up to 2,000 freed tuples (0.2 MB) on CPython's free list
-            sig = (*map(type, row),)
-            if sig not in formats:
-                codes = [_FORMAT_CODES.get(t) for t in sig]
-                formats[sig] = None if None in codes else ",".join(codes)
-            fmt = formats[sig]
-            lines.append(fmt % row if fmt is not None else ",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        yield ",".join(self.columns) + "\n"
+        formats: dict[tuple, str] = {}
+        for slices in self._slices():
+            kinds = tuple(map(_value_type, slices))
+            if not _PACKED.keys() >= set(kinds):
+                yield "".join(",".join(map(_fmt, row)) + "\n" for row in _rows_of(slices))
+                continue
+            key = (kinds, len(slices[0]))
+            if key not in formats:
+                line = ",".join(_PACKED[kind][1] for kind in kinds) + "\n"
+                formats[key] = line * len(slices[0])
+            yield formats[key] % tuple(chain.from_iterable(zip(*slices)))
 
     def to_json_obj(self) -> dict:
         """The report as strict JSON data: non-finite floats become the
         strings "inf", "-inf" and "nan", the spelling CSV reports use."""
+        return {**self._json_frame(), "rows": [[_json_value(v) for v in r] for r in self.rows]}
+
+    def _json_frame(self) -> dict:
         return {
             "campaign": self.campaign,
             "columns": list(self.columns),
-            "rows": [[_json_value(v) for v in r] for r in self.rows],
+            "rows": [],
             "summary": _json_value(self.summary),
             "violations": self.violations,
             "pass": self.passed,
         }
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-    def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv_text()
-        if fmt == "json":
-            return self.to_json_text()
-        raise ConfigError(f"unknown report format {fmt!r}")
+    def _json_chunks(self) -> Iterator[str]:
+        """The text of ``to_json_obj()`` dumped with sorted keys and indent
+        2: the frame's text with the rows spliced in chunk by chunk, each
+        chunk dumped alone and indented one level deeper."""
+        head, _, tail = _dumps(self._json_frame()).partition('"rows": []')
+        if not self.rows:
+            yield head + '"rows": []' + tail
+            return
+        yield head + '"rows": [\n'
+        sep = ""
+        for slices in self._slices():
+            rows = _dumps([[_json_value(v) for v in row] for row in _rows_of(slices)])
+            # '[\n  [...],\n  [...]\n]\n' -> '    [...],\n    [...]'
+            yield sep + "  " + rows[2:-3].replace("\n", "\n  ")
+            sep = ",\n"
+        yield "\n  ]" + tail
 
     def summary_lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
@@ -182,8 +320,86 @@ class Report:
         return out
 
 
-#: %-format code per row value type that writes exactly what ``_fmt`` does.
-_FORMAT_CODES = {float: "%r", int: "%d", bool: "%d"}
+class _Rows(Sequence):
+    """A report's rows, read from its columns: tuples of the original types."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: Report) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report._count + len(self._report._batch)
+
+    def __iter__(self) -> Iterator[tuple]:
+        for slices in self._report._slices():
+            yield from _rows_of(slices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self._report._flush()
+            return list(zip(*(_values(column[index]) for column in self._report._columns)))
+        n = len(self)
+        i = operator.index(index)
+        if not -n <= i < n:
+            raise IndexError("report row index out of range")
+        return self[i % n : i % n + 1][0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} rows of report {self._report.campaign!r}>"
+
+
+#: Rows a report collects before it packs them into its columns, and the
+#: rows in one rendered chunk.
+_BATCH = 512
+
+#: Per row value type: the array type code its column packs into, and the
+#: %-format code that writes exactly what ``_fmt`` does.
+_PACKED = {float: ("d", "%r"), int: ("q", "%d"), bool: ("b", "%d")}
+_ARRAY_TYPES = {code: kind for kind, (code, _) in _PACKED.items()}
+
+
+def _value_type(values: array | list) -> type | None:
+    """The one type of a column's values, or None if they mix types."""
+    if isinstance(values, array):
+        return _ARRAY_TYPES[values.typecode]
+    kinds = set(map(type, values))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _pack(column: array | list, values: tuple) -> array | None:
+    """``values`` as an array that ``column`` can take, or None: values of
+    one packed type, the column's own unless the column is empty, and each
+    in range (an int past int64 is not)."""
+    kind = _value_type(values)
+    if kind not in _PACKED:
+        return None
+    code = _PACKED[kind][0]
+    if column and not (isinstance(column, array) and column.typecode == code):
+        return None
+    try:
+        return array(code, values)
+    except OverflowError:
+        return None
+
+
+def _values(column: array | list) -> Iterable:
+    """A column's values as stored, a bool array's read back as bool."""
+    return map(bool, column) if isinstance(column, array) and column.typecode == "b" else column
+
+
+def _rows_of(slices: list[array | list]) -> Iterator[tuple]:
+    """The row tuples of aligned column slices."""
+    return zip(*map(_values, slices))
+
+
+def _dumps(obj: object) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(v: object) -> str:
@@ -258,13 +474,14 @@ def run_lower_bound_sweep(model: PettisModel, cfg: CampaignConfig) -> Report:
     """
     floor = _certified_floor(model, "dyadic_level", cfg.dyadic_level)
     report = Report(LOWER_BOUND, ("idx", "lo", "hi", "measure", "psi", "lower", "upper", "pass"))
+    idx = count()
 
     def emit(lo: float, hi: float) -> None:
         lower, upper = interval_bounds(model, lo, hi)
         measure = hi - lo
         target = eval_psi_total(model.psi, measure)
         ok = lower >= target
-        report.add((len(report.rows), lo, hi, measure, target, lower, upper, ok), ok)
+        report.add((next(idx), lo, hi, measure, target, lower, upper, ok), ok)
 
     for m in range(cfg.dyadic_level + 1):
         for k in range(1, (1 << m) + 1):
@@ -303,6 +520,7 @@ def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
     interval_sets = [_random_interval_set(rng) for _ in range(cfg.sets)]
     truncations = [truncated_integral(model, E) for E in interval_sets]
     report = Report(PAIRING, ("idx", "functional_norm", "lhs", "rhs", "abs_err", "tol", "pass"))
+    idx = count()
     for x in functionals:
         qn = x.dual_norm()
         tol = PAIRING_SLACK * (1.0 + qn)
@@ -311,7 +529,7 @@ def run_pairing_check(model: PettisModel, cfg: CampaignConfig) -> Report:
             rhs = scalar_integral(model, x, E)
             err = abs(lhs - rhs)
             ok = err <= tol
-            report.add((len(report.rows), qn, lhs, rhs, err, tol, ok), ok)
+            report.add((next(idx), qn, lhs, rhs, err, tol, ok), ok)
     return report.close(functionals=len(functionals), interval_sets=len(interval_sets))
 
 
@@ -377,7 +595,11 @@ def run_continuous_campaign(model: ContinuousModel, cfg: CampaignConfig) -> Repo
     lipschitz = model.lipschitz_constant()
     tail2 = 2.0 * model.tail()
     accepted = 0
-    observed: list[tuple[float, float]] = []
+    # per scale delta = 2^-g: the largest lhs over pairs at distance <= delta,
+    # kept as max() would over them in row order, and the pair count
+    deltas = [math.ldexp(1.0, -g) for g in DELTA_LEVELS]
+    sups: list[float | None] = [None] * len(deltas)
+    pairs = [0] * len(deltas)
     while accepted < cfg.samples:
         s, t = rng.random(), rng.random()
         d = abs(s - t)
@@ -389,19 +611,23 @@ def run_continuous_campaign(model: ContinuousModel, cfg: CampaignConfig) -> Repo
         pc = check_pair(model, s, t)
         mod = lipschitz * d + tail2
         mod_ok = pc.lhs <= mod
-        observed.append((d, pc.lhs))
+        for i, delta in enumerate(deltas):
+            if d > delta:
+                break  # DELTA_LEVELS rise, so the scales fall
+            pairs[i] += 1
+            if sups[i] is None or pc.lhs > sups[i]:
+                sups[i] = pc.lhs
         report.add((s, t, d, pc.lhs, pc.rhs, pc.holds, mod, mod_ok), pc.holds and mod_ok)
         accepted += 1
-    delta_table = {}
-    for g in DELTA_LEVELS:
-        delta = math.ldexp(1.0, -g)
-        close = [lhs for d, lhs in observed if d <= delta]
-        delta_table[str(g)] = {
+    delta_table = {
+        str(g): {
             "delta": delta,
-            "observed_sup": max(close, default=0.0),
+            "observed_sup": 0.0 if sup is None else sup,
             "bound": lipschitz * delta + tail2,
-            "pairs": len(close),
+            "pairs": n,
         }
+        for g, delta, sup, n in zip(DELTA_LEVELS, deltas, sups, pairs)
+    }
     return report.close(pairs=accepted, rejected_too_close=rejected, distance_floor=floor,
                         modulus_table=delta_table)
 

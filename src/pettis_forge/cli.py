@@ -71,14 +71,16 @@ def _campaign_config(obj: dict, kind: str, args: argparse.Namespace):
 
 def _emit(report: Report, cfg) -> int:
     """Write the report to ``cfg.out``, or alone on stdout with the summary
-    lines on stderr, so that stdout parses as CSV or JSON."""
-    text = report.render(cfg.format)
+    lines on stderr, so that stdout parses as CSV or JSON.  Each chunk of the
+    text is written as it is made; an unknown format fails before the file
+    is opened."""
+    chunks = report.render_chunks(cfg.format)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         summary = sys.stdout
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         summary = sys.stderr
     for line in report.summary_lines():
         print(line, file=summary)

@@ -141,8 +141,10 @@ def build_continuous_model(
         raise ConfigError(f"basis constant K must be >= 1, got {K}")
     report = validate_summable(spec, rule, depth)  # also refuses a depth the model cannot hold
     if not report.passed:
+        cause = report.nonfinite_term()
         raise GrowthConditionError(
             f"gauge {spec.family} is not certified summable along the sequence rule"
+            + (f" ({cause})" if cause else "")
         )
     u = (summability_term(spec, rule, 0), *report.terms[: depth - 2])
     coeffs = tuple(2.0 * K * un for un in u)

@@ -301,6 +301,12 @@ class GrowthReport:
     n0: int | None = None
     ratio: float | None = None
 
+    def nonfinite_term(self) -> str | None:
+        """The first non-finite term of the window, which fails the
+        certificate whatever the ratios, as 'term n is v'; None if all are finite."""
+        bad = ((n, t) for n, t in enumerate(self.terms, start=1) if not math.isfinite(t))
+        return next((f"term {n} is {t}, past the float range" for n, t in bad), None)
+
     def tail(self, m: int, term: Callable[[int], float], scale: float, last: int | None) -> float:
         """Bound on scale * (term_m + term_(m+1) + ...), m >= 1: the terms
         before n0 as they are, then term_k / (1 - ratio) at k = max(m, n0).
@@ -497,10 +503,8 @@ def coefficients(
         rule = SequenceRule("affine")
     report, levels, factors = _growth(spec, p, rule, depth)
     if not report.passed:
-        raise GrowthConditionError(
-            f"gauge {spec.family} failed growth validation for p={p} "
-            f"(no ratio <= {RATIO_CAP} certificate within {report.n_max} terms)"
-        )
+        cause = report.nonfinite_term() or f"no ratio <= {RATIO_CAP} certificate within {report.n_max} terms"
+        raise GrowthConditionError(f"gauge {spec.family} failed growth validation for p={p} ({cause})")
     coeffs = dict(zip(levels, (2.0 * K * f for f in factors)))
     # psi is nondecreasing and its arguments fall, so c at p_1 is the largest
     _require_in_range(f"coefficient at level {levels[0]}", coeffs[levels[0]], p)

@@ -200,8 +200,8 @@ def test_criterion_9_structural_suites(model24, tmp_path):
 
     model8 = build_model(small, PsiSpec("power", exponent=0.75), depth=8)
     cfg = CampaignConfig("lower-bound", samples=200, dyadic_level=5, seed=424242)
-    text_a = run_lower_bound_sweep(model8, cfg).to_csv_text()
-    text_b = run_lower_bound_sweep(model8, cfg).to_csv_text()
+    text_a = run_lower_bound_sweep(model8, cfg).render("csv")
+    text_b = run_lower_bound_sweep(model8, cfg).render("csv")
     assert text_a == text_b
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

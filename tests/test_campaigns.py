@@ -5,10 +5,13 @@ import dataclasses
 import io
 import json
 import math
+import random
 import subprocess
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pettis_forge import (
     CampaignConfig,
@@ -157,8 +160,14 @@ def test_continuous_campaign(cmodel9):
     assert rep.passed
     assert len(rep.rows) == 500
     table = rep.summary["modulus_table"]
+    assert list(table) == [str(g) for g in campaigns.DELTA_LEVELS]
     for entry in table.values():
         assert entry["observed_sup"] <= entry["bound"] + 1e-9
+        # the table is the rows' own: max over the pairs within delta, and their count
+        close = [lhs for s, t, dist, lhs, *_ in rep.rows if dist <= entry["delta"]]
+        assert entry["observed_sup"].hex() == max(close, default=0.0).hex()
+        assert entry["pairs"] == len(close)
+    assert 0 < table["8"]["pairs"] < table["2"]["pairs"] < 500
 
 
 def _failing_rows(report):
@@ -231,10 +240,11 @@ def test_reports_are_reproducible(model12):
     cfg = CampaignConfig("lower-bound", samples=100, dyadic_level=4, seed=77)
     a = run_lower_bound_sweep(model12, cfg)
     b = run_lower_bound_sweep(model12, cfg)
-    assert a.to_csv_text() == b.to_csv_text()
-    assert a.to_json_text() == b.to_json_text()
+    assert a.render("csv") == b.render("csv")
+    assert a.render("json") == b.render("json")
     c = run_lower_bound_sweep(model12, CampaignConfig("lower-bound", samples=100, dyadic_level=4, seed=78))
-    assert a.to_csv_text() != c.to_csv_text()
+    assert a.render("csv") != c.render("csv")
+    assert a == b and a != c
 
 
 #: A gauge whose growth terms overflow: its psi-validate report holds inf and nan.
@@ -272,10 +282,108 @@ def test_csv_renderer_matches_per_value_format(model12, cmodel9):
     for report in reports:
         want = [",".join(report.columns)]
         want += [",".join(campaigns._fmt(v) for v in row) for row in report.rows]
-        assert report.to_csv_text().split("\n") == want + [""], report.campaign
+        assert report.render("csv").split("\n") == want + [""], report.campaign
         seen.update(type(v) for row in report.rows for v in row)
         seen.update(repr(v) for row in report.rows for v in row if isinstance(v, float))
     assert {type(None), bool, int, float, "inf", "nan", "-0.0"} <= seen
+
+
+#: Row values of each kind: floats with signed zeros, infinities, nan and
+#: subnormals; ints in and past int64; bools, None and str.
+_MAKE_VALUE = {
+    "float": lambda rng: rng.choice((0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                                     1e308, rng.uniform(-1e3, 1e3), rng.random())),
+    "int": lambda rng: rng.choice((0, -1, 2**63 - 1, -(2**63), rng.randint(-(2**63), 2**63 - 1))),
+    "bigint": lambda rng: rng.choice((2**63, -(2**63) - 1, 10**30)),
+    "bool": lambda rng: rng.random() < 0.5,
+    "none": lambda rng: None,
+    "str": lambda rng: rng.choice(("", "a", "x,y", 'q"\n%d')),
+}
+
+
+def _reference_fmt(v):
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return repr(v)
+    return "" if v is None else str(v)
+
+
+def _reference_json_value(v):
+    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def _typed(rows):
+    """Rows with each value as its type and, for a float, its bits."""
+    return [tuple((type(v), v.hex() if isinstance(v, float) else v) for v in row) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 511, 512, 513, 1500]),
+    plans=st.lists(st.tuples(st.sampled_from(sorted(_MAKE_VALUE)), st.sampled_from(sorted(_MAKE_VALUE)),
+                             st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    peek=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+# a float column turns int at row 1,100, inside the third batch
+@example(n=1500, plans=[("float", "int", 0.7334), ("bool", "bool", 1.0)], peek=0.5, seed=1)
+def test_report_rows_and_bytes_match_a_list(n, plans, peek, seed):
+    """Column j holds values of kind a before row switch * n and of kind b
+    from there on.  A report built row by row through ``add`` (reading one
+    row back part way through) and one built from the list give that list's
+    rows, types and float bits; their CSV and JSON bytes are those of a
+    reference renderer over the list."""
+    rng = random.Random(seed)
+    rows = [tuple(_MAKE_VALUE[a if i < switch * n else b](rng) for a, b, switch in plans)
+            for i in range(n)]
+    columns = tuple(f"c{j}" for j in range(len(plans)))
+    oks = [rng.random() < 0.9 for _ in rows]
+    added = campaigns.Report("synthetic", columns)
+    for i, (row, ok) in enumerate(zip(rows, oks)):
+        added.add(row, ok)
+        if i == int(peek * n):
+            assert _typed([added.rows[-1]]) == _typed([row])
+    added.close(note="x", worst=-math.inf)
+    given_rows = campaigns.Report("synthetic", columns, rows, dict(added.summary), added.violations)
+    assert added.violations == oks.count(False)
+    for report in (added, given_rows):
+        view = report.rows
+        assert len(view) == n and _typed(view) == _typed(rows)
+        for i in {0, 1, n // 2, 511, 512, 513, n - 1, -1, -n, -513}:
+            if -n <= i < n:
+                assert _typed([view[i]]) == _typed([rows[i]]), i
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        for cut in (slice(None), slice(510, 515), slice(-3, None), slice(None, None, 97), slice(None, None, -1)):
+            assert _typed(view[cut]) == _typed(rows[cut]), cut
+        want_csv = "".join(",".join(map(_reference_fmt, r)) + "\n" for r in [columns, *rows])
+        assert report.render("csv") == want_csv
+        obj = {"campaign": "synthetic", "columns": list(columns),
+               "rows": [[_reference_json_value(v) for v in r] for r in rows],
+               "summary": {"note": "x", "worst": "-inf", "violations": report.violations},
+               "violations": report.violations, "pass": report.passed}
+        want_json = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert report.render("json") == want_json
+        assert json.dumps(report.to_json_obj(), sort_keys=True, indent=2, allow_nan=False) + "\n" == want_json
+        assert "".join(report.render_chunks("csv")) == want_csv
+    if not any(v != v for row in rows for v in row):  # nan != nan, in a list as in a report
+        assert added == given_rows and added.rows == rows
+
+
+def test_report_refuses_rows_that_do_not_fit_its_columns():
+    report = campaigns.Report("synthetic", ("a", "b"), [(1.0, 2)])
+    for row in ((1.0,), (1.0, 2, 3)):
+        report.add(row, True)
+        with pytest.raises(ValueError):
+            report.rows[0]
+        report._batch.clear()
+    assert report.rows == [(1.0, 2)]
+    with pytest.raises(ValueError):
+        campaigns.Report("synthetic", ("a", "b"), [(1.0, 2), (1.0,)])
+    with pytest.raises(ConfigError, match="unknown report format 'xml'"):
+        report.render_chunks("xml")
 
 
 def test_json_reports_are_strict(tmp_path, capsys):
@@ -286,12 +394,12 @@ def test_json_reports_are_strict(tmp_path, capsys):
     blob = json.loads(out.read_text(), parse_constant=_reject_constant)
     values = [v for row in blob["rows"] for v in row]
     assert values.count("inf") == 24 and values.count("nan") == 22
-    csv_values = [v for line in _steep_psi_report().to_csv_text().splitlines() for v in line.split(",")]
+    csv_values = [v for line in _steep_psi_report().render("csv").splitlines() for v in line.split(",")]
     assert csv_values.count("inf") == 24 and csv_values.count("nan") == 22
     # non-finite floats in the summary too, at any depth
     report = campaigns.Report("synthetic", ("x",), [(-math.inf,)],
                               {"a": math.nan, "b": {"c": [math.inf, 1.0]}}, 0)
-    blob = json.loads(report.to_json_text(), parse_constant=_reject_constant)
+    blob = json.loads(report.render("json"), parse_constant=_reject_constant)
     assert blob["rows"] == [["-inf"]]
     assert blob["summary"] == {"a": "nan", "b": {"c": ["inf", 1.0]}}
 
@@ -301,7 +409,7 @@ def test_report_alone_on_stdout_without_out(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "steep-cfg.json", _STEEP_PSI)
     assert cli.main(["psi", "validate", "--config", cfg, "--format", "json"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == _steep_psi_report().to_json_text()
+    assert captured.out == _steep_psi_report().render("json")
     assert json.loads(captured.out, parse_constant=_reject_constant)["pass"] is False
     assert captured.err.startswith("[FAIL] psi-validate: 48 rows, 1 violations\n")
 
@@ -346,6 +454,43 @@ def test_campaign_config_validation():
     with pytest.raises(ConfigError, match="halfpower needs j_min >= 1, got 0"):
         CampaignConfig("halfpower", j_min=0)
     assert CampaignConfig("blowup", j_min=0).j_min == 0
+
+
+def test_configs_past_the_row_ceiling_are_refused(tmp_path, capsys, monkeypatch):
+    """A config asking for more than MAX_REPORT_ROWS = 2^21 rows is a config
+    error that names the ceiling; the CLI exits 2 before computing a row."""
+    ceiling = campaigns.MAX_REPORT_ROWS
+    assert ceiling == 2**21
+    legal = (
+        CampaignConfig("lower-bound", dyadic_level=12, samples=10**6),  # ref24's sweep at 10^6 samples
+        CampaignConfig("lower-bound", dyadic_level=20, samples=1),
+        CampaignConfig("pairing", samples=ceiling // 64, sets=64),
+        CampaignConfig("halfpower", samples=ceiling // 16, j_min=5, j_max=20),
+        CampaignConfig("continuous", samples=ceiling),
+        CampaignConfig("blowup", t_grid=(0.5,) * (ceiling // 41), j_min=0, j_max=40),
+    )
+    assert [cfg.report_rows() for cfg in legal] == [8191 + 10**6, ceiling, ceiling, ceiling, ceiling,
+                                                    ceiling // 41 * 41]
+    too_many = (
+        ({"kind": "lower-bound", "dyadic_level": 20, "samples": 2}, 2**21 + 1),
+        ({"kind": "lower-bound", "dyadic_level": 37}, 2**38 - 1 + 10_000),
+        ({"kind": "pairing", "samples": ceiling // 64 + 1, "sets": 64}, ceiling + 64),
+        ({"kind": "halfpower", "samples": ceiling // 16 + 1, "j_min": 5, "j_max": 20}, ceiling + 16),
+        ({"kind": "continuous", "samples": ceiling + 1}, ceiling + 1),
+        ({"kind": "blowup", "t_grid": (0.5,) * ceiling, "j_min": 19, "j_max": 20}, 2 * ceiling),
+    )
+    for fields, rows in too_many:
+        message = f"{fields['kind']} config asks for {rows} report rows, past MAX_REPORT_ROWS = {ceiling}"
+        with pytest.raises(ConfigError) as exc:
+            CampaignConfig(**fields)
+        assert str(exc.value) == message
+    with pytest.raises(ConfigError, match="need 0 <= dyadic_level <= 63, got 64"):
+        CampaignConfig("lower-bound", dyadic_level=64)
+    # the CLI refuses a --samples override past the ceiling before any row
+    monkeypatch.setattr(campaigns, "interval_bounds", lambda *args: pytest.fail("a row was computed"))
+    cfg = _write_cfg(tmp_path, "ceiling.json", {"model": _MODEL_CFG, "campaign": {"dyadic_level": 4}})
+    assert cli.main(["verify", "lower-bound", "--config", cfg, "--samples", str(ceiling)]) == 2
+    assert f"past MAX_REPORT_ROWS = {ceiling}" in capsys.readouterr().err
 
 
 def test_model_config_errors(tmp_path):
@@ -916,7 +1061,8 @@ def test_gauge_past_the_float_range_fails_its_certificate(tmp_path, capsys):
                  ["verify", "lower-bound", "--out", str(tmp_path / "r.csv")]):
         assert cli.main([*args, "--config", cfg]) == 2, args
         err = capsys.readouterr().err
-        assert "failed growth validation for p=2.0" in err and "[PASS]" not in err, args
+        assert "failed growth validation for p=2.0 (term 1 is inf, past the float range)" in err, args
+        assert "[PASS]" not in err, args
 
 
 def _kinked_knots():

@@ -9,10 +9,11 @@ mapping with ``gauge_from_config``, as ``pettis-forge psi validate`` does.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from pettis_forge import CarrierFamily, allocate_carriers, campaigns
+from pettis_forge import CarrierFamily, allocate_carriers, campaigns, cli
 from pettis_forge.config import (
     build_campaign_from_config,
     build_model_from_config,
@@ -111,7 +112,7 @@ GOLDEN = {
 }
 
 
-def _report_sha256(model_cfg, campaign_cfg):
+def _report(model_cfg, campaign_cfg):
     cfg = build_campaign_from_config(campaign_cfg)
     if cfg.kind == campaigns.PSI_VALIDATE:
         spec, rule, p, depth = gauge_from_config(model_cfg)
@@ -119,10 +120,26 @@ def _report_sha256(model_cfg, campaign_cfg):
     else:
         report = _RUNNERS[cfg.kind](build_model_from_config(model_cfg), cfg)
     assert report.passed
-    return hashlib.sha256(report.render("json").encode("utf-8")).hexdigest()
+    return report
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_report_digest(case):
     model_cfg, campaign_cfg, digest = GOLDEN[case]
-    assert _report_sha256(model_cfg, campaign_cfg) == digest
+    text = _report(model_cfg, campaign_cfg).render("json")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_cli_writes_the_rendered_bytes(case, fmt, tmp_path):
+    """The CLI streams the report chunk by chunk; the file holds the bytes
+    of ``render``."""
+    model_cfg, campaign_cfg, _ = GOLDEN[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": model_cfg, "campaign": campaign_cfg}))
+    kind = campaign_cfg["kind"]
+    command = ["psi", "validate"] if kind == campaigns.PSI_VALIDATE else ["verify", kind]
+    out = tmp_path / f"report.{fmt}"
+    assert cli.main([*command, "--config", str(config), "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == _report(model_cfg, campaign_cfg).render(fmt).encode("utf-8")

@@ -155,8 +155,18 @@ def test_coefficient_scaling_in_K():
 
 
 def test_coefficients_growth_failed():
-    with pytest.raises(GrowthConditionError):
+    # power 1/2 at p = 2: every ratio is 1, over the cap
+    with pytest.raises(GrowthConditionError) as exc:
         coefficients(PsiSpec("power", exponent=0.5), K=1.0, p=2.0, depth=24)
+    assert str(exc.value) == (
+        "gauge power failed growth validation for p=2.0 (no ratio <= 0.95 certificate within 48 terms)"
+    )
+    # psi(4) = 4^600 overflows: the cause is the non-finite term_1, not a ratio
+    with pytest.raises(GrowthConditionError) as exc:
+        coefficients(PsiSpec("power", exponent=600), K=1.0, p=2.0, depth=24)
+    assert str(exc.value) == (
+        "gauge power failed growth validation for p=2.0 (term 1 is inf, past the float range)"
+    )
 
 
 def test_coefficients_hold_at_most_max_term_count_levels():
@@ -311,6 +321,22 @@ def test_summability_certificate():
     assert abs(report.ratio - 0.5) < 1e-12
     flat = validate_summable(PsiSpec("custom-table", knots=((0.0, 0.0), (1e-12, 1.0), (1.0, 1.0))))
     assert not flat.passed  # constant positive terms cannot certify
+
+
+def test_summability_failure_names_a_nonfinite_term(monkeypatch):
+    # power 0.05 along p_n = n: every ratio is 2^-0.05 = 0.966, over the cap
+    with pytest.raises(GrowthConditionError) as exc:
+        build_continuous_model(PsiSpec("power", exponent=0.05), rule=SequenceRule("affine"), depth=9)
+    assert str(exc.value) == "gauge power is not certified summable along the sequence rule"
+    # no gauge overflows on (0, 1/2], where u_n = psi(2^-p_n) is read, so an inf u_3 is put in
+    real = psi_module.summability_term
+    monkeypatch.setattr(psi_module, "summability_term",
+                        lambda spec, rule, n: math.inf if n == 3 else real(spec, rule, n))
+    with pytest.raises(GrowthConditionError) as exc:
+        build_continuous_model(PsiSpec("power", exponent=0.25), rule=SequenceRule("affine", a=4.0), depth=9)
+    assert str(exc.value) == (
+        "gauge power is not certified summable along the sequence rule (term 3 is inf, past the float range)"
+    )
 
 
 def test_psi_spec_json_round_trip():
